@@ -10,14 +10,10 @@ harness demonstrates the standard application.
 """
 
 from .algebra import (
-    CombinationIndex,
     FieldElement,
     FieldVector,
     Modulus,
     all_combinations,
-    combination_rank,
-    combination_unrank,
-    crt_lift,
     is_prime,
     member_columns,
     minimize_grid,
@@ -42,15 +38,12 @@ from .dpf import (
     DpfKey,
     PointDescription,
     SchemeParams,
-    ShareMatrix,
     check_seed_coverage,
     choose_grid,
     decode,
     eval_all,
     eval_point,
     gen,
-    matrix_of_shares,
-    share_value,
     simulate_coalition_view,
 )
 from .errors import (
@@ -105,7 +98,6 @@ __all__ = [
     "BoyleKey",
     "COLUMN_GUARD",
     "CoalitionView",
-    "CombinationIndex",
     "Database",
     "DcfKey",
     "DeterministicRandomSource",
@@ -128,7 +120,6 @@ __all__ = [
     "PointDescription",
     "PrgSpec",
     "SchemeParams",
-    "ShareMatrix",
     "TrivialKey",
     "all_combinations",
     "boyle_column_count",
@@ -136,10 +127,7 @@ __all__ = [
     "boyle_gen",
     "check_seed_coverage",
     "choose_grid",
-    "combination_rank",
-    "combination_unrank",
     "crossover_report",
-    "crt_lift",
     "dcf_eval",
     "dcf_gen",
     "decode",
@@ -152,7 +140,6 @@ __all__ = [
     "is_prime",
     "key_from_bytes",
     "key_to_bytes",
-    "matrix_of_shares",
     "member_columns",
     "minimize_grid",
     "parse_modulus",
@@ -164,7 +151,6 @@ __all__ = [
     "read_database",
     "read_key_file",
     "sample_seed",
-    "share_value",
     "simulate_coalition_view",
     "size_boyle",
     "size_boyle_crt",

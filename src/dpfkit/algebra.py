@@ -1,4 +1,4 @@
-"""Residue arithmetic over square-free moduli and combination indexing.
+"""Residue arithmetic over square-free moduli.
 
 A modulus is an ordered tuple of distinct primes; its value is their
 product.  Elements are stored as one residue per prime factor, so a
@@ -6,10 +6,6 @@ prime modulus is simply the single-factor case and composite moduli
 never need special handling anywhere else in the package.  Values can
 be mapped back to integers in [0, value) through the Chinese remainder
 theorem (`FieldElement.lift`).
-
-The module also provides the lexicographic bijection between subsets of
-a party set and their column ranks, which the sharing schemes use to
-address seed columns.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, isqrt
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -275,10 +271,6 @@ class FieldElement:
         return total % self.modulus.value
 
 
-def crt_lift(element: FieldElement) -> int:
-    return element.lift()
-
-
 class FieldVector:
     """A fixed-length vector of field elements backed by a numpy array.
 
@@ -405,59 +397,6 @@ class FieldVector:
 
     def __repr__(self) -> str:
         return f"FieldVector(mod {self.modulus}, len {len(self)})"
-
-
-@dataclass(frozen=True)
-class CombinationIndex:
-    """A k-subset of {0..p-1} together with its lexicographic rank."""
-
-    p: int
-    k: int
-    rank: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k <= self.p:
-            raise ParameterError(f"bad subset size {self.k} for p={self.p}")
-        if len(self.members) != self.k or len(set(self.members)) != self.k:
-            raise ParameterError(f"members {self.members} are not {self.k} distinct values")
-        if list(self.members) != sorted(self.members):
-            raise ParameterError("members must be sorted ascending")
-        if self.members[0] < 0 or self.members[-1] >= self.p:
-            raise ParameterError(f"members {self.members} out of range for p={self.p}")
-        if not 0 <= self.rank < comb(self.p, self.k):
-            raise ParameterError(f"rank {self.rank} out of range")
-
-
-def combination_rank(members: Iterable[int], p: int) -> CombinationIndex:
-    ms = tuple(sorted(members))
-    k = len(ms)
-    rank = 0
-    prev = -1
-    for slot, s in enumerate(ms):
-        for v in range(prev + 1, s):
-            rank += comb(p - 1 - v, k - slot - 1)
-        prev = s
-    return CombinationIndex(p=p, k=k, rank=rank, members=ms)
-
-
-def combination_unrank(rank: int, p: int, k: int) -> CombinationIndex:
-    if not 0 < k <= p:
-        raise ParameterError(f"bad subset size {k} for p={p}")
-    if not 0 <= rank < comb(p, k):
-        raise ParameterError(f"rank {rank} out of range for C({p},{k})")
-    members = []
-    rest = rank
-    start = 0
-    for slot in range(k):
-        for v in range(start, p):
-            block = comb(p - 1 - v, k - slot - 1)
-            if rest < block:
-                members.append(v)
-                start = v + 1
-                break
-            rest -= block
-    return CombinationIndex(p=p, k=k, rank=rank, members=tuple(members))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import baselines, dcf, dpf, keyfile, pir, sizing
-from .algebra import Modulus, crt_lift, parse_modulus
+from .algebra import Modulus, parse_modulus
 from .dpf import GRID_AUTO, GRID_SQUARE, PointDescription, SchemeParams
 from .errors import (
     DpfError,
@@ -123,7 +123,7 @@ def _evaluate_all(key):
 def _cmd_eval(args) -> int:
     key = keyfile.read_key_file(args.key)
     share = _evaluate(key, args.x)
-    print(crt_lift(share))
+    print(share.lift())
     return EXIT_OK
 
 
@@ -148,7 +148,7 @@ def _cmd_decode(args) -> int:
     if not values:
         raise ParameterError("--inputs is empty")
     shares = [modulus.element(v) for v in values]
-    print(crt_lift(dpf.decode(shares)))
+    print(dpf.decode(shares).lift())
     return EXIT_OK
 
 
@@ -156,7 +156,10 @@ def _cmd_bench_size(args) -> int:
     modulus = parse_modulus(args.modulus) if args.modulus else None
     x_values = None
     if args.x_values:
-        x_values = [int(part) for part in args.x_values.split(",") if part]
+        try:
+            x_values = [int(part) for part in args.x_values.split(",") if part]
+        except ValueError as exc:
+            raise ParameterError(f"--x-values must be comma-separated integers: {exc}")
     dataset = sizing.emit_figure(
         args.figure,
         domain_size=args.N,
@@ -201,7 +204,7 @@ def _cmd_pir_demo(args) -> int:
         rng=rng,
         grid=args.grid,
     )
-    print(f"value={crt_lift(value)}")
+    print(f"value={value.lift()}")
     print(f"upload_bits={transcript.upload_bits}")
     print(f"download_bits={transcript.download_bits}")
     print(f"trivial_bits={transcript.trivial_bits}")

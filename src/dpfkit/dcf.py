@@ -29,11 +29,11 @@ from .dpf import (
     DpfKey,
     PointDescription,
     SchemeParams,
-    _distinct_seeds,
+    _deal,
+    _deal_cells,
     _eval_row,
+    _party_keys,
     _require_honest_majority,
-    matrix_of_shares,
-    share_value,
 )
 from .errors import ParameterError
 from .prg import expand
@@ -65,44 +65,23 @@ def dcf_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DcfKey,
     modulus = params.modulus
     target_row, target_col = divmod(point.alpha, params.cols)
 
-    seeds = _distinct_seeds(params, rng)
-    one = modulus.one()
-    zero = modulus.zero()
-    matrices = [
-        matrix_of_shares(one if row == target_row else zero, params, rng)
-        for row in range(params.rows)
-    ]
+    seeds, dealt = _deal_cells(params, target_row, rng)
 
     total = FieldVector.zeros(modulus, params.cols)
     for seed in seeds[target_row]:
         total = total + expand(seed, params.prg)
+    beta = np.array(point.beta.residues, dtype=np.uint64).reshape(-1, 1)
     prefix = np.zeros((len(modulus.factors), params.cols), dtype=np.uint64)
-    prefix[:, : target_col + 1] = np.array(point.beta.residues, dtype=np.uint64).reshape(-1, 1)
+    prefix[:, : target_col + 1] = beta
     correction = FieldVector._raw(modulus, prefix) - total
 
-    row_shares: list[list[FieldElement]] = []
-    for row in range(params.rows):
-        value = point.beta if row < target_row else zero
-        row_shares.append(share_value(value, params.parties, rng))
-
-    keys = []
-    for party in range(params.parties):
-        cols = params.member_columns(party)
-        payloads = tuple(
-            tuple((seeds[row][j], matrices[row].cells[party][j]) for j in cols)
-            for row in range(params.rows)
-        )
-        point_key = DpfKey(
-            party=party,
-            params=params,
-            row_payloads=payloads,
-            correction=correction,
-        )
-        outputs = FieldVector.from_elements(
-            modulus, [row_shares[row][party] for row in range(params.rows)]
-        )
-        keys.append(DcfKey(point_key=point_key, row_outputs=outputs))
-    return tuple(keys)
+    secrets = np.zeros((len(modulus.factors), params.rows), dtype=np.uint64)
+    secrets[:, :target_row] = beta
+    row_shares = _deal(secrets, params.parties, modulus, rng)
+    return tuple(
+        DcfKey(key, FieldVector._raw(modulus, row_shares[:, :, key.party]))
+        for key in _party_keys(params, seeds, dealt, correction)
+    )
 
 
 def dcf_eval(key: DcfKey, x: int) -> FieldElement:

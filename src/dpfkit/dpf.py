@@ -38,7 +38,7 @@ from .algebra import (
     minimize_grid,
 )
 from .errors import HonestMajorityError, ParameterError
-from .prg import PrgSpec, expand, sample_seed
+from .prg import PrgSpec, expand, random_residues, sample_seed
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
@@ -152,87 +152,31 @@ class PointDescription:
             raise ParameterError("beta modulus disagrees with params")
 
 
-@dataclass(frozen=True)
-class ShareMatrix:
-    """parties x combo_count grid of shares produced at generation time.
-
-    Cells outside a column's subset hold None (a structural zero, nothing
-    is ever stored or sent for them); cells inside the subset hold field
-    elements that may well be the value zero.
-    """
-
-    params: SchemeParams
-    secret: FieldElement
-    cells: tuple[tuple[FieldElement | None, ...], ...]
-
-    def column(self, j: int) -> tuple[FieldElement | None, ...]:
-        return tuple(self.cells[i][j] for i in range(self.params.parties))
-
-
-def share_value(value: FieldElement, count: int, rng) -> list[FieldElement]:
-    """Additive sharing of `value` into `count` shares."""
-    if count < 1:
-        raise ParameterError(f"share count must be >= 1, got {count}")
-    modulus = value.modulus
-    shares = [modulus.random_element(rng) for _ in range(count - 1)]
-    running = modulus.zero()
-    for s in shares:
-        running = running + s
-    shares.append(value - running)
-    return shares
-
-
-def matrix_of_shares(secret: FieldElement, params: SchemeParams, rng) -> ShareMatrix:
-    """Fresh share matrix for one grid row.
-
-    Every column holds an independent additive (corrupted+1)-sharing of
-    `secret`, assigned to the column's subset members in ascending order.
-    """
-    if secret.modulus != params.modulus:
-        raise ParameterError("secret modulus disagrees with params")
-    if not (secret.is_zero or secret == params.modulus.one()):
-        raise ParameterError("row secret must be the field's zero or one")
-    p = params.parties
-    grid: list[list[FieldElement | None]] = [
-        [None] * params.combo_count for _ in range(p)
-    ]
-    for j, subset in enumerate(params.combinations):
-        shares = share_value(secret, len(subset), rng)
-        for member, share in zip(subset, shares):
-            grid[member][j] = share
-        if __debug__:
-            total = params.modulus.zero()
-            for s in shares:
-                total = total + s
-            assert total == secret, "column sharing does not sum to the secret"
-    return ShareMatrix(
-        params=params,
-        secret=secret,
-        cells=tuple(tuple(row) for row in grid),
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpfKey:
-    """One party's key: per-row (seed, share) pairs plus the shared correction."""
+    """One party's key: per-row seeds and shares plus the shared correction.
+
+    `seeds` is uint8 of shape (rows, C(p-1, m), lambda/8) and `shares` is
+    uint64 of shape (factors, rows, C(p-1, m)); both list the party's
+    columns in `params.member_columns(party)` order.
+    """
 
     party: int
     params: SchemeParams
-    row_payloads: tuple[tuple[tuple[bytes, FieldElement], ...], ...]
+    seeds: np.ndarray
+    shares: np.ndarray
     correction: FieldVector
 
     def __post_init__(self) -> None:
-        if not 0 <= self.party < self.params.parties:
+        params = self.params
+        if not 0 <= self.party < params.parties:
             raise ParameterError(f"party {self.party} out of range")
-        if len(self.row_payloads) != self.params.rows:
-            raise ParameterError("row payload count disagrees with grid")
-        expected = self.params.tuples_per_row
-        for row in self.row_payloads:
-            if len(row) != expected:
-                raise ParameterError(
-                    f"each row must carry {expected} seed/share pairs"
-                )
-        if len(self.correction) != self.params.cols:
+        width = params.tuples_per_row
+        if self.seeds.shape != (params.rows, width, params.lambda_bits // 8):
+            raise ParameterError(f"seeds must have shape (rows, {width}, lambda/8)")
+        if self.shares.shape != (len(params.modulus.factors), params.rows, width):
+            raise ParameterError(f"shares must have shape (factors, rows, {width})")
+        if len(self.correction) != params.cols:
             raise ParameterError("correction length disagrees with grid")
 
 
@@ -283,19 +227,84 @@ def _require_honest_majority(params: SchemeParams) -> None:
 
 
 def _distinct_seeds(params: SchemeParams, rng) -> list[list[bytes]]:
+    """A distinct non-zero seed for every (row, column) cell, row-major.
+
+    Reads the stream as one `sample_seed` call per candidate would: each
+    read asks for exactly the seeds still missing, and a candidate that is
+    all zero or already taken is skipped.
+    """
+    size = params.lambda_bits // 8
+    want = params.rows * params.combo_count
     seen: set[bytes] = set()
-    out: list[list[bytes]] = []
-    for _ in range(params.rows):
-        row = []
-        for _ in range(params.combo_count):
-            while True:
-                s = sample_seed(params.lambda_bits, rng)
-                if s not in seen:
-                    seen.add(s)
-                    row.append(s)
-                    break
-        out.append(row)
-    return out
+    flat: list[bytes] = []
+    while len(flat) < want:
+        blob = rng.randbytes(size * (want - len(flat)))
+        for i in range(0, len(blob), size):
+            s = blob[i : i + size]
+            if any(s) and s not in seen:
+                seen.add(s)
+                flat.append(s)
+    cols = params.combo_count
+    return [flat[r * cols : (r + 1) * cols] for r in range(params.rows)]
+
+
+def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
+    """Additive `count`-sharings of every column of `secrets`.
+
+    `secrets` has shape (factors, n); the result has shape
+    (factors, n, count).  For each secret in turn, the first count-1
+    shares are uniform draws and the last is the secret minus their sum.
+    """
+    qs = modulus._qs_np
+    n = secrets.shape[1]
+    drawn = random_residues(modulus, n * (count - 1), rng)
+    drawn = drawn.reshape(len(modulus.factors), n, count - 1)
+    last = (secrets + (count - 1) * qs - drawn.sum(axis=2)) % qs
+    shares = np.concatenate([drawn, last[:, :, None]], axis=2)
+    assert (shares.sum(axis=2) % qs == secrets).all(), "sharing misses its secret"
+    return shares
+
+
+def _deal_cells(params: SchemeParams, target_row: int, rng):
+    """Seeds for every (row, column) cell, then an (m+1)-sharing of each cell.
+
+    The cell secret is 1 on the target row and 0 elsewhere.  Returns the
+    seeds as rows of bytes and the shares as a (factors, rows, columns,
+    m+1) array whose last axis follows each column subset's members in
+    ascending order.
+    """
+    seeds = _distinct_seeds(params, rng)
+    shape = (len(params.modulus.factors), params.rows, params.combo_count)
+    secrets = np.zeros(shape, dtype=np.uint64)
+    secrets[:, target_row] = 1
+    count = params.corrupted + 1
+    dealt = _deal(secrets.reshape(shape[0], -1), count, params.modulus, rng)
+    return seeds, dealt.reshape(*shape, count)
+
+
+def _party_keys(
+    params: SchemeParams,
+    seeds: list[list[bytes]],
+    dealt: np.ndarray,
+    correction: FieldVector,
+) -> tuple[DpfKey, ...]:
+    """Give each party the seeds and shares of the columns it belongs to."""
+    seed_table = np.frombuffer(b"".join(b"".join(row) for row in seeds), dtype=np.uint8)
+    seed_table = seed_table.reshape(params.rows, params.combo_count, -1)
+    keys = []
+    for party in range(params.parties):
+        cols = list(params.member_columns(party))
+        slots = [params.combinations[j].index(party) for j in cols]
+        keys.append(
+            DpfKey(
+                party=party,
+                params=params,
+                seeds=seed_table[:, cols],
+                shares=dealt[:, :, cols, slots],
+                correction=correction,
+            )
+        )
+    return tuple(keys)
 
 
 def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...]:
@@ -303,14 +312,7 @@ def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...
     _require_honest_majority(params)
     point.validate(params)
     target_row, target_col = divmod(point.alpha, params.cols)
-
-    seeds = _distinct_seeds(params, rng)
-    one = params.modulus.one()
-    zero = params.modulus.zero()
-    matrices = [
-        matrix_of_shares(one if row == target_row else zero, params, rng)
-        for row in range(params.rows)
-    ]
+    seeds, dealt = _deal_cells(params, target_row, rng)
 
     total = FieldVector.zeros(params.modulus, params.cols)
     for seed in seeds[target_row]:
@@ -318,46 +320,23 @@ def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...
     correction = (
         FieldVector.unit(params.modulus, params.cols, target_col, point.beta) - total
     )
-
-    keys = []
-    for party in range(params.parties):
-        cols = params.member_columns(party)
-        payloads = tuple(
-            tuple(
-                (seeds[row][j], matrices[row].cells[party][j]) for j in cols
-            )
-            for row in range(params.rows)
-        )
-        keys.append(
-            DpfKey(
-                party=party,
-                params=params,
-                row_payloads=payloads,
-                correction=correction,
-            )
-        )
-    return tuple(keys)
-
-
-def _scalar_column(element: FieldElement) -> np.ndarray:
-    return np.array(element.residues, dtype=np.uint64).reshape(-1, 1)
+    return _party_keys(params, seeds, dealt, correction)
 
 
 def _eval_row(key: DpfKey, row: int) -> np.ndarray:
     """This party's share vector for one grid row, shape (factors, cols)."""
     params = key.params
     qs = params.modulus._qs_np
-    cols = params.member_columns(key.party)
-    payload = key.row_payloads[row]
-    if cols[0] == 0:
+    shares = key.shares[:, row, :, None]
+    if params.member_columns(key.party)[0] == 0:
         # This party holds column 0, whose share also multiplies the
         # public correction vector.
-        acc = (key.correction.data * _scalar_column(payload[0][1])) % qs
+        acc = (key.correction.data * shares[:, 0]) % qs
     else:
         acc = np.zeros_like(key.correction.data)
-    for seed, share in payload:
-        vec = expand(seed, params.prg)
-        acc = (acc + vec.data * _scalar_column(share)) % qs
+    for j, seed in enumerate(key.seeds[row]):
+        vec = expand(seed.tobytes(), params.prg)
+        acc = (acc + vec.data * shares[:, j]) % qs
     return acc
 
 
@@ -447,24 +426,22 @@ def simulate_coalition_view(
     visible = sorted(
         {j for member in members for j in params.member_columns(member)}
     )
-    seeds: list[dict[int, bytes]] = []
-    for _ in range(params.rows):
-        seeds.append({j: sample_seed(params.lambda_bits, rng) for j in visible})
+    seed_len = params.lambda_bits // 8
+    seeds = np.zeros((params.rows, params.combo_count, seed_len), dtype=np.uint8)
+    for row in range(params.rows):
+        for j in visible:
+            seeds[row, j] = list(sample_seed(params.lambda_bits, rng))
 
     keys = []
+    cells = params.rows * params.tuples_per_row
     for member in members:
-        cols = params.member_columns(member)
-        payloads = tuple(
-            tuple(
-                (seeds[row][j], params.modulus.random_element(rng)) for j in cols
-            )
-            for row in range(params.rows)
-        )
+        shares = random_residues(params.modulus, cells, rng)
         keys.append(
             DpfKey(
                 party=member,
                 params=params,
-                row_payloads=payloads,
+                seeds=seeds[:, list(params.member_columns(member))],
+                shares=shares.reshape(-1, params.rows, params.tuples_per_row),
                 correction=correction,
             )
         )

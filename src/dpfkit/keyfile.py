@@ -246,25 +246,31 @@ def _take_element(reader: _Reader, modulus: Modulus) -> FieldElement:
 
 
 def _encode_dpf_body(key: dpf.DpfKey) -> bytes:
-    parts = []
-    for row in key.row_payloads:
-        for seed, share in row:
-            parts.append(seed)
-            parts.append(encode_element(share))
-    parts.append(encode_vector(key.correction))
-    return b"".join(parts)
+    rows, width, _ = key.seeds.shape
+    flat = FieldVector._raw(key.params.modulus, key.shares.reshape(-1, rows * width))
+    shares = np.frombuffer(encode_vector(flat), dtype=np.uint8).reshape(rows, width, -1)
+    body = np.concatenate([key.seeds, shares], axis=2).tobytes()
+    return body + encode_vector(key.correction)
 
 
-def _decode_dpf_rows(reader: _Reader, params: dpf.SchemeParams):
-    rows = []
-    for _ in range(params.rows):
-        row = []
-        for _ in range(params.tuples_per_row):
-            seed = _take_seed(reader, params)
-            share = _take_element(reader, params.modulus)
-            row.append((seed, share))
-        rows.append(tuple(row))
-    return tuple(rows)
+def _decode_dpf_key(reader: _Reader, params: dpf.SchemeParams, party: int):
+    """Read the (seed, share) records of every row, then the correction."""
+    rows, width = params.rows, params.tuples_per_row
+    seed_len = params.lambda_bits // 8
+    record = seed_len + element_width(params.modulus)
+    raw = np.frombuffer(reader.take(rows * width * record), dtype=np.uint8)
+    raw = raw.reshape(rows, width, record)
+    seeds = raw[:, :, :seed_len]
+    if not seeds.any(axis=2).all():
+        raise FormatError("absent-seed sentinel inside a key body")
+    shares = decode_vector(raw[:, :, seed_len:].tobytes(), params.modulus, rows * width)
+    return dpf.DpfKey(
+        party=party,
+        params=params,
+        seeds=seeds,
+        shares=shares.data.reshape(-1, rows, width),
+        correction=_decode_correction(reader, params),
+    )
 
 
 def _decode_correction(reader: _Reader, params: dpf.SchemeParams) -> FieldVector:
@@ -306,28 +312,15 @@ def key_from_bytes(data: bytes):
     reader = _Reader(data, offset)
 
     if header.scheme == SCHEME_HONEST_MAJORITY:
-        rows = _decode_dpf_rows(reader, params)
-        correction = _decode_correction(reader, params)
+        key = _decode_dpf_key(reader, params, header.party)
         reader.done()
-        return dpf.DpfKey(
-            party=header.party,
-            params=params,
-            row_payloads=rows,
-            correction=correction,
-        )
+        return key
 
     if header.scheme == SCHEME_COMPARISON:
-        rows = _decode_dpf_rows(reader, params)
-        correction = _decode_correction(reader, params)
+        point_key = _decode_dpf_key(reader, params, header.party)
         raw = reader.take(params.rows * element_width(params.modulus))
         row_outputs = decode_vector(raw, params.modulus, params.rows)
         reader.done()
-        point_key = dpf.DpfKey(
-            party=header.party,
-            params=params,
-            row_payloads=rows,
-            correction=correction,
-        )
         return dcf.DcfKey(point_key=point_key, row_outputs=row_outputs)
 
     if header.scheme == SCHEME_BOYLE15:

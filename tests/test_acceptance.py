@@ -227,9 +227,7 @@ def _coalition_share_counts(keys, coalition, q):
     counts = Counter()
     for key in keys:
         if key.party in coalition:
-            for row in key.row_payloads:
-                for _, share in row:
-                    counts[share.residues[0]] += 1
+            counts.update(key.shares[0].ravel().tolist())
     return counts
 
 

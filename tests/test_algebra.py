@@ -13,9 +13,6 @@ from dpfkit.algebra import (
     FieldVector,
     Modulus,
     all_combinations,
-    combination_rank,
-    combination_unrank,
-    crt_lift,
     is_prime,
     member_columns,
     minimize_grid,
@@ -133,12 +130,11 @@ class TestFieldElement:
         e = m.element(185)
         assert e.residues == (1, 2, 0, 3)
         assert e.lift() == 185
-        assert crt_lift(e) == 185
 
     def test_crt_lift_reconstructs_from_residues(self):
         m = Modulus.from_int(210)
         e = m.from_residues((1, 2, 0, 3))
-        assert crt_lift(e) == 185
+        assert e.lift() == 185
 
     def test_negative_values_reduce(self):
         m = Modulus.prime(13)
@@ -232,9 +228,6 @@ class TestCombinations:
     def test_rank_matches_lexicographic_order(self, p, k):
         combos = list(itertools.combinations(range(p), k))
         assert all_combinations(p, k) == tuple(combos)
-        for rank, members in enumerate(combos):
-            assert combination_rank(members, p).rank == rank
-            assert combination_unrank(rank, p, k).members == members
 
     def test_member_columns(self):
         p, k = 5, 3
@@ -243,14 +236,6 @@ class TestCombinations:
             cols = member_columns(p, k, party)
             assert cols == tuple(j for j, s in enumerate(combos) if party in s)
             assert len(cols) == comb(p - 1, k - 1)
-
-    def test_rank_validates(self):
-        with pytest.raises(ParameterError):
-            combination_rank((0, 0), 5)
-        with pytest.raises(ParameterError):
-            combination_rank((1, 5), 5)
-        with pytest.raises(ParameterError):
-            combination_unrank(comb(5, 2), 5, 2)
 
 
 class TestMinimizeGrid:

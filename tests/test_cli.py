@@ -207,6 +207,15 @@ def test_bench_size_bad_formula(capsys):
     assert code == 2
 
 
+def test_bench_size_bad_x_values(capsys):
+    code, _, err = run(
+        capsys, "bench-size", "--figure", "domain", "--N", "100",
+        "--x-values", "100,abc",
+    )
+    assert code == 2
+    assert "--x-values" in err
+
+
 def test_pir_demo(capsys, tmp_path):
     m = parse_modulus("257")
     db_path = tmp_path / "demo.db"

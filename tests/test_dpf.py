@@ -3,21 +3,21 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
-from dpfkit.algebra import Modulus, parse_modulus
+from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 from dpfkit.dpf import (
     GRID_SQUARE,
     DpfKey,
     PointDescription,
     SchemeParams,
+    _deal,
     choose_grid,
     decode,
     eval_all,
     eval_point,
     gen,
-    matrix_of_shares,
-    share_value,
 )
 from dpfkit.errors import HonestMajorityError, ParameterError
 from dpfkit.keyfile import key_to_bytes
@@ -90,28 +90,29 @@ class TestParams:
 
 
 class TestSharing:
-    def test_share_value_sums_back(self, rng):
-        m = parse_modulus("2*3*5")
+    def test_deal_sums_to_secret_on_member_columns(self, rng):
+        modulus = parse_modulus("2*3*5")
+        qs = modulus._qs_np
+        secrets = FieldVector.random(modulus, 9, rng).data
         for count in (2, 3, 7):
-            val = m.random_element(rng)
-            shares = share_value(val, count, rng)
-            assert len(shares) == count
-            assert decode(shares).lift() == val.lift()
+            shares = _deal(secrets, count, modulus, rng)
+            assert shares.shape == (3, 9, count)
+            assert (shares < qs[:, :, None]).all()
+            assert (shares.sum(axis=2) % qs == secrets).all()
 
-    def test_matrix_columns_share_the_secret(self, rng):
-        params = _make(5, 2, "2*3", 9)
-        for secret in (params.modulus.zero(), params.modulus.one()):
-            matrix = matrix_of_shares(secret, params, rng)
-            for j in range(params.combo_count):
-                column = matrix.column(j)
-                held = [s for s in column if s is not None]
-                assert len(held) == 3
-                assert decode(held).lift() == secret.lift()
-
-    def test_matrix_rejects_non_bit_secret(self, rng):
-        params = _make(3, 1, "5", 4)
-        with pytest.raises(ParameterError):
-            matrix_of_shares(params.modulus.element(2), params, rng)
+        # in real keys, column j is held by exactly its subset, and the
+        # members' shares sum to 1 on the target row and 0 elsewhere
+        params = _make(5, 2, "2*3", 9, grid=(3, 3))
+        keys = gen(PointDescription(4, params.modulus.one()), params, rng)
+        expected = np.zeros((2, params.rows), dtype=np.uint64)
+        expected[:, 1] = 1
+        for j, subset in enumerate(params.combinations):
+            holders = [k for k in keys if j in params.member_columns(k.party)]
+            assert tuple(k.party for k in holders) == subset
+            total = sum(
+                k.shares[:, :, params.member_columns(k.party).index(j)] for k in holders
+            )
+            assert np.array_equal(total % params.modulus._qs_np, expected)
 
 
 @pytest.mark.parametrize("modulus_text", ["2", "3", "257", "2*3*5", "15"])
@@ -198,12 +199,10 @@ def test_key_structure(rng):
     keys = gen(PointDescription(11, params.modulus.element(3)), params, rng)
     for key in keys:
         assert isinstance(key, DpfKey)
-        assert len(key.row_payloads) == 5
-        for row in key.row_payloads:
-            assert len(row) == params.tuples_per_row
-            for seed, share in row:
-                assert len(seed) == params.lambda_bits // 8
-                assert share.modulus == params.modulus
+        assert key.seeds.shape == (5, params.tuples_per_row, params.lambda_bits // 8)
+        assert key.seeds.dtype == np.uint8
+        assert key.shares.shape == (1, 5, params.tuples_per_row)
+        assert (key.shares < 7).all()
         assert len(key.correction) == params.cols
 
 
@@ -217,7 +216,7 @@ def test_parties_share_column_seeds(rng):
             seeds = set()
             for party in subset:
                 cols = params.member_columns(party)
-                seeds.add(keys[party].row_payloads[row][cols.index(j)][0])
+                seeds.add(keys[party].seeds[row, cols.index(j)].tobytes())
             assert len(seeds) == 1
 
 

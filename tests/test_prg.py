@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpfkit.algebra import Modulus
+from dpfkit.algebra import Modulus, parse_modulus
 from dpfkit.errors import ParameterError
 from dpfkit.prg import (
     PRG_SHAKE128,
@@ -15,6 +15,7 @@ from dpfkit.prg import (
     PrgSpec,
     expand,
     expansion_count,
+    random_residues,
     sample_seed,
 )
 
@@ -163,6 +164,28 @@ class TestSampleSeed:
         a = sample_seed(128, DeterministicRandomSource("s"))
         b = sample_seed(128, DeterministicRandomSource("s"))
         assert a == b
+
+
+class TestRandomResidues:
+    @pytest.mark.parametrize(
+        "modulus", ["2", "2*3*5*7", "257", "2*257", "3*65537", "2147483647", "2*3*2147483647"]
+    )
+    @pytest.mark.parametrize("count", [0, 1, 3, 500])
+    def test_reads_the_stream_like_randrange(self, modulus, count):
+        m = parse_modulus(modulus)
+        ref = DeterministicRandomSource(f"residues/{modulus}/{count}")
+        got = DeterministicRandomSource(f"residues/{modulus}/{count}")
+        want = [[ref.randrange(q) for q in m.factors] for _ in range(count)]
+        out = random_residues(m, count, got)
+        assert out.shape == (len(m.factors), count)
+        assert out.T.tolist() == want
+        assert got.randbytes(32) == ref.randbytes(32)  # same bytes consumed
+
+    def test_other_sources_stay_in_range(self, rng):
+        m = parse_modulus("2*257*65537")
+        out = random_residues(m, 2000, rng)
+        assert (out < m._qs_np).all()
+        assert all(len(set(row)) == q for row, q in zip(out.tolist(), m.factors[:2]))
 
 
 class TestDeterministicRandomSource:

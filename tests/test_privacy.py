@@ -81,7 +81,8 @@ class TestSimulatedView:
             for j in shared:
                 seeds = {
                     key_by_party[party]
-                    .row_payloads[row][params.member_columns(party).index(j)][0]
+                    .seeds[row, params.member_columns(party).index(j)]
+                    .tobytes()
                     for party in (0, 2)
                 }
                 assert len(seeds) == 1
@@ -91,8 +92,8 @@ class TestSimulatedView:
         rng = DeterministicRandomSource("sim4")
         view = simulate_coalition_view(params, (1,), rng)
         key = view.keys[0]
-        for row in key.row_payloads:
-            seeds = [seed for seed, _ in row]
+        for row in key.seeds:
+            seeds = [seed.tobytes() for seed in row]
             assert len(set(seeds)) == len(seeds)
 
 
@@ -101,9 +102,7 @@ def _share_histogram(keys, coalition):
     for key in keys:
         if key.party not in coalition:
             continue
-        for row in key.row_payloads:
-            for _, share in row:
-                counts[share.residues[0]] += 1
+        counts.update(key.shares[0].ravel().tolist())
     return counts
 
 

@@ -46,6 +46,25 @@ def _golden_key_blob():
     return key_to_bytes(keys[0])
 
 
+def _dcf_golden_blob():
+    params = _params(3, 1, "2*3*5", 12, grid=(3, 4))
+    rng = DeterministicRandomSource("dcf-golden")
+    keys = dcf_gen(PointDescription(7, params.modulus.element(19)), params, rng)
+    return key_to_bytes(keys[0])
+
+
+# Offsets of (seed, share) records: the first record of the DPF golden, the
+# last record of its only row, and the last record of the DCF golden's last
+# row (3 rows of 2 records, 16-byte seed plus 3 one-byte residues).
+_GOLDEN_BODY = header_size(parse_modulus("5"))
+_DCF_BODY = header_size(parse_modulus("2*3*5"))
+_RECORDS = (
+    (_golden_key_blob, _GOLDEN_BODY),
+    (_golden_key_blob, _GOLDEN_BODY + 17),
+    (_dcf_golden_blob, _DCF_BODY + 5 * 19),
+)
+
+
 class TestGolden:
     def test_header_bytes_are_stable(self):
         blob = _golden_key_blob()
@@ -55,6 +74,12 @@ class TestGolden:
         assert (
             hashlib.sha256(_golden_key_blob()).hexdigest()
             == "4aec37bb3967f25e13f4774fa8e9e5174f7d6407ecd30a25ff27a2896b0e343f"
+        )
+
+    def test_comparison_key_digest_is_stable(self):
+        assert (
+            hashlib.sha256(_dcf_golden_blob()).hexdigest()
+            == "c5d56420b11f4235395185c1697f0f6ed7747b6e3b7600eabf6d7f8103b538ba"
         )
 
     def test_header_size_formula(self):
@@ -177,18 +202,21 @@ class TestMalformedInput:
             key_from_bytes(_golden_key_blob() + b"\x00")
 
     def test_all_zero_seed_rejected(self):
-        blob = self._blob()
-        offset = header_size(parse_modulus("5"))
-        blob[offset : offset + 16] = bytes(16)
-        with pytest.raises(FormatError, match="sentinel"):
-            key_from_bytes(bytes(blob))
+        for make_blob, offset in _RECORDS:
+            blob = bytearray(make_blob())
+            blob[offset : offset + 16] = bytes(16)
+            with pytest.raises(FormatError, match="sentinel"):
+                key_from_bytes(bytes(blob))
 
     def test_out_of_range_share_rejected(self):
-        blob = self._blob()
-        offset = header_size(parse_modulus("5")) + 16
-        blob[offset] = 5  # share residue must stay below the factor
-        with pytest.raises(FormatError):
-            key_from_bytes(bytes(blob))
+        targets = [(make_blob, offset + 16) for make_blob, offset in _RECORDS]
+        # the last residue of the DCF golden's row-output block ends the blob
+        targets.append((_dcf_golden_blob, len(_dcf_golden_blob()) - 1))
+        for make_blob, offset in targets:
+            blob = bytearray(make_blob())
+            blob[offset] = 5  # share residue must stay below the factor
+            with pytest.raises(FormatError, match="out of range"):
+                key_from_bytes(bytes(blob))
 
     def test_boyle_column_order_enforced(self, rng):
         params = _params(3, 1, "3", 4, grid=(1, 4))
