@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import FieldElement, FieldVector
 from .dpf import PointDescription, SchemeParams
 from .errors import FormatError, GuardError, ParameterError
@@ -117,18 +119,32 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     return tuple(keys)
 
 
-def boyle_eval(key: BoyleKey, x: int) -> FieldElement:
+def _boyle_row(key: BoyleKey, row: int) -> FieldVector:
+    """This party's share vector for one grid row."""
     params = key.params
-    if not 0 <= x < params.domain_size:
-        raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
-    row, col = divmod(x, params.cols)
     tuples = key.rows[row]
     total = FieldVector.zeros(params.modulus, params.cols)
     for column, seed, share in tuples:
         total = total + expand(seed, params.prg) * share
     if tuples and tuples[0][0] == 0:
         total = total + key.correction * tuples[0][2]
-    return total[col]
+    return total
+
+
+def boyle_eval(key: BoyleKey, x: int) -> FieldElement:
+    params = key.params
+    if not 0 <= x < params.domain_size:
+        raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
+    row, col = divmod(x, params.cols)
+    return _boyle_row(key, row)[col]
+
+
+def boyle_eval_all(key: BoyleKey) -> FieldVector:
+    """Shares for every domain point, one row evaluation per used row."""
+    params = key.params
+    rows = [_boyle_row(key, row).data for row in range(params.used_rows())]
+    data = np.concatenate(rows, axis=1)[:, : params.domain_size]
+    return FieldVector._raw(params.modulus, data)
 
 
 def trivial_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[TrivialKey, ...]:
@@ -156,6 +172,10 @@ def trivial_eval(key: TrivialKey, x: int) -> FieldElement:
             f"input {x} outside domain [0, {key.params.domain_size})"
         )
     return key.table[x]
+
+
+def trivial_eval_all(key: TrivialKey) -> FieldVector:
+    return key.table
 
 
 def reconstruct_share_vectors(keys: tuple[BoyleKey, ...], row: int):

@@ -43,6 +43,16 @@ _SCHEME_GENERATORS = {
     "dcf": dcf.dcf_gen,
 }
 
+# Key type -> (module, point evaluator, full-domain evaluator).  The
+# functions are looked up by name on each call, so a rebound module
+# attribute, such as a tracing wrapper, is the one that runs.
+_EVALUATORS = {
+    dpf.DpfKey: (dpf, "eval_point", "eval_all"),
+    dcf.DcfKey: (dcf, "dcf_eval", "dcf_eval_all"),
+    baselines.BoyleKey: (baselines, "boyle_eval", "boyle_eval_all"),
+    baselines.TrivialKey: (baselines, "trivial_eval", "trivial_eval_all"),
+}
+
 
 def _make_rng(args) -> random.Random:
     if getattr(args, "insecure_test_prg", False) and args.seed is None:
@@ -95,41 +105,17 @@ def _cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(key, x: int):
-    if isinstance(key, dpf.DpfKey):
-        return dpf.eval_point(key, x)
-    if isinstance(key, dcf.DcfKey):
-        return dcf.dcf_eval(key, x)
-    if isinstance(key, baselines.BoyleKey):
-        return baselines.boyle_eval(key, x)
-    if isinstance(key, baselines.TrivialKey):
-        return baselines.trivial_eval(key, x)
-    raise InternalError(f"no evaluator for {type(key).__name__}")
-
-
-def _evaluate_all(key):
-    if isinstance(key, dpf.DpfKey):
-        return dpf.eval_all(key)
-    if isinstance(key, baselines.TrivialKey):
-        return key.table
-    n = key.params.domain_size
-    from .algebra import FieldVector
-
-    return FieldVector.from_elements(
-        key.params.modulus, [_evaluate(key, x) for x in range(n)]
-    )
-
-
 def _cmd_eval(args) -> int:
     key = keyfile.read_key_file(args.key)
-    share = _evaluate(key, args.x)
-    print(share.lift())
+    module, point, _ = _EVALUATORS[type(key)]
+    print(getattr(module, point)(key, args.x).lift())
     return EXIT_OK
 
 
 def _cmd_eval_all(args) -> int:
     key = keyfile.read_key_file(args.key)
-    vector = _evaluate_all(key)
+    module, _, full_domain = _EVALUATORS[type(key)]
+    vector = getattr(module, full_domain)(key)
     if args.out is None:
         for value in vector.lift_all():
             print(value)
@@ -215,13 +201,7 @@ def _cmd_inspect(args) -> int:
     with open(args.key, "rb") as fh:
         data = fh.read()
     header, offset = keyfile.parse_header(data)
-    names = {
-        keyfile.SCHEME_HONEST_MAJORITY: "ours",
-        keyfile.SCHEME_BOYLE15: "boyle15",
-        keyfile.SCHEME_TRIVIAL: "trivial",
-        keyfile.SCHEME_COMPARISON: "dcf",
-    }
-    print(f"scheme={names[header.scheme]}")
+    print(f"scheme={keyfile.SCHEMES[header.scheme].name}")
     print(f"party={header.party}")
     print(f"parties={header.parties}")
     print(f"corrupted={header.corrupted}")

@@ -24,17 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dpf
 from .algebra import FieldElement, FieldVector
-from .dpf import (
-    DpfKey,
-    PointDescription,
-    SchemeParams,
-    _deal,
-    _deal_cells,
-    _eval_row,
-    _party_keys,
-    _require_honest_majority,
-)
 from .errors import ParameterError
 from .prg import expand
 
@@ -43,7 +34,7 @@ from .prg import expand
 class DcfKey:
     """A point-function key plus one output share per grid row."""
 
-    point_key: DpfKey
+    point_key: dpf.DpfKey
     row_outputs: FieldVector
 
     def __post_init__(self) -> None:
@@ -55,17 +46,19 @@ class DcfKey:
         return self.point_key.party
 
     @property
-    def params(self) -> SchemeParams:
+    def params(self) -> dpf.SchemeParams:
         return self.point_key.params
 
 
-def dcf_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DcfKey, ...]:
-    _require_honest_majority(params)
+def dcf_gen(
+    point: dpf.PointDescription, params: dpf.SchemeParams, rng
+) -> tuple[DcfKey, ...]:
+    dpf._require_honest_majority(params)
     point.validate(params)
     modulus = params.modulus
     target_row, target_col = divmod(point.alpha, params.cols)
 
-    seeds, dealt = _deal_cells(params, target_row, rng)
+    seeds, dealt = dpf._deal_cells(params, target_row, rng)
 
     total = FieldVector.zeros(modulus, params.cols)
     for seed in seeds[target_row]:
@@ -77,19 +70,22 @@ def dcf_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DcfKey,
 
     secrets = np.zeros((len(modulus.factors), params.rows), dtype=np.uint64)
     secrets[:, :target_row] = beta
-    row_shares = _deal(secrets, params.parties, modulus, rng)
+    row_shares = dpf._deal(secrets, params.parties, modulus, rng)
     return tuple(
         DcfKey(key, FieldVector._raw(modulus, row_shares[:, :, key.party]))
-        for key in _party_keys(params, seeds, dealt, correction)
+        for key in dpf._party_keys(params, seeds, dealt, correction)
     )
 
 
 def dcf_eval(key: DcfKey, x: int) -> FieldElement:
     """This party's additive share of beta * [x <= alpha]."""
+    return dpf.eval_point(key.point_key, x) + key.row_outputs[x // key.params.cols]
+
+
+def dcf_eval_all(key: DcfKey) -> FieldVector:
+    """Shares for every domain point: `eval_all` plus each row's output share."""
     params = key.params
-    if not 0 <= x < params.domain_size:
-        raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
-    row, col = divmod(x, params.cols)
-    data = _eval_row(key.point_key, row)
-    element = FieldElement(params.modulus, tuple(int(v) for v in data[:, col]))
-    return element + key.row_outputs[row]
+    outputs = np.repeat(key.row_outputs.data, params.cols, axis=1)
+    return dpf.eval_all(key.point_key) + FieldVector._raw(
+        params.modulus, outputs[:, : params.domain_size]
+    )

@@ -44,6 +44,14 @@ GRID_AUTO = "auto"
 GRID_SQUARE = "square"
 
 
+def check_party_counts(parties: int, corrupted: int) -> None:
+    """Every scheme needs 2 <= parties < 2**16 and 1 <= corrupted < parties."""
+    if not 2 <= parties < 2 ** 16:
+        raise ParameterError(f"party count {parties} out of range")
+    if not 1 <= corrupted < parties:
+        raise ParameterError(f"corruption bound {corrupted} must be in [1, {parties})")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Shared parameters; identical across all keys of one generation."""
@@ -58,12 +66,7 @@ class SchemeParams:
     prg: PrgSpec
 
     def __post_init__(self) -> None:
-        if not 2 <= self.parties < 2 ** 16:
-            raise ParameterError(f"party count {self.parties} out of range")
-        if not 1 <= self.corrupted < self.parties:
-            raise ParameterError(
-                f"corruption bound {self.corrupted} must be in [1, {self.parties})"
-            )
+        check_party_counts(self.parties, self.corrupted)
         if self.lambda_bits % 8 != 0 or not 8 <= self.lambda_bits <= 65535:
             raise ParameterError(f"bad seed length {self.lambda_bits} bits")
         if not 1 <= self.domain_size < 2 ** 64:

@@ -31,28 +31,25 @@ lambda/8 bytes.
     scheme 4: the scheme-1 body, then R per-row output shares.
 
 The all-zero seed value is reserved to mean "absent" and never appears
-in a well-formed file.
+in a well-formed file.  `SCHEMES` maps each tag to its CLI name, key
+class and body codec.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import baselines, dcf, dpf
-from .algebra import FieldElement, FieldVector, Modulus
+from .algebra import FieldVector, Modulus
 from .errors import FormatError, ParameterError
 from .prg import PrgSpec
 
 MAGIC = b"DPFK"
 VERSION = 1
-
-SCHEME_HONEST_MAJORITY = 1
-SCHEME_BOYLE15 = 2
-SCHEME_TRIVIAL = 3
-SCHEME_COMPARISON = 4
 
 _HEADER = struct.Struct("<4sBBHHHHQII")
 _FACTOR = struct.Struct("<Q")
@@ -100,14 +97,6 @@ def decode_vector(data: bytes, modulus: Modulus, count: int) -> FieldVector:
     if arr.size and not (arr < modulus._qs_np).all():
         raise FormatError("element residue out of range for its factor")
     return FieldVector._raw(modulus, arr)
-
-
-def encode_element(element: FieldElement) -> bytes:
-    return encode_vector(FieldVector.from_elements(element.modulus, [element]))
-
-
-def decode_element(data: bytes, modulus: Modulus) -> FieldElement:
-    return decode_vector(data, modulus, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -171,12 +160,7 @@ def parse_header(data: bytes) -> tuple[KeyHeader, int]:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
-    if scheme not in (
-        SCHEME_HONEST_MAJORITY,
-        SCHEME_BOYLE15,
-        SCHEME_TRIVIAL,
-        SCHEME_COMPARISON,
-    ):
+    if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme tag {scheme}")
     offset = _HEADER.size
     n_factors = data[offset]
@@ -234,18 +218,11 @@ class _Reader:
             )
 
 
-def _take_seed(reader: _Reader, params: dpf.SchemeParams) -> bytes:
-    seed = reader.take(params.lambda_bits // 8)
-    if not any(seed):
-        raise FormatError("absent-seed sentinel inside a key body")
-    return seed
+def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> FieldVector:
+    return decode_vector(reader.take(count * element_width(modulus)), modulus, count)
 
 
-def _take_element(reader: _Reader, modulus: Modulus) -> FieldElement:
-    return decode_element(reader.take(element_width(modulus)), modulus)
-
-
-def _encode_dpf_body(key: dpf.DpfKey) -> bytes:
+def _encode_dpf(key: dpf.DpfKey) -> bytes:
     rows, width, _ = key.seeds.shape
     flat = FieldVector._raw(key.params.modulus, key.shares.reshape(-1, rows * width))
     shares = np.frombuffer(encode_vector(flat), dtype=np.uint8).reshape(rows, width, -1)
@@ -253,7 +230,7 @@ def _encode_dpf_body(key: dpf.DpfKey) -> bytes:
     return body + encode_vector(key.correction)
 
 
-def _decode_dpf_key(reader: _Reader, params: dpf.SchemeParams, party: int):
+def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dpf.DpfKey:
     """Read the (seed, share) records of every row, then the correction."""
     rows, width = params.rows, params.tuples_per_row
     seed_len = params.lambda_bits // 8
@@ -269,36 +246,99 @@ def _decode_dpf_key(reader: _Reader, params: dpf.SchemeParams, party: int):
         params=params,
         seeds=seeds,
         shares=shares.data.reshape(-1, rows, width),
-        correction=_decode_correction(reader, params),
+        correction=_take_vector(reader, params.modulus, params.cols),
     )
 
 
-def _decode_correction(reader: _Reader, params: dpf.SchemeParams) -> FieldVector:
-    raw = reader.take(params.cols * element_width(params.modulus))
-    return decode_vector(raw, params.modulus, params.cols)
+def _encode_dcf(key: dcf.DcfKey) -> bytes:
+    return _encode_dpf(key.point_key) + encode_vector(key.row_outputs)
+
+
+def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dcf.DcfKey:
+    point_key = _decode_dpf(reader, params, party)
+    return dcf.DcfKey(point_key, _take_vector(reader, params.modulus, params.rows))
+
+
+def _encode_boyle(key: baselines.BoyleKey) -> bytes:
+    """Each row as a u32 record count, then its records as one array."""
+    modulus = key.params.modulus
+    widths = (4, key.params.lambda_bits // 8, element_width(modulus))
+    parts = []
+    for row in key.rows:
+        columns, seeds, shares = zip(*row) if row else ((), (), ())
+        fields = (
+            np.array(columns, dtype="<u4").tobytes(),
+            b"".join(seeds),
+            encode_vector(FieldVector.from_elements(modulus, shares)),
+        )
+        records = np.concatenate(
+            [np.frombuffer(f, np.uint8).reshape(len(row), w) for f, w in zip(fields, widths)],
+            axis=1,
+        )
+        parts += [_U32.pack(len(row)), records.tobytes()]
+    return b"".join(parts) + encode_vector(key.correction)
+
+
+def _decode_boyle(
+    reader: _Reader, params: dpf.SchemeParams, party: int
+) -> baselines.BoyleKey:
+    modulus = params.modulus
+    column_count = baselines.boyle_column_count(params)
+    seed_end = 4 + params.lambda_bits // 8
+    record = seed_end + element_width(modulus)
+    rows = []
+    for _ in range(params.rows):
+        count = reader.u32()
+        if count > column_count:
+            raise FormatError("tuple count exceeds the column count")
+        raw = np.frombuffer(reader.take(count * record), np.uint8).reshape(count, record)
+        columns = np.frombuffer(raw[:, :4].tobytes(), "<u4").astype(np.int64)
+        if (np.diff(columns, prepend=-1) <= 0).any() or (columns >= column_count).any():
+            raise FormatError("column indexes must be ascending and in range")
+        seeds = raw[:, 4:seed_end]
+        if not seeds.any(axis=1).all():
+            raise FormatError("absent-seed sentinel inside a key body")
+        shares = decode_vector(raw[:, seed_end:].tobytes(), modulus, count)
+        rows.append(tuple(zip(columns.tolist(), map(bytes, seeds), shares)))
+    return baselines.BoyleKey(
+        party=party,
+        params=params,
+        rows=tuple(rows),
+        correction=_take_vector(reader, modulus, params.cols),
+    )
+
+
+def _encode_trivial(key: baselines.TrivialKey) -> bytes:
+    return encode_vector(key.table)
+
+
+def _decode_trivial(
+    reader: _Reader, params: dpf.SchemeParams, party: int
+) -> baselines.TrivialKey:
+    table = _take_vector(reader, params.modulus, params.domain_size)
+    return baselines.TrivialKey(party, params, table)
+
+
+class _Scheme(NamedTuple):
+    name: str
+    key_class: type
+    encode: Callable[..., bytes]
+    decode: Callable[..., object]
+
+
+SCHEMES = {
+    1: _Scheme("ours", dpf.DpfKey, _encode_dpf, _decode_dpf),
+    2: _Scheme("boyle15", baselines.BoyleKey, _encode_boyle, _decode_boyle),
+    3: _Scheme("trivial", baselines.TrivialKey, _encode_trivial, _decode_trivial),
+    4: _Scheme("dcf", dcf.DcfKey, _encode_dcf, _decode_dcf),
+}
 
 
 def key_to_bytes(key) -> bytes:
     """Serialize any scheme's key into the container format."""
-    if isinstance(key, dcf.DcfKey):
-        body = _encode_dpf_body(key.point_key) + encode_vector(key.row_outputs)
-        return _pack_header(SCHEME_COMPARISON, key.party, key.params) + body
-    if isinstance(key, dpf.DpfKey):
-        return _pack_header(SCHEME_HONEST_MAJORITY, key.party, key.params) + _encode_dpf_body(key)
-    if isinstance(key, baselines.BoyleKey):
-        parts = [_pack_header(SCHEME_BOYLE15, key.party, key.params)]
-        for row in key.rows:
-            parts.append(_U32.pack(len(row)))
-            for column, seed, share in row:
-                parts.append(_U32.pack(column))
-                parts.append(seed)
-                parts.append(encode_element(share))
-        parts.append(encode_vector(key.correction))
-        return b"".join(parts)
-    if isinstance(key, baselines.TrivialKey):
-        return _pack_header(SCHEME_TRIVIAL, key.party, key.params) + encode_vector(
-            key.table
-        )
+    for tag, scheme in SCHEMES.items():
+        if type(key) is scheme.key_class:
+            return _pack_header(tag, key.party, key.params) + scheme.encode(key)
     raise ParameterError(f"cannot serialize {type(key).__name__}")
 
 
@@ -310,51 +350,9 @@ def key_from_bytes(data: bytes):
     except ParameterError as exc:
         raise FormatError(f"invalid key header: {exc}") from exc
     reader = _Reader(data, offset)
-
-    if header.scheme == SCHEME_HONEST_MAJORITY:
-        key = _decode_dpf_key(reader, params, header.party)
-        reader.done()
-        return key
-
-    if header.scheme == SCHEME_COMPARISON:
-        point_key = _decode_dpf_key(reader, params, header.party)
-        raw = reader.take(params.rows * element_width(params.modulus))
-        row_outputs = decode_vector(raw, params.modulus, params.rows)
-        reader.done()
-        return dcf.DcfKey(point_key=point_key, row_outputs=row_outputs)
-
-    if header.scheme == SCHEME_BOYLE15:
-        column_count = baselines.boyle_column_count(params)
-        rows = []
-        for _ in range(params.rows):
-            count = reader.u32()
-            if count > column_count:
-                raise FormatError("tuple count exceeds the column count")
-            row = []
-            last = -1
-            for _ in range(count):
-                column = reader.u32()
-                if column <= last or column >= column_count:
-                    raise FormatError("column indexes must be ascending and in range")
-                last = column
-                seed = _take_seed(reader, params)
-                share = _take_element(reader, params.modulus)
-                row.append((column, seed, share))
-            rows.append(tuple(row))
-        correction = _decode_correction(reader, params)
-        reader.done()
-        return baselines.BoyleKey(
-            party=header.party,
-            params=params,
-            rows=tuple(rows),
-            correction=correction,
-        )
-
-    # SCHEME_TRIVIAL
-    raw = reader.take(params.domain_size * element_width(params.modulus))
-    table = decode_vector(raw, params.modulus, params.domain_size)
+    key = SCHEMES[header.scheme].decode(reader, params, header.party)
     reader.done()
-    return baselines.TrivialKey(party=header.party, params=params, table=table)
+    return key
 
 
 def write_key_file(path, key) -> int:

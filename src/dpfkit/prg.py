@@ -100,63 +100,39 @@ def _le_words(raw: bytes, width: int) -> np.ndarray:
     return out
 
 
-def _shake_reader(seed: bytes, factor_index: int):
-    h = hashlib.shake_128(seed + _DOMAIN_SEP + bytes([factor_index]))
-
-    def read(offset: int, length: int) -> bytes:
-        return h.digest(offset + length)[offset:]
-
-    return read
-
-
-def _lcg_reader(seed: bytes, factor_index: int):
+def _stream(algorithm: int, seed: bytes, factor_index: int, length: int) -> bytes:
+    """The first `length` bytes of the stream for one prime factor."""
+    if algorithm == PRG_SHAKE128:
+        h = hashlib.shake_128(seed + _DOMAIN_SEP + bytes([factor_index]))
+        return h.digest(length)
     padded = (seed[:8] + b"\x00" * 8)[:8]
-    state0 = int.from_bytes(padded, "little") ^ ((_SEED_MIX * (factor_index + 1)) & _U64)
-
-    def read(offset: int, length: int) -> bytes:
-        steps = (offset + length + 7) // 8
-        buf = bytearray()
-        s = state0
-        for _ in range(steps):
-            s = (_LCG_MULT * s + _LCG_INC) & _U64
-            buf += s.to_bytes(8, "little")
-        return bytes(buf[offset : offset + length])
-
-    return read
-
-
-_READERS = {PRG_SHAKE128: _shake_reader, PRG_TEST_LCG: _lcg_reader}
+    s = int.from_bytes(padded, "little") ^ ((_SEED_MIX * (factor_index + 1)) & _U64)
+    buf = bytearray()
+    for _ in range((length + 7) // 8):
+        s = (_LCG_MULT * s + _LCG_INC) & _U64
+        buf += s.to_bytes(8, "little")
+    return bytes(buf[:length])
 
 
 def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: int) -> np.ndarray:
+    """The first n accepted words of the stream; the prefix doubles on a shortfall."""
     bits = (q - 1).bit_length()
     width = (bits + 7) // 8
     mask = np.uint64((1 << bits) - 1)
-    read = _READERS[algorithm](seed, factor_index)
-
-    out = np.empty(n, dtype=np.uint64)
-    filled = 0
-    offset = 0
-    consumed = 0
-    # Initial chunk sized for the expected acceptance rate q / 2**bits.
-    chunk = (n * (1 << bits)) // q + (n >> 4) + 32
     cap = (n << 20) + (1 << 20)
-    while filled < n:
-        raw = read(offset, chunk * width)
-        offset += chunk * width
-        consumed += chunk
-        words = _le_words(raw, width)
-        words &= mask
-        good = words[words < q]
-        take = min(n - filled, good.size)
-        out[filled : filled + take] = good[:take]
-        filled += take
-        if consumed > cap:
+    # Initial prefix sized for the expected acceptance rate q / 2**bits.
+    words = (n * (1 << bits)) // q + (n >> 4) + 32
+    while True:
+        candidates = _le_words(_stream(algorithm, seed, factor_index, words * width), width)
+        candidates &= mask
+        good = candidates[candidates < q]
+        if good.size >= n:
+            return good[:n]
+        if words > cap:
             raise InternalError(
                 f"rejection sampling exceeded {cap} candidates for q={q}"
             )
-        chunk = (n - filled) * 2 + 32
-    return out
+        words *= 2
 
 
 def expand(seed: bytes, spec: PrgSpec) -> FieldVector:

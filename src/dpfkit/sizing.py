@@ -45,7 +45,7 @@ from math import comb, isqrt
 
 from . import keyfile
 from .algebra import Modulus, minimize_grid, primorial
-from .dpf import GRID_AUTO, SchemeParams, choose_grid
+from .dpf import GRID_AUTO, SchemeParams, check_party_counts, choose_grid
 from .errors import ParameterError
 
 MERSENNE31 = 2147483647
@@ -73,6 +73,7 @@ def size_ours(
     modulus: Modulus,
     grid: str = GRID_AUTO,
 ) -> int:
+    check_party_counts(parties, corrupted)
     bits = modulus.residue_bits
     rows, cols = choose_grid(domain_size, parties, corrupted, lambda_bits, modulus, grid)
     return rows * comb(parties - 1, corrupted) * (lambda_bits + bits) + cols * bits
@@ -146,6 +147,8 @@ def size_bunn_it(
     modulus: Modulus,
     c_it: float = 1.0,
 ) -> float:
+    if not (math.isfinite(c_it) and c_it > 0):
+        raise ParameterError(f"c_it must be finite and positive, got {c_it}")
     side = isqrt(domain_size)
     if side * side < domain_size:
         side += 1

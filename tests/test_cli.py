@@ -131,13 +131,18 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 3
 
 
-def test_eval_all_stdout_and_file(capsys, tmp_path):
-    out_dir, _ = keygen(capsys, tmp_path, "--seed", "t3")
+@pytest.mark.parametrize("scheme", ["ours", "dcf", "boyle15", "trivial"])
+def test_eval_all_stdout_and_file(capsys, tmp_path, scheme):
+    out_dir, _ = keygen(capsys, tmp_path, "--seed", "t3", scheme=scheme)
     key = str(out_dir / "key_1.dpfk")
     code, out, _ = run(capsys, "eval-all", "--key", key)
     assert code == 0
     stdout_values = [int(v) for v in out.strip().split("\n")]
     assert len(stdout_values) == 4
+    for x, value in enumerate(stdout_values):
+        code, out, _ = run(capsys, "eval", "--key", key, "--x", str(x))
+        assert code == 0
+        assert int(out) == value
 
     share_file = tmp_path / "shares.bin"
     code, out, _ = run(capsys, "eval-all", "--key", key, "--out", str(share_file))
@@ -214,6 +219,19 @@ def test_bench_size_bad_x_values(capsys):
     )
     assert code == 2
     assert "--x-values" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--figure", "parties", "--m", "5", "--x-values", "3"),
+    ("--figure", "parties", "--x-values", "1"),
+    ("--figure", "domain", "--N", "100", "--x-values", "100", "--c-it", "nan"),
+    ("--figure", "domain", "--N", "100", "--x-values", "100", "--c-it", "-3"),
+])
+def test_bench_size_bad_parameters(capsys, argv):
+    code, out, err = run(capsys, "bench-size", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_pir_demo(capsys, tmp_path):

@@ -7,6 +7,15 @@ import numpy as np
 import pytest
 
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
+from dpfkit.baselines import (
+    boyle_eval,
+    boyle_eval_all,
+    boyle_gen,
+    trivial_eval,
+    trivial_eval_all,
+    trivial_gen,
+)
+from dpfkit.dcf import dcf_eval, dcf_eval_all, dcf_gen
 from dpfkit.dpf import (
     GRID_SQUARE,
     DpfKey,
@@ -148,6 +157,30 @@ def test_eval_all_matches_pointwise(rng):
         vec = eval_all(key)
         assert len(vec) == 40
         assert vec.lift_all() == [eval_point(key, x).lift() for x in range(40)]
+
+
+@pytest.mark.parametrize("scheme,parties,corrupted,modulus_text,domain,grid", [
+    ("ours", 3, 1, "257", 40, (7, 9)),
+    ("dcf", 5, 2, "2*3*5", 40, (7, 6)),
+    ("dcf", 3, 1, "2*3*5*7", 23, "auto"),
+    ("boyle15", 3, 1, "5", 40, (7, 9)),
+    ("boyle15", 4, 2, "3", 10, (4, 3)),
+    ("trivial", 3, 1, "2*3*5", 40, "auto"),
+])
+def test_full_domain_evaluator_matches_pointwise(
+    scheme, parties, corrupted, modulus_text, domain, grid, rng
+):
+    gen_fn, eval_fn, eval_all_fn = {
+        "ours": (gen, eval_point, eval_all),
+        "dcf": (dcf_gen, dcf_eval, dcf_eval_all),
+        "boyle15": (boyle_gen, boyle_eval, boyle_eval_all),
+        "trivial": (trivial_gen, trivial_eval, trivial_eval_all),
+    }[scheme]
+    params = _make(parties, corrupted, modulus_text, domain, grid=grid)
+    keys = gen_fn(PointDescription(domain // 2, params.modulus.element(23)), params, rng)
+    for key in keys:
+        vec = eval_all_fn(key)
+        assert vec.lift_all() == [eval_fn(key, x).lift() for x in range(domain)]
 
 
 def test_single_share_reveals_nothing_exact(rng):

@@ -100,6 +100,19 @@ def test_expand_matches_reference_sampler(algorithm, stream_fn, factors):
         assert [out[i].residues[fi] for i in range(40)] == expected
 
 
+@pytest.mark.parametrize("algorithm,stream_fn,first_byte", [
+    (PRG_SHAKE128, _shake_bytes, 50),
+    (PRG_TEST_LCG, _lcg_bytes, 121),
+])
+def test_expand_after_a_sampling_shortfall_matches_reference(algorithm, stream_fn, first_byte):
+    # For these seeds the first stream prefix the sampler reads holds fewer
+    # than 1000 words below 257, so it has to read a longer one.
+    seed = bytes([first_byte, 0]) + bytes(range(3, 17))
+    out = expand(seed, PrgSpec(algorithm, 128, 1000, Modulus.prime(257)))
+    stream = stream_fn(seed, 0, 1 << 14)
+    assert out.lift_all() == _reference_residues(lambda n: stream[:n], 257, 1000)
+
+
 def test_expansion_is_prefix_stable():
     modulus = Modulus.from_factors([3, 257])
     short = expand(SEED, PrgSpec(PRG_SHAKE128, 128, 10, modulus))

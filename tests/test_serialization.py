@@ -53,15 +53,27 @@ def _dcf_golden_blob():
     return key_to_bytes(keys[0])
 
 
+def _boyle_blob():
+    params = _params(3, 1, "3", 4, grid=(1, 4))
+    rng = DeterministicRandomSource("boyle-records")
+    keys = boyle_gen(PointDescription(1, params.modulus.one()), params, rng)
+    return key_to_bytes(keys[0])
+
+
 # Offsets of (seed, share) records: the first record of the DPF golden, the
-# last record of its only row, and the last record of the DCF golden's last
-# row (3 rows of 2 records, 16-byte seed plus 3 one-byte residues).
+# last record of its only row, the last record of the DCF golden's last
+# row (3 rows of 2 records, 16-byte seed plus 3 one-byte residues), and the
+# seed of the last record in the Boyle key's only row (a u32 count of 6,
+# then records of a u32 column, a 16-byte seed and a one-byte residue).
 _GOLDEN_BODY = header_size(parse_modulus("5"))
 _DCF_BODY = header_size(parse_modulus("2*3*5"))
+_BOYLE_BODY = header_size(parse_modulus("3"))
+_BOYLE_LAST_COLUMN = _BOYLE_BODY + 4 + 5 * 21
 _RECORDS = (
     (_golden_key_blob, _GOLDEN_BODY),
     (_golden_key_blob, _GOLDEN_BODY + 17),
     (_dcf_golden_blob, _DCF_BODY + 5 * 19),
+    (_boyle_blob, _BOYLE_LAST_COLUMN + 4),
 )
 
 
@@ -228,6 +240,16 @@ class TestMalformedInput:
         blob[offset + 4 : offset + 4 + 21] = second
         blob[offset + 4 + 21 : offset + 4 + 42] = first
         with pytest.raises(FormatError, match="column"):
+            key_from_bytes(bytes(blob))
+
+    def test_boyle_column_range_and_count_enforced(self):
+        blob = bytearray(_boyle_blob())
+        blob[_BOYLE_LAST_COLUMN : _BOYLE_LAST_COLUMN + 4] = (9).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="column indexes"):
+            key_from_bytes(bytes(blob))
+        blob = bytearray(_boyle_blob())
+        blob[_BOYLE_BODY : _BOYLE_BODY + 4] = (10).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="tuple count"):
             key_from_bytes(bytes(blob))
 
     def test_empty_input(self):
