@@ -13,13 +13,12 @@ scheme exists here to be measured, not used.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import FieldElement, FieldVector
-from .dpf import PointDescription, SchemeParams
+from .dpf import PointDescription, SchemeParams, _combine_row
 from .errors import FormatError, GuardError, ParameterError
 from .prg import expand, sample_seed
 
@@ -32,13 +31,17 @@ def boyle_column_count(params: SchemeParams) -> int:
     return q ** (params.parties - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoyleKey:
-    """Sparse per-row storage: (column, seed, share) for non-zero shares only."""
+    """Sparse per-row storage of the columns where this party's share is non-zero.
+
+    Each row is (columns, seeds, shares): uint32 of shape (k,) in ascending
+    order, uint8 of shape (k, lambda/8) and uint64 of shape (1, k).
+    """
 
     party: int
     params: SchemeParams
-    rows: tuple[tuple[tuple[int, bytes, FieldElement], ...], ...]
+    rows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     correction: FieldVector
 
 
@@ -66,69 +69,55 @@ def check_guard(q: int, parties: int) -> None:
         )
 
 
-def _all_share_vectors(q: int, parties: int, total: int):
-    """Every length-p vector over F_q summing to `total`, in a fixed order."""
-    for tail in itertools.product(range(q), repeat=parties - 1):
-        head = (total - sum(tail)) % q
-        yield (head,) + tail
-
-
 def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[BoyleKey, ...]:
     """Generate full-enumeration keys; any corrupted < parties is allowed."""
     require_prime(params.modulus)
     check_guard(params.modulus.value, params.parties)
     point.validate(params)
     q = params.modulus.value
-    modulus = params.modulus
+    parties = params.parties
     target_row, target_col = divmod(point.alpha, params.cols)
-    column_count = boyle_column_count(params)
+    count = boyle_column_count(params)
 
-    per_party_rows: list[list[list[tuple[int, bytes, FieldElement]]]] = [
-        [] for _ in range(params.parties)
-    ]
-    correction_total = FieldVector.zeros(modulus, params.cols)
+    # Every length-p vector summing to 0: row i is (head, tail) for the
+    # i-th tail in itertools.product order.  The target row's vectors sum
+    # to 1 instead, which only moves the head.
+    tails = np.arange(count)[:, None] // q ** np.arange(parties - 2, -1, -1) % q
+    sum_zero = np.concatenate([-tails.sum(axis=1, keepdims=True) % q, tails], axis=1)
+    sum_one = sum_zero.copy()
+    sum_one[:, 0] = (sum_one[:, 0] + 1) % q
 
-    for row in range(params.rows):
-        total = 1 if row == target_row else 0
-        vectors = list(_all_share_vectors(q, params.parties, total))
-        rng.shuffle(vectors)
-        assert len(vectors) == column_count
-        row_lists: list[list[tuple[int, bytes, FieldElement]]] = [
-            [] for _ in range(params.parties)
-        ]
-        for column, vector in enumerate(vectors):
-            seed = sample_seed(params.lambda_bits, rng)
-            if row == target_row:
-                correction_total = correction_total + expand(seed, params.prg)
-            for party, value in enumerate(vector):
-                if value != 0:
-                    row_lists[party].append((column, seed, modulus.element(value)))
-        for party in range(params.parties):
-            per_party_rows[party].append(row_lists[party])
-
-    correction = (
-        FieldVector.unit(modulus, params.cols, target_col, point.beta)
-        - correction_total
-    )
-    keys = []
-    for party in range(params.parties):
-        rows = tuple(tuple(row) for row in per_party_rows[party])
-        keys.append(
-            BoyleKey(party=party, params=params, rows=rows, correction=correction)
-        )
-    return tuple(keys)
-
-
-def _boyle_row(key: BoyleKey, row: int) -> FieldVector:
-    """This party's share vector for one grid row."""
-    params = key.params
-    tuples = key.rows[row]
+    per_party_rows: list[list[tuple]] = [[] for _ in range(parties)]
     total = FieldVector.zeros(params.modulus, params.cols)
-    for column, seed, share in tuples:
-        total = total + expand(seed, params.prg) * share
-    if tuples and tuples[0][0] == 0:
-        total = total + key.correction * tuples[0][2]
-    return total
+    for row in range(params.rows):
+        order = list(range(count))
+        rng.shuffle(order)
+        vectors = (sum_one if row == target_row else sum_zero)[order]
+        seeds = [sample_seed(params.lambda_bits, rng) for _ in range(count)]
+        if row == target_row:
+            for seed in seeds:
+                total = total + expand(seed, params.prg)
+        seeds = np.frombuffer(b"".join(seeds), dtype=np.uint8).reshape(count, -1)
+        for party in range(parties):
+            held = np.flatnonzero(vectors[:, party])
+            shares = vectors[held, party].astype(np.uint64)[None, :]
+            per_party_rows[party].append((held.astype(np.uint32), seeds[held], shares))
+
+    unit = FieldVector.unit(params.modulus, params.cols, target_col, point.beta)
+    correction = unit - total
+    return tuple(
+        BoyleKey(party=party, params=params, rows=tuple(rows), correction=correction)
+        for party, rows in enumerate(per_party_rows)
+    )
+
+
+def _boyle_row(key: BoyleKey, row: int) -> np.ndarray:
+    """This party's share vector for one grid row, shape (1, cols)."""
+    columns, seeds, shares = key.rows[row]
+    # Column 0's share also multiplies the public correction vector.
+    holds_first = columns.size > 0 and columns[0] == 0
+    correction = key.correction if holds_first else None
+    return _combine_row(seeds, shares, key.params.prg, correction)
 
 
 def boyle_eval(key: BoyleKey, x: int) -> FieldElement:
@@ -136,13 +125,13 @@ def boyle_eval(key: BoyleKey, x: int) -> FieldElement:
     if not 0 <= x < params.domain_size:
         raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
     row, col = divmod(x, params.cols)
-    return _boyle_row(key, row)[col]
+    return FieldVector._raw(params.modulus, _boyle_row(key, row))[col]
 
 
 def boyle_eval_all(key: BoyleKey) -> FieldVector:
     """Shares for every domain point, one row evaluation per used row."""
     params = key.params
-    rows = [_boyle_row(key, row).data for row in range(params.used_rows())]
+    rows = [_boyle_row(key, row) for row in range(params.used_rows())]
     data = np.concatenate(rows, axis=1)[:, : params.domain_size]
     return FieldVector._raw(params.modulus, data)
 
@@ -188,10 +177,10 @@ def reconstruct_share_vectors(keys: tuple[BoyleKey, ...], row: int):
         raise ParameterError("need at least one key")
     params = keys[0].params
     count = boyle_column_count(params)
-    vectors = [[0] * params.parties for _ in range(count)]
+    vectors = np.zeros((count, params.parties), dtype=np.int64)
     for key in keys:
-        for column, _seed, share in key.rows[row]:
-            if column >= count:
-                raise FormatError("column index out of range")
-            vectors[column][key.party] = share.lift()
-    return [tuple(v) for v in vectors]
+        columns, _seeds, shares = key.rows[row]
+        if (columns >= count).any():
+            raise FormatError("column index out of range")
+        vectors[columns, key.party] = shares[0]
+    return [tuple(v) for v in vectors.tolist()]

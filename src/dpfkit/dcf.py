@@ -27,7 +27,7 @@ import numpy as np
 from . import dpf
 from .algebra import FieldElement, FieldVector
 from .errors import ParameterError
-from .prg import expand
+from .prg import expand  # unused here, but the benchmark wraps `dcf.expand`
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,14 @@ class DcfKey:
 def dcf_gen(
     point: dpf.PointDescription, params: dpf.SchemeParams, rng
 ) -> tuple[DcfKey, ...]:
-    dpf._require_honest_majority(params)
-    point.validate(params)
+    keys, target_row = dpf._gen_core(point, params, rng, prefix=True)
     modulus = params.modulus
-    target_row, target_col = divmod(point.alpha, params.cols)
-
-    seeds, dealt = dpf._deal_cells(params, target_row, rng)
-
-    total = FieldVector.zeros(modulus, params.cols)
-    for seed in seeds[target_row]:
-        total = total + expand(seed, params.prg)
-    beta = np.array(point.beta.residues, dtype=np.uint64).reshape(-1, 1)
-    prefix = np.zeros((len(modulus.factors), params.cols), dtype=np.uint64)
-    prefix[:, : target_col + 1] = beta
-    correction = FieldVector._raw(modulus, prefix) - total
-
     secrets = np.zeros((len(modulus.factors), params.rows), dtype=np.uint64)
-    secrets[:, :target_row] = beta
+    secrets[:, :target_row] = np.array(point.beta.residues)[:, None]
     row_shares = dpf._deal(secrets, params.parties, modulus, rng)
     return tuple(
         DcfKey(key, FieldVector._raw(modulus, row_shares[:, :, key.party]))
-        for key in dpf._party_keys(params, seeds, dealt, correction)
+        for key in keys
     )
 
 

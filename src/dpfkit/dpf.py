@@ -36,9 +36,10 @@ from .algebra import (
     all_combinations,
     member_columns,
     minimize_grid,
+    random_residues,
 )
 from .errors import HonestMajorityError, ParameterError
-from .prg import PrgSpec, expand, random_residues, sample_seed
+from .prg import PrgSpec, expand, sample_seed
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
@@ -222,19 +223,13 @@ def choose_grid(
     return rows, cols
 
 
-def _require_honest_majority(params: SchemeParams) -> None:
-    if not params.honest_majority:
-        raise HonestMajorityError(
-            f"m must satisfy m < p/2 (got m={params.corrupted}, p={params.parties})"
-        )
+def _distinct_seeds(params: SchemeParams, rng) -> np.ndarray:
+    """A distinct non-zero seed for every (row, column) cell.
 
-
-def _distinct_seeds(params: SchemeParams, rng) -> list[list[bytes]]:
-    """A distinct non-zero seed for every (row, column) cell, row-major.
-
-    Reads the stream as one `sample_seed` call per candidate would: each
-    read asks for exactly the seeds still missing, and a candidate that is
-    all zero or already taken is skipped.
+    Returns uint8 of shape (rows, columns, lambda/8).  Reads the stream as
+    one `sample_seed` call per candidate would: each read asks for exactly
+    the seeds still missing, and a candidate that is all zero or already
+    taken is skipped.
     """
     size = params.lambda_bits // 8
     want = params.rows * params.combo_count
@@ -247,8 +242,8 @@ def _distinct_seeds(params: SchemeParams, rng) -> list[list[bytes]]:
             if any(s) and s not in seen:
                 seen.add(s)
                 flat.append(s)
-    cols = params.combo_count
-    return [flat[r * cols : (r + 1) * cols] for r in range(params.rows)]
+    table = np.frombuffer(b"".join(flat), dtype=np.uint8)
+    return table.reshape(params.rows, params.combo_count, size)
 
 
 def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
@@ -268,32 +263,64 @@ def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
     return shares
 
 
-def _deal_cells(params: SchemeParams, target_row: int, rng):
-    """Seeds for every (row, column) cell, then an (m+1)-sharing of each cell.
+def _combine_row(
+    seeds: np.ndarray,
+    shares: np.ndarray,
+    spec: PrgSpec,
+    correction: FieldVector | None = None,
+) -> np.ndarray:
+    """One row's share vector, shape (factors, cols).
 
-    The cell secret is 1 on the target row and 0 elsewhere.  Returns the
-    seeds as rows of bytes and the shares as a (factors, rows, columns,
-    m+1) array whose last axis follows each column subset's members in
-    ascending order.
+    `seeds` is uint8 of shape (k, lambda/8) and `shares` uint64 of shape
+    (factors, k); the result is sum_j shares[:, j] * G(seeds[j]), plus
+    shares[:, 0] * correction when a correction is given.
     """
+    qs = spec.modulus._qs_np
+    shares = shares[:, :, None]
+    if correction is not None:
+        acc = (correction.data * shares[:, 0]) % qs
+    else:
+        acc = np.zeros((len(qs), spec.output_len), dtype=np.uint64)
+    for j, seed in enumerate(seeds):
+        vec = expand(seed.tobytes(), spec)
+        acc = (acc + vec.data * shares[:, j]) % qs
+    return acc
+
+
+def _gen_core(
+    point: PointDescription, params: SchemeParams, rng, prefix: bool
+) -> tuple[tuple[DpfKey, ...], int]:
+    """Deal every party's key; returns the keys and the target row.
+
+    Each (row, column) cell gets a seed and an (m+1)-sharing of 1 on the
+    target row and 0 elsewhere, split among the column subset's members
+    in ascending order.  The correction is beta on the target row's
+    columns up to the target column (only at it unless `prefix`) minus
+    the sum of that row's expanded seeds.
+    """
+    if not params.honest_majority:
+        raise HonestMajorityError(
+            f"m must satisfy m < p/2 (got m={params.corrupted}, p={params.parties})"
+        )
+    point.validate(params)
+    modulus = params.modulus
+    factors = len(modulus.factors)
+    target_row, target_col = divmod(point.alpha, params.cols)
     seeds = _distinct_seeds(params, rng)
-    shape = (len(params.modulus.factors), params.rows, params.combo_count)
-    secrets = np.zeros(shape, dtype=np.uint64)
+    secrets = np.zeros((factors, params.rows, params.combo_count), dtype=np.uint64)
     secrets[:, target_row] = 1
     count = params.corrupted + 1
-    dealt = _deal(secrets.reshape(shape[0], -1), count, params.modulus, rng)
-    return seeds, dealt.reshape(*shape, count)
+    dealt = _deal(secrets.reshape(factors, -1), count, modulus, rng)
+    dealt = dealt.reshape(*secrets.shape, count)
 
+    total = FieldVector.zeros(modulus, params.cols)
+    for seed in seeds[target_row]:
+        total = total + expand(seed.tobytes(), params.prg)
+    target = np.zeros((factors, params.cols), dtype=np.uint64)
+    first = 0 if prefix else target_col
+    target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
+    correction = FieldVector._raw(modulus, target) - total
 
-def _party_keys(
-    params: SchemeParams,
-    seeds: list[list[bytes]],
-    dealt: np.ndarray,
-    correction: FieldVector,
-) -> tuple[DpfKey, ...]:
-    """Give each party the seeds and shares of the columns it belongs to."""
-    seed_table = np.frombuffer(b"".join(b"".join(row) for row in seeds), dtype=np.uint8)
-    seed_table = seed_table.reshape(params.rows, params.combo_count, -1)
     keys = []
     for party in range(params.parties):
         cols = list(params.member_columns(party))
@@ -302,45 +329,30 @@ def _party_keys(
             DpfKey(
                 party=party,
                 params=params,
-                seeds=seed_table[:, cols],
+                seeds=seeds[:, cols],
                 shares=dealt[:, :, cols, slots],
                 correction=correction,
             )
         )
-    return tuple(keys)
+    return tuple(keys), target_row
 
 
 def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...]:
     """Produce one key per party for the given point function."""
-    _require_honest_majority(params)
-    point.validate(params)
-    target_row, target_col = divmod(point.alpha, params.cols)
-    seeds, dealt = _deal_cells(params, target_row, rng)
-
-    total = FieldVector.zeros(params.modulus, params.cols)
-    for seed in seeds[target_row]:
-        total = total + expand(seed, params.prg)
-    correction = (
-        FieldVector.unit(params.modulus, params.cols, target_col, point.beta) - total
-    )
-    return _party_keys(params, seeds, dealt, correction)
+    return _gen_core(point, params, rng, prefix=False)[0]
 
 
 def _eval_row(key: DpfKey, row: int) -> np.ndarray:
     """This party's share vector for one grid row, shape (factors, cols)."""
-    params = key.params
-    qs = params.modulus._qs_np
-    shares = key.shares[:, row, :, None]
-    if params.member_columns(key.party)[0] == 0:
-        # This party holds column 0, whose share also multiplies the
-        # public correction vector.
-        acc = (key.correction.data * shares[:, 0]) % qs
-    else:
-        acc = np.zeros_like(key.correction.data)
-    for j, seed in enumerate(key.seeds[row]):
-        vec = expand(seed.tobytes(), params.prg)
-        acc = (acc + vec.data * shares[:, j]) % qs
-    return acc
+    # A party holding column 0 also multiplies that column's share into
+    # the public correction vector.
+    holds_first = key.params.member_columns(key.party)[0] == 0
+    return _combine_row(
+        key.seeds[row],
+        key.shares[:, row],
+        key.params.prg,
+        key.correction if holds_first else None,
+    )
 
 
 def eval_point(key: DpfKey, x: int) -> FieldElement:

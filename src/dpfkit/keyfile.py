@@ -162,6 +162,8 @@ def parse_header(data: bytes) -> tuple[KeyHeader, int]:
         raise FormatError(f"unsupported container version {version}")
     if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme tag {scheme}")
+    if party >= parties:
+        raise FormatError(f"party {party} out of range for {parties} parties")
     offset = _HEADER.size
     n_factors = data[offset]
     offset += 1
@@ -262,20 +264,20 @@ def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dcf.Dc
 def _encode_boyle(key: baselines.BoyleKey) -> bytes:
     """Each row as a u32 record count, then its records as one array."""
     modulus = key.params.modulus
-    widths = (4, key.params.lambda_bits // 8, element_width(modulus))
+    width = element_width(modulus)
     parts = []
-    for row in key.rows:
-        columns, seeds, shares = zip(*row) if row else ((), (), ())
-        fields = (
-            np.array(columns, dtype="<u4").tobytes(),
-            b"".join(seeds),
-            encode_vector(FieldVector.from_elements(modulus, shares)),
-        )
+    for columns, seeds, shares in key.rows:
+        count = len(columns)
+        residues = encode_vector(FieldVector._raw(modulus, shares))
         records = np.concatenate(
-            [np.frombuffer(f, np.uint8).reshape(len(row), w) for f, w in zip(fields, widths)],
+            [
+                columns.astype("<u4").view(np.uint8).reshape(count, 4),
+                seeds,
+                np.frombuffer(residues, np.uint8).reshape(count, width),
+            ],
             axis=1,
         )
-        parts += [_U32.pack(len(row)), records.tobytes()]
+        parts += [_U32.pack(count), records.tobytes()]
     return b"".join(parts) + encode_vector(key.correction)
 
 
@@ -292,14 +294,14 @@ def _decode_boyle(
         if count > column_count:
             raise FormatError("tuple count exceeds the column count")
         raw = np.frombuffer(reader.take(count * record), np.uint8).reshape(count, record)
-        columns = np.frombuffer(raw[:, :4].tobytes(), "<u4").astype(np.int64)
-        if (np.diff(columns, prepend=-1) <= 0).any() or (columns >= column_count).any():
+        columns = np.frombuffer(raw[:, :4].tobytes(), "<u4").astype(np.uint32)
+        if (columns[1:] <= columns[:-1]).any() or (columns >= column_count).any():
             raise FormatError("column indexes must be ascending and in range")
         seeds = raw[:, 4:seed_end]
         if not seeds.any(axis=1).all():
             raise FormatError("absent-seed sentinel inside a key body")
         shares = decode_vector(raw[:, seed_end:].tobytes(), modulus, count)
-        rows.append(tuple(zip(columns.tolist(), map(bytes, seeds), shares)))
+        rows.append((columns, seeds, shares.data))
     return baselines.BoyleKey(
         party=party,
         params=params,

@@ -172,64 +172,6 @@ def sample_seed(lambda_bits: int, rng) -> bytes:
             return s
 
 
-def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
-    """`count` uniform elements of Z_q as a (factors, count) uint64 array.
-
-    Consumes the bytes that `count` rounds of `rng.randrange(f) for f in
-    factors` consume on a DeterministicRandomSource, in the same order: an
-    attempt for factor f takes the next ceil(k/8) bytes big-endian, keeps
-    their top k = f.bit_length() bits and is retried while that is >= f.
-    The bytes come from a few `rng.randbytes` calls, each no longer than
-    the attempts still owed need at the least, so nothing past the last
-    attempt is read.  Which attempt each byte belongs to is a prefix scan
-    over a small automaton whose state is (factor, bytes left in the
-    attempt).
-    """
-    factors = modulus.factors
-    nf = len(factors)
-    widths = [(q.bit_length() + 7) // 8 for q in factors]
-    width_of = np.array(widths)
-    span = max(widths)
-    fs = np.arange(nf)
-    out = [np.zeros(0, dtype=np.uint64)]
-    factor, carry, need = 0, b"", count * nf
-    while need:
-        cycles, extra = divmod(need, nf)
-        owed = cycles * sum(widths)
-        owed += sum(widths[(factor + j) % nf] for j in range(extra))
-        blob = carry + rng.randbytes(owed - len(carry))
-        size = len(blob)
-        padded = np.frombuffer(blob + bytes(span), dtype=np.uint8).astype(np.uint64)
-        vals = np.zeros((nf, size), dtype=np.uint64)
-        for f, (q, w) in enumerate(zip(factors, widths)):
-            for t in range(w):
-                vals[f] = (vals[f] << np.uint64(8)) | padded[t : t + size]
-            vals[f] >>= np.uint64(8 * w - q.bit_length())
-        accept = vals < np.array(factors, dtype=np.uint64)[:, None]
-        # State s = factor * span + bytes still to skip; steps[i] maps the
-        # state before byte i to the state after it.
-        steps = np.tile(np.arange(nf * span) - 1, (size, 1))
-        after_start = (fs[:, None] + accept) % nf * span + (width_of - 1)[:, None]
-        steps[:, fs * span] = after_start.T
-        shift = 1
-        while shift < size:
-            steps[shift:] = np.take_along_axis(steps[shift:], steps[:-shift], axis=1)
-            shift *= 2
-        state = np.concatenate([[factor * span], steps[:-1, factor * span]])
-        starts = np.flatnonzero(state % span == 0)
-        owner = state[starts] // span
-        whole = starts + width_of[owner] <= size
-        if not whole[-1]:
-            carry, factor = blob[starts[-1]:], int(owner[-1])
-        else:
-            carry, factor = b"", int(steps[-1, factor * span] // span)
-        starts, owner = starts[whole], owner[whole]
-        kept = accept[owner, starts]
-        out.append(vals[owner[kept], starts[kept]])
-        need -= int(kept.sum())
-    return np.concatenate(out).reshape(count, nf).T
-
-
 class DeterministicRandomSource(random.Random):
     """A seeded drop-in for random.Random backed by SHAKE-128 blocks.
 

@@ -70,15 +70,25 @@ class TestBoyle:
             )
             assert sorted(vectors) == expected
 
+    @pytest.mark.parametrize("q, parties", [(5, 2), (3, 3), (2, 4)])
+    def test_columns_follow_the_reference_layout(self, q, parties):
+        # the target row's layout is the product-order enumeration, shuffled
+        # by the rng's first draws
+        params = _params(parties, 1, str(q), 4, grid=(1, 4))
+        point = PointDescription(1, params.modulus.one())
+        keys = boyle_gen(point, params, DeterministicRandomSource("layout"))
+        tails = itertools.product(range(q), repeat=parties - 1)
+        expected = [((1 - sum(t)) % q,) + t for t in tails]
+        DeterministicRandomSource("layout").shuffle(expected)
+        assert reconstruct_share_vectors(keys, 0) == expected
+
     def test_key_stores_only_nonzero_shares(self, rng):
         params = _params(3, 1, "2", 4, grid=(1, 4))
         keys = boyle_gen(PointDescription(1, params.modulus.one()), params, rng)
         for key in keys:
-            for row in key.rows:
-                columns = [c for c, _, _ in row]
-                assert columns == sorted(columns)
-                for _, _, share in row:
-                    assert not share.is_zero
+            for columns, _, shares in key.rows:
+                assert columns.tolist() == sorted(columns.tolist())
+                assert shares.all()
 
     def test_column_count(self):
         params = _params(3, 1, "5", 4)

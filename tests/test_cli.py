@@ -126,6 +126,20 @@ def test_format_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("scheme", ["ours", "dcf", "boyle15", "trivial"])
+def test_party_out_of_range_exit_code(capsys, tmp_path, scheme):
+    out_dir, _ = keygen(capsys, tmp_path, "--seed", "t5", scheme=scheme)
+    path = out_dir / "key_0.dpfk"
+    blob = bytearray(path.read_bytes())
+    for party in (3, 7):  # the header's u16 party field; the keys are for p=3
+        blob[6:8] = party.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        for argv in (["eval", "--x", "0"], ["eval-all"], ["inspect"]):
+            code, out, err = run(capsys, argv[0], "--key", str(path), *argv[1:])
+            assert code == 3, (argv, out, err)
+            assert f"party {party} out of range" in err
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--key", str(tmp_path / "nope"), "--x", "0")
     assert code == 3

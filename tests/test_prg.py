@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpfkit.algebra import Modulus, parse_modulus
+from dpfkit.algebra import Modulus, parse_modulus, random_residues
 from dpfkit.errors import ParameterError
 from dpfkit.prg import (
     PRG_SHAKE128,
@@ -15,7 +15,6 @@ from dpfkit.prg import (
     PrgSpec,
     expand,
     expansion_count,
-    random_residues,
     sample_seed,
 )
 

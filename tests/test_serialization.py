@@ -53,6 +53,13 @@ def _dcf_golden_blob():
     return key_to_bytes(keys[0])
 
 
+def _trivial_golden_blob():
+    params = _params(3, 1, "2*3*5", 12)
+    rng = DeterministicRandomSource("trivial-golden")
+    keys = trivial_gen(PointDescription(7, params.modulus.element(19)), params, rng)
+    return key_to_bytes(keys[0])
+
+
 def _boyle_blob():
     params = _params(3, 1, "3", 4, grid=(1, 4))
     rng = DeterministicRandomSource("boyle-records")
@@ -92,6 +99,22 @@ class TestGolden:
         assert (
             hashlib.sha256(_dcf_golden_blob()).hexdigest()
             == "c5d56420b11f4235395185c1697f0f6ed7747b6e3b7600eabf6d7f8103b538ba"
+        )
+
+    def test_full_enumeration_key_digest_is_stable(self):
+        blob = _boyle_blob()
+        assert len(blob) == 180
+        assert (
+            hashlib.sha256(blob).hexdigest()
+            == "427633ee34ac2f0ea7d7576bb3c5f51701f64d1d13089e227f4ee1e36a122e06"
+        )
+
+    def test_truth_table_key_digest_is_stable(self):
+        blob = _trivial_golden_blob()
+        assert len(blob) == 98
+        assert (
+            hashlib.sha256(blob).hexdigest()
+            == "105d0d131b42028a643e5677c45c6475f476fed6b15a558c414753fb0ca6b8b8"
         )
 
     def test_header_size_formula(self):
