@@ -25,8 +25,6 @@ from .baselines import (
     BoyleKey,
     TrivialKey,
     boyle_column_count,
-    boyle_eval,
-    boyle_eval_all,
     boyle_gen,
     trivial_eval,
     trivial_eval_all,
@@ -125,8 +123,6 @@ __all__ = [
     "TrivialKey",
     "all_combinations",
     "boyle_column_count",
-    "boyle_eval",
-    "boyle_eval_all",
     "boyle_gen",
     "check_seed_coverage",
     "choose_grid",

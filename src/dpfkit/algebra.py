@@ -166,17 +166,11 @@ class Modulus:
             raise ParameterError(f"expected an integer, got {value!r}")
         return FieldElement(self, tuple(value % q for q in self.factors))
 
-    def from_residues(self, residues: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, tuple(residues))
-
     def zero(self) -> "FieldElement":
         return self.element(0)
 
     def one(self) -> "FieldElement":
         return self.element(1)
-
-    def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, tuple(rng.randrange(q) for q in self.factors))
 
     def __str__(self) -> str:
         return "*".join(str(q) for q in self.factors)
@@ -316,10 +310,6 @@ class FieldElement:
             self.modulus,
             tuple((-a) % q for a, q in zip(self.residues, self.modulus.factors)),
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.residues)
 
     def lift(self) -> int:
         """Map back to the unique integer in [0, modulus.value)."""

@@ -8,7 +8,8 @@ columns, which is why its keys blow up exponentially in the party count;
 a hard guard refuses parameter sets past 2**20 columns because the
 scheme exists here to be measured, not used.
 
-`trivial_gen` additively shares the whole truth table.
+Its keys are evaluated by `dpf.eval_point` and `dpf.eval_all`, through
+`BoyleKey.row`.  `trivial_gen` additively shares the whole truth table.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldElement, FieldVector
-from .dpf import PointDescription, SchemeParams, _combine_row
-from .errors import FormatError, GuardError, ParameterError
+from .dpf import PointDescription, SchemeParams
+from .errors import GuardError, ParameterError
 from .prg import expand, sample_seed
 
 COLUMN_GUARD = 1 << 20
@@ -43,6 +44,13 @@ class BoyleKey:
     params: SchemeParams
     rows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     correction: FieldVector
+
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray, FieldVector | None]:
+        """The (seeds, shares, correction or None) that `dpf._combine_row` takes."""
+        columns, seeds, shares = self.rows[r]
+        # Column 0's share also multiplies the public correction vector.
+        holds_first = columns.size > 0 and columns[0] == 0
+        return seeds, shares, self.correction if holds_first else None
 
 
 @dataclass(frozen=True)
@@ -111,31 +119,6 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     )
 
 
-def _boyle_row(key: BoyleKey, row: int) -> np.ndarray:
-    """This party's share vector for one grid row, shape (1, cols)."""
-    columns, seeds, shares = key.rows[row]
-    # Column 0's share also multiplies the public correction vector.
-    holds_first = columns.size > 0 and columns[0] == 0
-    correction = key.correction if holds_first else None
-    return _combine_row(seeds, shares, key.params.prg, correction)
-
-
-def boyle_eval(key: BoyleKey, x: int) -> FieldElement:
-    params = key.params
-    if not 0 <= x < params.domain_size:
-        raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
-    row, col = divmod(x, params.cols)
-    return FieldVector._raw(params.modulus, _boyle_row(key, row))[col]
-
-
-def boyle_eval_all(key: BoyleKey) -> FieldVector:
-    """Shares for every domain point, one row evaluation per used row."""
-    params = key.params
-    rows = [_boyle_row(key, row) for row in range(params.used_rows())]
-    data = np.concatenate(rows, axis=1)[:, : params.domain_size]
-    return FieldVector._raw(params.modulus, data)
-
-
 def trivial_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[TrivialKey, ...]:
     """Additive sharing of the full truth table."""
     point.validate(params)
@@ -165,22 +148,3 @@ def trivial_eval(key: TrivialKey, x: int) -> FieldElement:
 
 def trivial_eval_all(key: TrivialKey) -> FieldVector:
     return key.table
-
-
-def reconstruct_share_vectors(keys: tuple[BoyleKey, ...], row: int):
-    """Rebuild the row's full column -> share-vector map from sparse keys.
-
-    Columns absent from every key are the all-zero vector.  Used by tests
-    to confirm the enumeration property.
-    """
-    if not keys:
-        raise ParameterError("need at least one key")
-    params = keys[0].params
-    count = boyle_column_count(params)
-    vectors = np.zeros((count, params.parties), dtype=np.int64)
-    for key in keys:
-        columns, _seeds, shares = key.rows[row]
-        if (columns >= count).any():
-            raise FormatError("column index out of range")
-        vectors[columns, key.party] = shares[0]
-    return [tuple(v) for v in vectors.tolist()]

@@ -21,13 +21,7 @@ import sys
 from . import baselines, dcf, dpf, keyfile, pir, sizing
 from .algebra import Modulus, parse_modulus
 from .dpf import GRID_AUTO, GRID_SQUARE, PointDescription, SchemeParams
-from .errors import (
-    DpfError,
-    FormatError,
-    GuardError,
-    InternalError,
-    ParameterError,
-)
+from .errors import DpfError, FormatError, GuardError, ParameterError
 from .prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource
 
 EXIT_OK = 0
@@ -49,7 +43,7 @@ _SCHEME_GENERATORS = {
 _EVALUATORS = {
     dpf.DpfKey: (dpf, "eval_point", "eval_all"),
     dcf.DcfKey: (dcf, "dcf_eval", "dcf_eval_all"),
-    baselines.BoyleKey: (baselines, "boyle_eval", "boyle_eval_all"),
+    baselines.BoyleKey: (dpf, "eval_point", "eval_all"),
     baselines.TrivialKey: (baselines, "trivial_eval", "trivial_eval_all"),
 }
 
@@ -312,26 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception class -> exit code; the first class that matches wins.
+_EXIT_CODES = (
+    (ParameterError, EXIT_PARAMETER),
+    (FormatError, EXIT_FORMAT),
+    (GuardError, EXIT_GUARD),
+    (DpfError, EXIT_INTERNAL),
+    (OSError, EXIT_FORMAT),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ParameterError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (InternalError, DpfError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

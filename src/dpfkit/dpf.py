@@ -183,6 +183,13 @@ class DpfKey:
         if len(self.correction) != params.cols:
             raise ParameterError("correction length disagrees with grid")
 
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray, FieldVector | None]:
+        """The (seeds, shares, correction or None) that `_combine_row` takes."""
+        # A party holding column 0 also multiplies that column's share into
+        # the public correction vector.
+        holds_first = self.params.member_columns(self.party)[0] == 0
+        return self.seeds[r], self.shares[:, r], self.correction if holds_first else None
+
 
 @dataclass(frozen=True)
 class CoalitionView:
@@ -342,21 +349,14 @@ def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...
     return _gen_core(point, params, rng, prefix=False)[0]
 
 
-def _eval_row(key: DpfKey, row: int) -> np.ndarray:
+def _eval_row(key, row: int) -> np.ndarray:
     """This party's share vector for one grid row, shape (factors, cols)."""
-    # A party holding column 0 also multiplies that column's share into
-    # the public correction vector.
-    holds_first = key.params.member_columns(key.party)[0] == 0
-    return _combine_row(
-        key.seeds[row],
-        key.shares[:, row],
-        key.params.prg,
-        key.correction if holds_first else None,
-    )
+    seeds, shares, correction = key.row(row)
+    return _combine_row(seeds, shares, key.params.prg, correction)
 
 
-def eval_point(key: DpfKey, x: int) -> FieldElement:
-    """This party's additive share of f(x)."""
+def eval_point(key, x: int) -> FieldElement:
+    """This party's additive share of f(x); `key` is a DpfKey or a BoyleKey."""
     params = key.params
     if not 0 <= x < params.domain_size:
         raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
@@ -365,12 +365,12 @@ def eval_point(key: DpfKey, x: int) -> FieldElement:
     return FieldElement(params.modulus, tuple(int(v) for v in data[:, col]))
 
 
-def eval_all(key: DpfKey) -> FieldVector:
+def eval_all(key) -> FieldVector:
     """Shares for every domain point, expanding each held seed exactly once.
 
-    Only rows that contain domain points are evaluated, so the expansion
-    count is used_rows() * C(parties-1, corrupted); with an auto grid
-    used_rows() equals the row count.
+    `key` is a DpfKey or a BoyleKey.  Only rows that contain domain points
+    are evaluated, so a DpfKey costs used_rows() * C(parties-1, corrupted)
+    expansions; with an auto grid used_rows() equals the row count.
     """
     params = key.params
     n = params.domain_size

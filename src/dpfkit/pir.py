@@ -103,10 +103,6 @@ class PirTranscript:
     download_bits: int
     trivial_bits: int
 
-    @property
-    def total_bits(self) -> int:
-        return self.upload_bits + self.download_bits
-
 
 def pir_demo(
     db: Database,

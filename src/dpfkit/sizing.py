@@ -87,9 +87,10 @@ def size_dcf(
     modulus: Modulus,
     grid: str = GRID_AUTO,
 ) -> int:
+    check_party_counts(parties, corrupted)
     bits = modulus.residue_bits
-    rows, _ = choose_grid(domain_size, parties, corrupted, lambda_bits, modulus, grid)
-    return size_ours(domain_size, parties, corrupted, lambda_bits, modulus, grid) + rows * bits
+    rows, cols = choose_grid(domain_size, parties, corrupted, lambda_bits, modulus, grid)
+    return rows * (comb(parties - 1, corrupted) * (lambda_bits + bits) + bits) + cols * bits
 
 
 def size_trivial(domain_size: int, modulus: Modulus) -> int:
@@ -102,32 +103,28 @@ def _boyle_row_cost(q: int, parties: int, lambda_bits: int) -> Fraction:
     return q ** (parties - 1) * per_column
 
 
+def _grid_boyle(domain_size, parties, lambda_bits, modulus) -> tuple[int, int, Fraction]:
+    """(rows, cols, expected bits) of the model-optimal prime-modulus instance."""
+    if len(modulus.factors) != 1:
+        raise ParameterError("prime moduli only; use size_boyle_crt for composites")
+    q = modulus.value
+    return minimize_grid(
+        domain_size, _boyle_row_cost(q, parties, lambda_bits), (q - 1).bit_length()
+    )
+
+
 def choose_grid_boyle(
     domain_size: int, parties: int, lambda_bits: int, modulus: Modulus
 ) -> tuple[int, int]:
     """Model-optimal grid for a prime-modulus full-enumeration instance."""
-    if len(modulus.factors) != 1:
-        raise ParameterError("per-factor grids only; pass a prime modulus")
-    q = modulus.value
-    rows, cols, _ = minimize_grid(
-        domain_size, _boyle_row_cost(q, parties, lambda_bits), (q - 1).bit_length()
-    )
-    return rows, cols
+    return _grid_boyle(domain_size, parties, lambda_bits, modulus)[:2]
 
 
 def size_boyle(
     domain_size: int, parties: int, lambda_bits: int, modulus: Modulus
 ) -> float:
     """Expected key bits of the full-enumeration scheme over a prime modulus."""
-    if len(modulus.factors) != 1:
-        raise ParameterError(
-            "size_boyle covers prime moduli; use size_boyle_crt for composites"
-        )
-    q = modulus.value
-    _, _, cost = minimize_grid(
-        domain_size, _boyle_row_cost(q, parties, lambda_bits), (q - 1).bit_length()
-    )
-    return float(cost)
+    return float(_grid_boyle(domain_size, parties, lambda_bits, modulus)[2])
 
 
 def size_boyle_crt(
@@ -155,16 +152,37 @@ def size_bunn_it(
     return c_it * side * comb(parties, corrupted + 1) * modulus.residue_bits
 
 
+def _binom(n, k):
+    """C(n, k), refused before computing when it would exceed 2**1024."""
+    lg = math.lgamma
+    if 0 <= k <= n and lg(n + 1) - lg(k + 1) - lg(n - k + 1) > 1024 * math.log(2):
+        raise ParameterError("a binomial in the formula exceeds the float range")
+    return comb(n, k)
+
+
 _FORMULA_FUNCS = {
     "sqrt": math.sqrt,
     "log2": math.log2,
     "log": math.log,
     "ceil": math.ceil,
     "floor": math.floor,
-    "binom": comb,
+    "binom": _binom,
     "min": min,
     "max": max,
 }
+
+
+def _power(a, b):
+    """a ** b, refused before computing when |a ** b| would exceed 2**1024.
+
+    Past that no float holds the result, and an integer power that large
+    can take unbounded time and memory.
+    """
+    if abs(a) > 1 and b > 0 and b * math.log2(abs(a)) > 1024:
+        raise ParameterError("a power in the formula exceeds the float range")
+    return a ** b
+
+
 _FORMULA_OPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -172,7 +190,7 @@ _FORMULA_OPS = {
     ast.Div: lambda a, b: a / b,
     ast.FloorDiv: lambda a, b: a // b,
     ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** b,
+    ast.Pow: _power,
 }
 
 
@@ -208,13 +226,19 @@ def eval_formula(text: str, **variables: float) -> float:
     """Evaluate a plain arithmetic expression over named variables.
 
     Accepts numbers, + - * / // % **, unary signs, and the functions
-    sqrt/log2/log/ceil/floor/binom/min/max.  Anything else is rejected.
+    sqrt/log2/log/ceil/floor/binom/min/max.  Anything else is rejected,
+    and so is an arithmetic error such as a division by zero.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParameterError(f"cannot parse formula {text!r}: {exc}") from exc
-    return float(_eval_formula_node(tree, variables))
+    try:
+        return float(_eval_formula_node(tree, variables))
+    except ParameterError:
+        raise
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise ParameterError(f"cannot evaluate formula {text!r}: {exc}") from exc
 
 
 def size_bunn_prg(
@@ -264,16 +288,6 @@ def serialized_overhead_bits(params: SchemeParams, scheme: str = "ours") -> int:
     else:
         raise ParameterError(f"no exact overhead accounting for scheme {scheme!r}")
     return header + elements * pad
-
-
-def boyle_measured_net_bits(key) -> int:
-    """Serialized bits minus header and per-row framing, for model checks."""
-    params = key.params
-    return (
-        8 * len(keyfile.key_to_bytes(key))
-        - 8 * keyfile.header_size(params.modulus)
-        - 32 * params.rows
-    )
 
 
 @dataclass(frozen=True)
@@ -352,29 +366,6 @@ def _default_corrupted(parties: int) -> int:
     return (parties - 1) // 2
 
 
-def _modulus_rows(
-    xs, domain_size, parties, corrupted, lambda_bits, c_it, bunn_prg_formula
-):
-    rows = []
-    for x in xs:
-        modulus = Modulus.from_int(x)
-        rows.append(("ours", x, size_ours(domain_size, parties, corrupted, lambda_bits, modulus)))
-        rows.append(("trivial", x, size_trivial(domain_size, modulus)))
-        rows.append(("bunn-it", x, size_bunn_it(domain_size, parties, corrupted, modulus, c_it)))
-        rows.append(("boyle15-crt", x, size_boyle_crt(domain_size, parties, lambda_bits, modulus)))
-        if len(modulus.factors) == 1:
-            rows.append(("boyle15", x, size_boyle(domain_size, parties, lambda_bits, modulus)))
-        if bunn_prg_formula:
-            rows.append(
-                (
-                    "bunn-prg",
-                    x,
-                    size_bunn_prg(bunn_prg_formula, domain_size, parties, corrupted, modulus, lambda_bits),
-                )
-            )
-    return rows
-
-
 def emit_figure(
     figure: str,
     *,
@@ -399,9 +390,8 @@ def emit_figure(
         raise ParameterError(
             f"unknown figure {figure!r}; pick one of {sorted(_FIGURES)}"
         )
-    rows: list[tuple[str, int, float]] = []
-
-    if figure in ("modulus", "primorial"):
+    sweeps_modulus = figure in ("modulus", "primorial")
+    if sweeps_modulus:
         primorials = [primorial(i).value for i in range(1, PRIMORIAL_SWEEP_COUNT + 1)]
         if x_values is not None:
             xs = sorted(set(x_values))
@@ -409,34 +399,29 @@ def emit_figure(
             xs = sorted(set(MODULUS_SWEEP_PRIMES) | set(primorials))
         else:
             xs = primorials
-        m = corrupted if corrupted is not None else _default_corrupted(parties)
-        rows = _modulus_rows(xs, domain_size, parties, m, lambda_bits, c_it, bunn_prg_formula)
+    elif x_values is not None:
+        xs = sorted(x_values)
+    else:
+        xs = DOMAIN_SWEEP_SIZES if figure == "domain" else PARTY_SWEEP
+    fixed = modulus if modulus is not None else Modulus.prime(MERSENNE31)
 
-    elif figure == "domain":
-        mod = modulus if modulus is not None else Modulus.prime(MERSENNE31)
-        m = corrupted if corrupted is not None else _default_corrupted(parties)
-        xs = sorted(x_values) if x_values is not None else DOMAIN_SWEEP_SIZES
-        for n in xs:
-            rows.append(("ours", n, size_ours(n, parties, m, lambda_bits, mod)))
-            rows.append(("trivial", n, size_trivial(n, mod)))
-            rows.append(("bunn-it", n, size_bunn_it(n, parties, m, mod, c_it)))
-            if bunn_prg_formula:
-                rows.append(
-                    ("bunn-prg", n, size_bunn_prg(bunn_prg_formula, n, parties, m, mod, lambda_bits))
-                )
-
-    else:  # parties
-        mod = modulus if modulus is not None else Modulus.prime(MERSENNE31)
-        xs = sorted(x_values) if x_values is not None else PARTY_SWEEP
-        for p in xs:
-            m = corrupted if corrupted is not None else _default_corrupted(p)
-            rows.append(("ours", p, size_ours(domain_size, p, m, lambda_bits, mod)))
-            rows.append(("trivial", p, size_trivial(domain_size, mod)))
-            rows.append(("bunn-it", p, size_bunn_it(domain_size, p, m, mod, c_it)))
-            if bunn_prg_formula:
-                rows.append(
-                    ("bunn-prg", p, size_bunn_prg(bunn_prg_formula, domain_size, p, m, mod, lambda_bits))
-                )
+    rows: list[tuple[str, int, float]] = []
+    for x in xs:
+        n = x if figure == "domain" else domain_size
+        p = x if figure == "parties" else parties
+        mod = Modulus.from_int(x) if sweeps_modulus else fixed
+        m = corrupted if corrupted is not None else _default_corrupted(p)
+        rows.append(("ours", x, size_ours(n, p, m, lambda_bits, mod)))
+        rows.append(("trivial", x, size_trivial(n, mod)))
+        rows.append(("bunn-it", x, size_bunn_it(n, p, m, mod, c_it)))
+        if sweeps_modulus:
+            rows.append(("boyle15-crt", x, size_boyle_crt(n, p, lambda_bits, mod)))
+            if len(mod.factors) == 1:
+                rows.append(("boyle15", x, size_boyle(n, p, lambda_bits, mod)))
+        if bunn_prg_formula:
+            rows.append(
+                ("bunn-prg", x, size_bunn_prg(bunn_prg_formula, n, p, m, mod, lambda_bits))
+            )
 
     rows.sort(key=lambda r: (r[0], r[1]))
     return FigureDataset(figure=_FIGURES[figure], rows=tuple(rows))

@@ -391,12 +391,10 @@ def test_criterion_09_serialization_stability(tmp_path):
 
         if scheme == "dcf":
             evaluate = dcf_eval
-        elif scheme == "ours":
-            evaluate = eval_point
         elif scheme == "trivial":
             evaluate = trivial_eval
         else:
-            from dpfkit.baselines import boyle_eval as evaluate
+            evaluate = eval_point
         originals = generator(
             point, params, DeterministicRandomSource(f"criterion-9-{scheme}")
         )

@@ -3,21 +3,20 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from dpfkit.algebra import Modulus, parse_modulus
 from dpfkit.baselines import (
     COLUMN_GUARD,
     boyle_column_count,
-    boyle_eval,
     boyle_gen,
     check_guard,
     require_prime,
-    reconstruct_share_vectors,
     trivial_eval,
     trivial_gen,
 )
-from dpfkit.dpf import PointDescription, SchemeParams, decode
+from dpfkit.dpf import PointDescription, SchemeParams, decode, eval_point
 from dpfkit.errors import GuardError, ParameterError
 from dpfkit.keyfile import key_to_bytes
 from dpfkit.prg import DeterministicRandomSource
@@ -37,6 +36,20 @@ def _decode_all(keys, eval_fn, n):
     return [decode([eval_fn(k, x) for k in keys]).lift() for x in range(n)]
 
 
+def reconstruct_share_vectors(keys, row):
+    """Rebuild the row's full column -> share-vector map from sparse keys.
+
+    Columns absent from every key are the all-zero vector.
+    """
+    params = keys[0].params
+    count = boyle_column_count(params)
+    vectors = np.zeros((count, params.parties), dtype=np.int64)
+    for key in keys:
+        columns, _seeds, shares = key.rows[row]
+        vectors[columns, key.party] = shares[0]
+    return [tuple(v) for v in vectors.tolist()]
+
+
 class TestBoyle:
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("parties", [2, 3])
@@ -47,12 +60,12 @@ class TestBoyle:
             beta = params.modulus.element(rng.randrange(1, q))
             keys = boyle_gen(PointDescription(alpha, beta), params, rng)
             expected = [beta.lift() if x == alpha else 0 for x in range(n)]
-            assert _decode_all(keys, boyle_eval, n) == expected
+            assert _decode_all(keys, eval_point, n) == expected
 
     def test_dishonest_majority_allowed(self, rng):
         params = _params(3, 2, "3", 6)
         keys = boyle_gen(PointDescription(2, params.modulus.one()), params, rng)
-        assert _decode_all(keys, boyle_eval, 6) == [0, 0, 1, 0, 0, 0]
+        assert _decode_all(keys, eval_point, 6) == [0, 0, 1, 0, 0, 0]
 
     def test_columns_enumerate_every_share_vector(self, rng):
         # per row, reassembled columns must be exactly the q^(p-1)

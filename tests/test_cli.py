@@ -1,7 +1,13 @@
 """Command-line behavior: round trips, determinism, exit codes, output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dpfkit
 from dpfkit.cli import main
 from dpfkit.pir import Database, write_database
 from dpfkit.algebra import parse_modulus
@@ -219,11 +225,27 @@ def test_bench_size_with_formula(capsys):
 
 
 def test_bench_size_bad_formula(capsys):
-    code, _, err = run(
-        capsys, "bench-size", "--figure", "domain", "--N", "100",
-        "--x-values", "100", "--bunn-prg-formula", "__import__('os')",
+    for formula in (
+        "__import__('os')", "1/0", "sqrt(-1)", "binom(N, -1)", "10**400*1.0",
+        "binom(10**6, 5*10**5)",
+    ):
+        code, _, err = run(
+            capsys, "bench-size", "--figure", "domain", "--N", "100",
+            "--x-values", "100", "--bunn-prg-formula", formula,
+        )
+        assert code == 2, formula
+        assert err.startswith("error: "), formula
+    # A power that would never finish computing runs in a child process,
+    # so that a regression fails on the timeout instead of hanging.
+    src = Path(dpfkit.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-m", "dpfkit.cli", "bench-size", "--figure", "domain",
+         "--x-values", "100", "--bunn-prg-formula", "N**N**N"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert code == 2
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: ")
 
 
 def test_bench_size_bad_x_values(capsys):

@@ -8,8 +8,6 @@ import pytest
 
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 from dpfkit.baselines import (
-    boyle_eval,
-    boyle_eval_all,
     boyle_gen,
     trivial_eval,
     trivial_eval_all,
@@ -173,7 +171,7 @@ def test_full_domain_evaluator_matches_pointwise(
     gen_fn, eval_fn, eval_all_fn = {
         "ours": (gen, eval_point, eval_all),
         "dcf": (dcf_gen, dcf_eval, dcf_eval_all),
-        "boyle15": (boyle_gen, boyle_eval, boyle_eval_all),
+        "boyle15": (boyle_gen, eval_point, eval_all),
         "trivial": (trivial_gen, trivial_eval, trivial_eval_all),
     }[scheme]
     params = _make(parties, corrupted, modulus_text, domain, grid=grid)
