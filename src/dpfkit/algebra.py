@@ -24,7 +24,8 @@ MAX_FACTOR = 2 ** 31
 MAX_VALUE = 2 ** 63
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10**24, which
-# comfortably covers the 63-bit modulus cap.
+# comfortably covers the 63-bit modulus cap; is_prime also trial-divides
+# by them first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Automatic factoring stops trial division here; larger prime factors of a
@@ -36,8 +37,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2**64."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -81,11 +81,8 @@ class Modulus:
             if not is_prime(q):
                 raise ParameterError(f"modulus factor {q} is not prime")
             prev = q
-        value = 1
-        for q in self.factors:
-            value *= q
-        if value >= MAX_VALUE:
-            raise ParameterError(f"modulus value {value} exceeds the 2**63 cap")
+        if self.value >= MAX_VALUE:
+            raise ParameterError(f"modulus value {self.value} exceeds the 2**63 cap")
 
     @classmethod
     def prime(cls, q: int) -> "Modulus":

@@ -194,17 +194,17 @@ def _cmd_pir_demo(args) -> int:
 def _cmd_inspect(args) -> int:
     with open(args.key, "rb") as fh:
         data = fh.read()
-    header, offset = keyfile.parse_header(data)
-    print(f"scheme={keyfile.SCHEMES[header.scheme].name}")
-    print(f"party={header.party}")
-    print(f"parties={header.parties}")
-    print(f"corrupted={header.corrupted}")
-    print(f"lambda={header.lambda_bits}")
-    print(f"domain={header.domain_size}")
-    print(f"rows={header.rows}")
-    print(f"cols={header.cols}")
-    print(f"modulus={header.modulus}")
-    print(f"prg={header.prg.algorithm}")
+    scheme, party, params, offset = keyfile.parse_header(data)
+    print(f"scheme={keyfile.SCHEMES[scheme].name}")
+    print(f"party={party}")
+    print(f"parties={params.parties}")
+    print(f"corrupted={params.corrupted}")
+    print(f"lambda={params.lambda_bits}")
+    print(f"domain={params.domain_size}")
+    print(f"rows={params.rows}")
+    print(f"cols={params.cols}")
+    print(f"modulus={params.modulus}")
+    print(f"prg={params.prg_algorithm}")
     print(f"header_bytes={offset}")
     print(f"body_bytes={len(data) - offset}")
     return EXIT_OK
@@ -313,6 +313,7 @@ _EXIT_CODES = (
     (GuardError, EXIT_GUARD),
     (DpfError, EXIT_INTERNAL),
     (OSError, EXIT_FORMAT),
+    (MemoryError, EXIT_INTERNAL),
 )
 
 
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 

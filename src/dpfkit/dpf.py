@@ -64,12 +64,10 @@ class SchemeParams:
     domain_size: int
     rows: int
     cols: int
-    prg: PrgSpec
+    prg_algorithm: int = prg.PRG_SHAKE128
 
     def __post_init__(self) -> None:
         check_party_counts(self.parties, self.corrupted)
-        if self.lambda_bits % 8 != 0 or not 8 <= self.lambda_bits <= 65535:
-            raise ParameterError(f"bad seed length {self.lambda_bits} bits")
         if not 1 <= self.domain_size < 2 ** 64:
             raise ParameterError(f"domain size {self.domain_size} out of range")
         if not 1 <= self.rows < 2 ** 32 or not 1 <= self.cols < 2 ** 32:
@@ -78,12 +76,7 @@ class SchemeParams:
             raise ParameterError(
                 f"grid {self.rows}x{self.cols} does not cover domain {self.domain_size}"
             )
-        if self.prg.output_len != self.cols:
-            raise ParameterError("prg output length must equal the column count")
-        if self.prg.lambda_bits != self.lambda_bits:
-            raise ParameterError("prg seed length disagrees with params")
-        if self.prg.modulus != self.modulus:
-            raise ParameterError("prg modulus disagrees with params")
+        self.prg  # PrgSpec checks the tag and the seed length
 
     @classmethod
     def create(
@@ -102,7 +95,6 @@ class SchemeParams:
             )
         else:
             rows, cols = grid
-        spec = PrgSpec(prg_algorithm, lambda_bits, cols, modulus)
         return cls(
             parties=parties,
             corrupted=corrupted,
@@ -111,8 +103,13 @@ class SchemeParams:
             domain_size=domain_size,
             rows=rows,
             cols=cols,
-            prg=spec,
+            prg_algorithm=prg_algorithm,
         )
+
+    @cached_property
+    def prg(self) -> PrgSpec:
+        """The expansion of one seed into a row of `cols` elements."""
+        return PrgSpec(self.prg_algorithm, self.lambda_bits, self.cols, self.modulus)
 
     @cached_property
     def combo_count(self) -> int:

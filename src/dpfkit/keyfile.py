@@ -15,7 +15,8 @@ Layout (all integers little-endian):
     cols (V)     u32
     factor count u8
     factors      u64 each, ascending primes
-    prg spec     7 bytes  algorithm u8, lambda u16, output length u32
+    prg          7 bytes  algorithm u8, lambda u16, output length u32;
+                          lambda and the length repeat lambda and cols
 
 followed by a scheme-specific body.  Field elements are encoded factor by
 factor as ceil(ceil(lg q)/8) little-endian bytes each; seeds take
@@ -38,7 +39,6 @@ class and body codec.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,23 +46,23 @@ import numpy as np
 from . import baselines, dcf, dpf
 from .algebra import FieldVector, Modulus
 from .errors import FormatError, ParameterError
-from .prg import PrgSpec
 
 MAGIC = b"DPFK"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sBBHHHHQII")
 _FACTOR = struct.Struct("<Q")
+_PRG = struct.Struct("<BHI")
 _U32 = struct.Struct("<I")
-
-
-def element_width(modulus: Modulus) -> int:
-    """Serialized bytes per field element."""
-    return sum(((q - 1).bit_length() + 7) // 8 for q in modulus.factors)
 
 
 def _factor_widths(modulus: Modulus) -> list[int]:
     return [((q - 1).bit_length() + 7) // 8 for q in modulus.factors]
+
+
+def element_width(modulus: Modulus) -> int:
+    """Serialized bytes per field element."""
+    return sum(_factor_widths(modulus))
 
 
 def encode_vector(vec: FieldVector) -> bytes:
@@ -99,32 +99,6 @@ def decode_vector(data: bytes, modulus: Modulus, count: int) -> FieldVector:
     return FieldVector._raw(modulus, arr)
 
 
-@dataclass(frozen=True)
-class KeyHeader:
-    scheme: int
-    party: int
-    parties: int
-    corrupted: int
-    lambda_bits: int
-    domain_size: int
-    rows: int
-    cols: int
-    modulus: Modulus
-    prg: PrgSpec
-
-    def to_params(self) -> dpf.SchemeParams:
-        return dpf.SchemeParams(
-            parties=self.parties,
-            corrupted=self.corrupted,
-            lambda_bits=self.lambda_bits,
-            modulus=self.modulus,
-            domain_size=self.domain_size,
-            rows=self.rows,
-            cols=self.cols,
-            prg=self.prg,
-        )
-
-
 def _pack_header(scheme: int, party: int, params: dpf.SchemeParams) -> bytes:
     head = _HEADER.pack(
         MAGIC,
@@ -141,60 +115,12 @@ def _pack_header(scheme: int, party: int, params: dpf.SchemeParams) -> bytes:
     parts = [head, bytes([len(params.modulus.factors)])]
     for q in params.modulus.factors:
         parts.append(_FACTOR.pack(q))
-    parts.append(params.prg.to_bytes())
+    parts.append(_PRG.pack(params.prg_algorithm, params.lambda_bits, params.cols))
     return b"".join(parts)
 
 
 def header_size(modulus: Modulus) -> int:
-    return _HEADER.size + 1 + 8 * len(modulus.factors) + 7
-
-
-def parse_header(data: bytes) -> tuple[KeyHeader, int]:
-    """Parse the fixed header; returns (header, body offset)."""
-    if len(data) < _HEADER.size + 1:
-        raise FormatError("key data shorter than the fixed header")
-    magic, version, scheme, party, parties, corrupted, lam, domain, rows, cols = (
-        _HEADER.unpack_from(data, 0)
-    )
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}")
-    if scheme not in SCHEMES:
-        raise FormatError(f"unknown scheme tag {scheme}")
-    if party >= parties:
-        raise FormatError(f"party {party} out of range for {parties} parties")
-    offset = _HEADER.size
-    n_factors = data[offset]
-    offset += 1
-    if len(data) < offset + 8 * n_factors + 7:
-        raise FormatError("truncated header")
-    factors = []
-    for _ in range(n_factors):
-        (q,) = _FACTOR.unpack_from(data, offset)
-        factors.append(q)
-        offset += 8
-    try:
-        modulus = Modulus(tuple(int(q) for q in factors))
-        spec = PrgSpec.from_bytes(data[offset : offset + 7], modulus)
-    except ParameterError as exc:
-        raise FormatError(f"invalid key header: {exc}") from exc
-    offset += 7
-    if spec.lambda_bits != lam:
-        raise FormatError("prg seed length disagrees with header")
-    header = KeyHeader(
-        scheme=scheme,
-        party=party,
-        parties=parties,
-        corrupted=corrupted,
-        lambda_bits=lam,
-        domain_size=domain,
-        rows=rows,
-        cols=cols,
-        modulus=modulus,
-        prg=spec,
-    )
-    return header, offset
+    return _HEADER.size + 1 + _FACTOR.size * len(modulus.factors) + _PRG.size
 
 
 class _Reader:
@@ -204,20 +130,50 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.offset + n > len(self.data):
-            raise FormatError("truncated key body")
+            raise FormatError(f"key data truncated at byte {len(self.data)}")
         out = self.data[self.offset : self.offset + n]
         self.offset += n
         return out
 
-    def u32(self) -> int:
-        (v,) = _U32.unpack(self.take(4))
-        return v
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
 
     def done(self) -> None:
         if self.offset != len(self.data):
             raise FormatError(
                 f"{len(self.data) - self.offset} trailing bytes after key body"
             )
+
+
+def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
+    """Parse the header; returns (scheme tag, party, params, body offset)."""
+    reader = _Reader(data, 0)
+    magic, version, scheme, party, parties, corrupted, lam, domain, rows, cols = (
+        reader.unpack(_HEADER)
+    )
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported container version {version}")
+    if scheme not in SCHEMES:
+        raise FormatError(f"unknown scheme tag {scheme}")
+    if party >= parties:
+        raise FormatError(f"party {party} out of range for {parties} parties")
+    (n_factors,) = reader.take(1)
+    factors = tuple(reader.unpack(_FACTOR)[0] for _ in range(n_factors))
+    algorithm, prg_lam, prg_len = reader.unpack(_PRG)
+    if (prg_lam, prg_len) != (lam, cols):
+        raise FormatError(
+            f"prg seed length {prg_lam} and output length {prg_len} disagree "
+            f"with the header's {lam} and {cols}"
+        )
+    try:
+        params = dpf.SchemeParams(
+            parties, corrupted, lam, Modulus(factors), domain, rows, cols, algorithm
+        )
+    except ParameterError as exc:
+        raise FormatError(f"invalid key header: {exc}") from exc
+    return scheme, party, params, reader.offset
 
 
 def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> FieldVector:
@@ -290,7 +246,7 @@ def _decode_boyle(
     record = seed_end + element_width(modulus)
     rows = []
     for _ in range(params.rows):
-        count = reader.u32()
+        (count,) = reader.unpack(_U32)
         if count > column_count:
             raise FormatError("tuple count exceeds the column count")
         raw = np.frombuffer(reader.take(count * record), np.uint8).reshape(count, record)
@@ -346,13 +302,9 @@ def key_to_bytes(key) -> bytes:
 
 def key_from_bytes(data: bytes):
     """Parse a key of any scheme; the result type follows the scheme tag."""
-    header, offset = parse_header(data)
-    try:
-        params = header.to_params()
-    except ParameterError as exc:
-        raise FormatError(f"invalid key header: {exc}") from exc
+    scheme, party, params, offset = parse_header(data)
     reader = _Reader(data, offset)
-    key = SCHEMES[header.scheme].decode(reader, params, header.party)
+    key = SCHEMES[scheme].decode(reader, params, party)
     reader.done()
     return key
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from struct import Struct
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import InternalError, ParameterError
 PRG_SHAKE128 = 0
 PRG_TEST_LCG = 255
 
-_SPEC_STRUCT = Struct("<BHI")
 _DOMAIN_SEP = b"\x47"
 
 _LCG_MULT = 6364136223846793005
@@ -76,17 +74,6 @@ class PrgSpec:
     @property
     def seed_bytes(self) -> int:
         return self.lambda_bits // 8
-
-    def to_bytes(self) -> bytes:
-        """Tag byte, seed bits as u16, output length as u32 (little-endian)."""
-        return _SPEC_STRUCT.pack(self.algorithm, self.lambda_bits, self.output_len)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, modulus: Modulus) -> "PrgSpec":
-        if len(data) != _SPEC_STRUCT.size:
-            raise ParameterError(f"prg spec must be {_SPEC_STRUCT.size} bytes")
-        algorithm, lam, out_len = _SPEC_STRUCT.unpack(data)
-        return cls(algorithm, lam, out_len, modulus)
 
 
 def _le_words(raw: bytes, width: int) -> np.ndarray:

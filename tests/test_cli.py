@@ -146,6 +146,37 @@ def test_party_out_of_range_exit_code(capsys, tmp_path, scheme):
             assert f"party {party} out of range" in err
 
 
+def test_grid_not_covering_domain_exit_code(capsys, tmp_path):
+    # Every subcommand that reads a key refuses a header whose R x V grid
+    # is smaller than its domain; `inspect` used to print such a header.
+    out_dir, _ = keygen(capsys, tmp_path, "--seed", "t6")
+    path = out_dir / "key_0.dpfk"
+    blob = bytearray(path.read_bytes())
+    rows = int.from_bytes(blob[22:26], "little")
+    cols = int.from_bytes(blob[26:30], "little")
+    blob[14:22] = (rows * cols + 1).to_bytes(8, "little")  # the u64 domain field
+    path.write_bytes(bytes(blob))
+    for argv in (["eval", "--x", "0"], ["eval-all"], ["inspect"]):
+        code, out, err = run(capsys, argv[0], "--key", str(path), *argv[1:])
+        assert code == 3, (argv, out, err)
+        assert out == ""
+        assert "does not cover domain" in err
+
+
+def test_out_of_memory_exit_code(capsys, tmp_path, monkeypatch):
+    out_dir, _ = keygen(capsys, tmp_path, "--seed", "t7")
+
+    def out_of_memory(key):
+        raise MemoryError()
+
+    monkeypatch.setattr(dpfkit.dpf, "eval_all", out_of_memory)
+    code, out, err = run(capsys, "eval-all", "--key", str(out_dir / "key_0.dpfk"))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().split("\n")) == 1
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--key", str(tmp_path / "nope"), "--x", "0")
     assert code == 3

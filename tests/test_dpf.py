@@ -28,7 +28,7 @@ from dpfkit.dpf import (
 )
 from dpfkit.errors import HonestMajorityError, ParameterError
 from dpfkit.keyfile import key_to_bytes
-from dpfkit.prg import PRG_TEST_LCG, DeterministicRandomSource
+from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource, PrgSpec
 
 
 def _make(parties, corrupted, modulus_text, domain, **kw):
@@ -68,6 +68,16 @@ class TestParams:
         for parties, corrupted in ((1, 1), (3, 0), (3, 3), (3, 4)):
             with pytest.raises(ParameterError):
                 _make(parties, corrupted, "5", 4)
+
+    def test_prg_spec_follows_the_params(self):
+        modulus = parse_modulus("5")
+        params = SchemeParams(3, 1, 64, modulus, 4, 1, 4)
+        assert params.prg_algorithm == PRG_SHAKE128
+        assert params.prg == PrgSpec(PRG_SHAKE128, 64, 4, modulus)
+        # PrgSpec's checks run when the params are created.
+        for tag, lambda_bits in ((7, 128), (PRG_SHAKE128, 12), (PRG_SHAKE128, 0)):
+            with pytest.raises(ParameterError):
+                SchemeParams(3, 1, lambda_bits, modulus, 4, 1, 4, tag)
 
     def test_domain_bounds(self):
         with pytest.raises(ParameterError):

@@ -1,9 +1,10 @@
 """Binary key container: round trips, golden bytes, malformed input."""
 
 import hashlib
+from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
@@ -21,7 +22,7 @@ from dpfkit.keyfile import (
     read_key_file,
     write_key_file,
 )
-from dpfkit.prg import DeterministicRandomSource
+from dpfkit.prg import PRG_TEST_LCG, DeterministicRandomSource, PrgSpec
 
 GOLDEN_HEADER_HEX = (
     "4450464b010100000300010080000400000000000000010000000400000001"
@@ -82,6 +83,20 @@ _RECORDS = (
     (_dcf_golden_blob, _DCF_BODY + 5 * 19),
     (_boyle_blob, _BOYLE_LAST_COLUMN + 4),
 )
+
+
+@cache
+def _golden_blobs():
+    return tuple(
+        make()
+        for make in (_golden_key_blob, _dcf_golden_blob, _trivial_golden_blob, _boyle_blob)
+    )
+
+
+# The golden DPF header: the fixed fields, one u64 factor, then the PRG
+# triple (algorithm u8, seed bits u16, output length u32).
+_PRG_LAMBDA = 30 + 1 + 8 + 1
+_PRG_LENGTH = _PRG_LAMBDA + 2
 
 
 class TestGolden:
@@ -161,6 +176,22 @@ class TestRoundTrips:
         for key in keys:
             back = _round_trip(key)
             assert back.table == key.table
+
+    def test_lcg_prg_with_long_seeds_and_a_wide_row(self):
+        params = _params(3, 1, "30", 1000, grid=(1, 1000), lambda_bits=256,
+                         prg_algorithm=PRG_TEST_LCG)
+        rng = DeterministicRandomSource("prg-triple")
+        keys = gen(PointDescription(999, params.modulus.element(7)), params, rng)
+        blob = key_to_bytes(keys[1])
+        offset = header_size(params.modulus)
+        assert blob[offset - 7 : offset] == bytes([255, 0, 1, 0xE8, 0x03, 0, 0])
+        scheme, party, back, body = parse_header(blob)
+        assert (scheme, party, back, body) == (1, 1, params, offset)
+        assert back.prg == PrgSpec(PRG_TEST_LCG, 256, 1000, params.modulus)
+        for key in keys:
+            restored = _round_trip(key)
+            for x in (0, 998, 999):
+                assert eval_point(restored, x).lift() == eval_point(key, x).lift()
 
     def test_file_round_trip(self, rng, tmp_path):
         params = _params(3, 1, "5", 6)
@@ -275,6 +306,47 @@ class TestMalformedInput:
         with pytest.raises(FormatError, match="tuple count"):
             key_from_bytes(bytes(blob))
 
+    @pytest.mark.parametrize("offset,value", [
+        (_PRG_LAMBDA, 256), (_PRG_LAMBDA, 120), (_PRG_LENGTH, 3), (_PRG_LENGTH, 5),
+    ])
+    def test_prg_triple_must_repeat_lambda_and_cols(self, offset, value):
+        # The golden header declares 128-bit seeds and a 1x4 grid.
+        blob = self._blob()
+        width = 2 if offset == _PRG_LAMBDA else 4
+        blob[offset : offset + width] = value.to_bytes(width, "little")
+        with pytest.raises(FormatError, match="prg"):
+            key_from_bytes(bytes(blob))
+
     def test_empty_input(self):
         with pytest.raises(FormatError):
             key_from_bytes(b"")
+
+
+_U32_VALUES = st.sampled_from([0, 1, 2 ** 32 - 1]) | st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def _mutated_golden_blob(draw):
+    """One golden blob with 1-3 bytes overwritten, truncated, or a u32 written
+    into its first 60 bytes, where the header and the first records lie."""
+    blob = bytearray(_golden_blobs()[draw(st.integers(0, 3))])
+    mutation = draw(st.sampled_from(["overwrite", "truncate", "u32"]))
+    if mutation == "overwrite":
+        for _ in range(draw(st.integers(1, 3))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    elif mutation == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)) :]
+    else:
+        at = draw(st.integers(0, 56))
+        blob[at : at + 4] = draw(_U32_VALUES).to_bytes(4, "little")
+    return bytes(blob)
+
+
+@settings(max_examples=400)
+@given(blob=_mutated_golden_blob())
+def test_mutated_golden_blobs_parse_or_raise_format_error(blob):
+    try:
+        key = key_from_bytes(blob)
+    except FormatError:
+        return
+    assert key_to_bytes(key) == blob
