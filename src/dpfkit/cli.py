@@ -111,8 +111,7 @@ def _cmd_eval_all(args) -> int:
     module, _, full_domain = _EVALUATORS[type(key)]
     vector = getattr(module, full_domain)(key)
     if args.out is None:
-        for value in vector.lift_all():
-            print(value)
+        sys.stdout.write("\n".join(map(str, vector.lift_all())) + "\n")
         return EXIT_OK
     pir.write_database(args.out, pir.Database(key.params.modulus, vector))
     print(args.out)

@@ -21,7 +21,7 @@ contain its party: C(p-1, m) pairs out of the C(p, m+1) columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb, isqrt
 from typing import Iterable, Sequence
@@ -277,17 +277,28 @@ def _combine_row(
 
     `seeds` is uint8 of shape (k, lambda/8) and `shares` uint64 of shape
     (factors, k); the result is sum_j shares[:, j] * G(seeds[j]), plus
-    shares[:, 0] * correction when a correction is given.
+    shares[:, 0] * correction[:, :output_len] when a correction is given.
+    A product is at most (q-1)**2 for the largest factor q, so `period`
+    of them fit in uint64 beside a reduced value; that is when to reduce.
     """
     qs = spec.modulus._qs_np
+    q = spec.modulus.factors[-1]
+    period = ((1 << 64) - 1 - q) // (q - 1) ** 2
     shares = shares[:, :, None]
+    acc = np.zeros((len(qs), spec.output_len), dtype=np.uint64)
+    term = np.empty_like(acc)
+    pending = 0
     if correction is not None:
-        acc = (correction.data * shares[:, 0]) % qs
-    else:
-        acc = np.zeros((len(qs), spec.output_len), dtype=np.uint64)
+        np.multiply(correction.data[:, : spec.output_len], shares[:, 0], out=acc)
+        pending = 1
     for j, seed in enumerate(seeds):
-        vec = expand(seed.tobytes(), spec)
-        acc = (acc + vec.data * shares[:, j]) % qs
+        if pending == period:
+            acc %= qs
+            pending = 0
+        np.multiply(expand(seed.tobytes(), spec).data, shares[:, j], out=term)
+        acc += term
+        pending += 1
+    acc %= qs
     return acc
 
 
@@ -317,12 +328,14 @@ def _gen_core(
     dealt = _deal(secrets.reshape(factors, -1), count, modulus, rng)
     dealt = dealt.reshape(*secrets.shape, count)
 
-    total = FieldVector.zeros(modulus, params.cols)
+    # Residues are below 2**31, so the sum cannot wrap before 2**33 seeds.
+    total = np.zeros((factors, params.cols), dtype=np.uint64)
     for seed in seeds[target_row]:
-        total = total + expand(seed.tobytes(), params.prg)
+        total += expand(seed.tobytes(), params.prg).data
     target = np.zeros((factors, params.cols), dtype=np.uint64)
     first = 0 if prefix else target_col
     target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
+    total = FieldVector._raw(modulus, total % modulus._qs_np)
     correction = FieldVector._raw(modulus, target) - total
 
     keys = []
@@ -358,7 +371,9 @@ def eval_point(key, x: int) -> FieldElement:
     if not 0 <= x < params.domain_size:
         raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
     row, col = divmod(x, params.cols)
-    data = _eval_row(key, row)
+    # Expansions are prefix-stable, so the row's first col+1 entries suffice.
+    seeds, shares, correction = key.row(row)
+    data = _combine_row(seeds, shares, replace(params.prg, output_len=col + 1), correction)
     return FieldElement(params.modulus, tuple(int(v) for v in data[:, col]))
 
 

@@ -20,6 +20,11 @@ ceil(bits/8)-byte little-endian words, masked down to
 below q.  Acceptance probability is always above 1/2, and a cap of 2**20
 candidates per output element turns a (cryptographically impossible)
 run of rejections into an InternalError instead of a hang.
+
+The stream and this acceptance rule are the bit-exact contract: the
+output is the first n accepted words.  The size of the prefix squeezed
+to find them and the shortcut taken when its first n words all pass
+are not part of it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -76,10 +83,18 @@ class PrgSpec:
         return self.lambda_bits // 8
 
 
+@lru_cache(maxsize=256)
+def _word_format(q: int) -> tuple[int, np.dtype, np.integer, np.integer, float]:
+    """Width, dtype (its own when NumPy has one), mask, q and acceptance
+    rate of factor q's candidate words; mask and q are dtype scalars."""
+    bits = (q - 1).bit_length()
+    width = (bits + 7) // 8
+    dtype = np.dtype(f"<u{width}" if width in (1, 2, 4, 8) else np.uint64)
+    return width, dtype, dtype.type((1 << bits) - 1), dtype.type(q), q / (1 << bits)
+
+
 def _le_words(raw: bytes, width: int) -> np.ndarray:
-    """Split a byte string into little-endian unsigned words of `width` bytes."""
-    if width in (1, 2, 4, 8):
-        return np.frombuffer(raw, dtype=f"<u{width}").astype(np.uint64)
+    """Split a byte string into little-endian uint64 words of `width` bytes."""
     mat = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width).astype(np.uint64)
     out = np.zeros(mat.shape[0], dtype=np.uint64)
     for k in range(width):
@@ -102,17 +117,26 @@ def _stream(algorithm: int, seed: bytes, factor_index: int, length: int) -> byte
 
 
 def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: int) -> np.ndarray:
-    """The first n accepted words of the stream; the prefix doubles on a shortfall."""
-    bits = (q - 1).bit_length()
-    width = (bits + 7) // 8
-    mask = np.uint64((1 << bits) - 1)
+    """The first n accepted words of the stream, in `_word_format`'s dtype.
+
+    The words are used as they stand when the first n all pass; a prefix
+    with fewer than n accepted words is doubled and squeezed again.
+    """
+    width, dtype, mask, bound, accept = _word_format(q)
+    # The expected word count for n acceptances plus three standard deviations.
+    words = ceil(n / accept + 3 * sqrt(n * (1 - accept)) / accept) + 8
+    # Testing the first n words costs about as much as gathering 256.
+    fast = n >= 256 and accept ** n > 0.5
     cap = (n << 20) + (1 << 20)
-    # Initial prefix sized for the expected acceptance rate q / 2**bits.
-    words = (n * (1 << bits)) // q + (n >> 4) + 32
     while True:
-        candidates = _le_words(_stream(algorithm, seed, factor_index, words * width), width)
-        candidates &= mask
-        good = candidates[candidates < q]
+        raw = _stream(algorithm, seed, factor_index, words * width)
+        if dtype.itemsize == width:
+            candidates = np.frombuffer(raw, dtype=dtype) & mask
+        else:
+            candidates = _le_words(raw, width) & mask
+        if fast and candidates[:n].max() < bound:
+            return candidates[:n]
+        good = candidates[candidates < bound]
         if good.size >= n:
             return good[:n]
         if words > cap:

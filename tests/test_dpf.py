@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from dpfkit import dpf
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 from dpfkit.baselines import (
     boyle_gen,
@@ -19,6 +20,7 @@ from dpfkit.dpf import (
     DpfKey,
     PointDescription,
     SchemeParams,
+    _combine_row,
     _deal,
     choose_grid,
     decode,
@@ -189,6 +191,52 @@ def test_full_domain_evaluator_matches_pointwise(
     for key in keys:
         vec = eval_all_fn(key)
         assert vec.lift_all() == [eval_fn(key, x).lift() for x in range(domain)]
+
+
+@pytest.mark.parametrize("modulus_text", ["2147483647", "2*2147483647", "2*3*5*7"])
+@pytest.mark.parametrize("seed_count", [1, 4, 5, 9, 13])
+@pytest.mark.parametrize("with_correction", [False, True])
+def test_combine_row_matches_per_term_reduction_at_the_largest_residues(
+    monkeypatch, modulus_text, seed_count, with_correction
+):
+    # Every share, expanded residue and correction entry is q-1, so each
+    # product is the largest there is: summing one more product than the
+    # reduction period allows wraps uint64 and changes the result.
+    modulus = parse_modulus(modulus_text)
+    top = np.array([[q - 1] for q in modulus.factors], dtype=np.uint64)
+
+    def largest_residues(seed, spec):
+        return FieldVector._raw(modulus, np.repeat(top, spec.output_len, axis=1))
+
+    monkeypatch.setattr(dpf, "expand", largest_residues)
+    spec = PrgSpec(PRG_SHAKE128, 128, 3, modulus)
+    correction = largest_residues(None, spec) if with_correction else None
+    seeds = np.ones((seed_count, 16), dtype=np.uint8)
+    got = _combine_row(seeds, np.repeat(top, seed_count, axis=1), spec, correction)
+    expected = []
+    for q in modulus.factors:
+        acc = (q - 1) * (q - 1) % q if with_correction else 0
+        for _ in range(seed_count):
+            acc = (acc + (q - 1) * (q - 1)) % q
+        expected.append([acc] * 3)
+    assert got.tolist() == expected
+
+
+def test_eval_point_expands_only_the_prefix_it_reads(monkeypatch, rng):
+    params = _make(5, 2, "2*3*5*7", 60, grid=(5, 12))
+    keys = gen(PointDescription(29, params.modulus.element(23)), params, rng)
+    lengths = []
+
+    def recording_expand(seed, spec):
+        lengths.append(spec.output_len)
+        return dpf.prg.expand(seed, spec)
+
+    full = eval_all(keys[0]).lift_all()
+    monkeypatch.setattr(dpf, "expand", recording_expand)
+    for x in (0, 29, 59):
+        lengths.clear()
+        assert eval_point(keys[0], x).lift() == full[x]
+        assert lengths == [x % 12 + 1] * params.tuples_per_row
 
 
 def test_single_share_reveals_nothing_exact(rng):

@@ -1,10 +1,13 @@
 """Private lookups: query, answer, reconstruct, and the database file."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfkit.algebra import Modulus, parse_modulus
 from dpfkit.dpf import SchemeParams
 from dpfkit.errors import FormatError, ParameterError
+from dpfkit.keyfile import encode_vector
 from dpfkit.pir import (
     Database,
     pir_answer,
@@ -58,6 +61,41 @@ class TestDatabase:
         path.write_bytes((3).to_bytes(8, "little") + b"\x00\x01")
         with pytest.raises(FormatError):
             read_database(path, m)
+
+
+_FUZZ_MODULUS = parse_modulus("3*257*2147483647")
+_FUZZ_DB = Database.random(6, _FUZZ_MODULUS, DeterministicRandomSource("fuzz-db"))
+_FUZZ_BLOB = (6).to_bytes(8, "little") + encode_vector(_FUZZ_DB.entries)
+_U64_VALUES = st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+
+
+@st.composite
+def _mutated_database(draw):
+    """A 6-entry database file with 1-3 bytes overwritten, truncated, or a
+    new u64 entry count."""
+    blob = bytearray(_FUZZ_BLOB)
+    mutation = draw(st.sampled_from(["overwrite", "truncate", "count"]))
+    if mutation == "overwrite":
+        for _ in range(draw(st.integers(1, 3))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    elif mutation == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)) :]
+    else:
+        blob[:8] = draw(_U64_VALUES).to_bytes(8, "little")
+    return bytes(blob)
+
+
+@settings(max_examples=300)
+@given(blob=_mutated_database())
+def test_mutated_database_files_parse_or_raise_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.db"
+    path.write_bytes(blob)
+    try:
+        db = read_database(path, _FUZZ_MODULUS)
+    except FormatError:
+        return
+    write_database(path, db)
+    assert path.read_bytes() == blob
 
 
 class TestQueryFlow:

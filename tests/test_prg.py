@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpfkit import prg
 from dpfkit.algebra import Modulus, parse_modulus, random_residues
 from dpfkit.errors import ParameterError
 from dpfkit.prg import (
@@ -13,6 +14,8 @@ from dpfkit.prg import (
     PRG_TEST_LCG,
     DeterministicRandomSource,
     PrgSpec,
+    _sample_residues,
+    _stream,
     expand,
     expansion_count,
     sample_seed,
@@ -53,6 +56,19 @@ def _reference_residues(stream, q: int, n: int) -> list[int]:
         if word < q:
             values.append(word)
     return values
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    """The arguments of every `_stream` call the sampler makes."""
+    calls = []
+
+    def counting_stream(*args):
+        calls.append(args)
+        return _stream(*args)
+
+    monkeypatch.setattr(prg, "_stream", counting_stream)
+    return calls
 
 
 class TestGoldenVectors:
@@ -99,17 +115,56 @@ def test_expand_matches_reference_sampler(algorithm, stream_fn, factors):
         assert [out[i].residues[fi] for i in range(40)] == expected
 
 
-@pytest.mark.parametrize("algorithm,stream_fn,first_byte", [
-    (PRG_SHAKE128, _shake_bytes, 50),
-    (PRG_TEST_LCG, _lcg_bytes, 121),
+@pytest.mark.parametrize("algorithm,stream_fn,first_bytes", [
+    (PRG_SHAKE128, _shake_bytes, 2590),
+    (PRG_TEST_LCG, _lcg_bytes, 2126),
 ])
-def test_expand_after_a_sampling_shortfall_matches_reference(algorithm, stream_fn, first_byte):
+def test_expand_after_a_sampling_shortfall_matches_reference(
+    stream_calls, algorithm, stream_fn, first_bytes
+):
     # For these seeds the first stream prefix the sampler reads holds fewer
-    # than 1000 words below 257, so it has to read a longer one.
-    seed = bytes([first_byte, 0]) + bytes(range(3, 17))
+    # than 1000 words below 257, so it has to squeeze a longer one.
+    seed = first_bytes.to_bytes(2, "little") + bytes(range(3, 17))
     out = expand(seed, PrgSpec(algorithm, 128, 1000, Modulus.prime(257)))
+    assert len(stream_calls) == 2
     stream = stream_fn(seed, 0, 1 << 14)
     assert out.lift_all() == _reference_residues(lambda n: stream[:n], 257, 1000)
+
+
+@pytest.mark.parametrize("algorithm,stream_fn", [
+    (PRG_SHAKE128, _shake_bytes),
+    (PRG_TEST_LCG, _lcg_bytes),
+])
+def test_a_rejection_among_the_first_words_reuses_the_prefix(stream_calls, algorithm, stream_fn):
+    # For this seed one of the first 1000 words is at or above 65521, so the
+    # all-accepted shortcut fails and the words already squeezed are gathered.
+    seed = bytes([6]) + bytes(range(2, 17))
+    stream = stream_fn(seed, 0, 1 << 13)
+    head = [int.from_bytes(stream[i : i + 2], "little") for i in range(0, 2000, 2)]
+    assert max(head) >= 65521
+    out = expand(seed, PrgSpec(algorithm, 128, 1000, Modulus.prime(65521)))
+    assert len(stream_calls) == 1
+    assert out.lift_all() == _reference_residues(lambda n: stream[:n], 65521, 1000)
+
+
+@pytest.mark.parametrize("algorithm,stream_fn", [
+    (PRG_SHAKE128, _shake_bytes),
+    (PRG_TEST_LCG, _lcg_bytes),
+])
+@pytest.mark.parametrize("q", [2, 3, 251, 257, 65521, 65537, 2 ** 24 + 43, 2 ** 31 - 1])
+@pytest.mark.parametrize("n", [1, 7, 300, 5243])
+def test_every_word_width_matches_reference_sampler(algorithm, stream_fn, q, n):
+    """Words of 1 to 4 bytes, with and without the all-accepted head."""
+    width = ((q - 1).bit_length() + 7) // 8
+    stream = stream_fn(SEED, 0, (4 * n + 64) * width)
+
+    def prefix(length):
+        assert length <= len(stream), "reference ran past its stream"
+        return stream[:length]
+
+    expected = _reference_residues(prefix, q, n)
+    assert _sample_residues(algorithm, SEED, 0, q, n).tolist() == expected
+    assert expand(SEED, PrgSpec(algorithm, 128, n, Modulus.prime(q))).lift_all() == expected
 
 
 def test_expansion_is_prefix_stable():
