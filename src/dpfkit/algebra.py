@@ -198,53 +198,47 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     their top k = f.bit_length() bits and is retried while that is >= f.
     The bytes come from a few `rng.randbytes` calls, each no longer than
     the attempts still owed need at the least, so nothing past the last
-    attempt is read.  Which attempt each byte belongs to is a prefix scan
-    over a small automaton whose state is (factor, bytes left in the
-    attempt).
+    attempt is read.  An attempt keeps its top k bits exactly when its raw
+    word is below f << (8*ceil(k/8) - k), so only accepted words are
+    shifted.  With one factor every read is a whole number of attempts and
+    a round is one vectorised compare; with several, a round is walked
+    attempt by attempt and a partial attempt at its end is carried into
+    the next read.
     """
     factors = modulus.factors
     nf = len(factors)
     widths = [(q.bit_length() + 7) // 8 for q in factors]
-    width_of = np.array(widths)
-    span = max(widths)
-    fs = np.arange(nf)
-    out = [np.zeros(0, dtype=np.uint64)]
-    factor, carry, need = 0, b"", count * nf
-    while need:
-        cycles, extra = divmod(need, nf)
-        owed = cycles * sum(widths)
-        owed += sum(widths[(factor + j) % nf] for j in range(extra))
+    shifts = [8 * w - q.bit_length() for q, w in zip(factors, widths)]
+    bounds = [q << s for q, s in zip(factors, shifts)]
+    if nf == 1:
+        (width,), (shift,), (bound,) = widths, shifts, bounds
+        out = [np.zeros(0, dtype=np.uint32)]
+        need = count
+        while need:
+            raw = np.frombuffer(rng.randbytes(need * width), dtype=np.uint8)
+            padded = np.zeros((need, 4), dtype=np.uint8)  # as big-endian uint32
+            padded[:, 4 - width :] = raw.reshape(need, width)
+            words = padded.view(">u4").ravel()
+            kept = words[words < bound] >> shift
+            out.append(kept)
+            need -= len(kept)
+        return np.concatenate(out).astype(np.uint64)[None, :]
+    drawn: list[int] = []
+    factor, carry = 0, b""
+    while len(drawn) < count * nf:
+        cycles, extra = divmod(count * nf - len(drawn), nf)
+        owed = cycles * sum(widths) + sum(widths[(factor + j) % nf] for j in range(extra))
         blob = carry + rng.randbytes(owed - len(carry))
-        size = len(blob)
-        padded = np.frombuffer(blob + bytes(span), dtype=np.uint8).astype(np.uint64)
-        vals = np.zeros((nf, size), dtype=np.uint64)
-        for f, (q, w) in enumerate(zip(factors, widths)):
-            for t in range(w):
-                vals[f] = (vals[f] << np.uint64(8)) | padded[t : t + size]
-            vals[f] >>= np.uint64(8 * w - q.bit_length())
-        accept = vals < np.array(factors, dtype=np.uint64)[:, None]
-        # State s = factor * span + bytes still to skip; steps[i] maps the
-        # state before byte i to the state after it.
-        steps = np.tile(np.arange(nf * span) - 1, (size, 1))
-        after_start = (fs[:, None] + accept) % nf * span + (width_of - 1)[:, None]
-        steps[:, fs * span] = after_start.T
-        shift = 1
-        while shift < size:
-            steps[shift:] = np.take_along_axis(steps[shift:], steps[:-shift], axis=1)
-            shift *= 2
-        state = np.concatenate([[factor * span], steps[:-1, factor * span]])
-        starts = np.flatnonzero(state % span == 0)
-        owner = state[starts] // span
-        whole = starts + width_of[owner] <= size
-        if not whole[-1]:
-            carry, factor = blob[starts[-1]:], int(owner[-1])
-        else:
-            carry, factor = b"", int(steps[-1, factor * span] // span)
-        starts, owner = starts[whole], owner[whole]
-        kept = accept[owner, starts]
-        out.append(vals[owner[kept], starts[kept]])
-        need -= int(kept.sum())
-    return np.concatenate(out).reshape(count, nf).T
+        pos, size = 0, len(blob)
+        while pos + widths[factor] <= size:
+            width = widths[factor]
+            word = blob[pos] if width == 1 else int.from_bytes(blob[pos : pos + width], "big")
+            pos += width
+            if word < bounds[factor]:
+                drawn.append(word >> shifts[factor])
+                factor = (factor + 1) % nf
+        carry = blob[pos:]
+    return np.array(drawn, dtype=np.uint64).reshape(count, nf).T
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,7 @@ _EXIT_CODES = (
     (DpfError, EXIT_INTERNAL),
     (OSError, EXIT_FORMAT),
     (MemoryError, EXIT_INTERNAL),
+    (Exception, EXIT_INTERNAL),
 )
 
 
@@ -320,9 +321,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    except Exception as exc:
+        cls, code = next(pair for pair in _EXIT_CODES if isinstance(exc, pair[0]))
+        text = str(exc) or type(exc).__name__
+        if cls is Exception and str(exc):  # unforeseen: name its type too
+            text = f"{type(exc).__name__}: {text}"
+        print(f"error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

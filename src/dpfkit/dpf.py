@@ -17,6 +17,19 @@ party, and that column's unexpanded seed masks W.
 
 A key stores, per row, only the (seed, share) pairs for the columns that
 contain its party: C(p-1, m) pairs out of the C(p, m+1) columns.
+
+CNF view.  The seeds form a replicated sharing in the sense of CNF
+sharing (Bunn, Kushilevitz and Ostrovsky, "CNF-FSS and its Applications",
+PKC 2022).  Apart from the W term, a row's reconstructed vector is a sum
+of C(p, m+1) pieces, one per column: G(seed) times the sum of that
+column's shares.  The seed of column S is handed whole to every party in
+the (m+1)-subset S.  At p = 2m+1 those subsets are exactly the
+complements of the m-subsets, which is CNF sharing for threshold m.  A
+coalition learns the seed of column S exactly when it meets S, so W
+stays masked as long as some (m+1)-subset avoids the coalition, that is,
+as long as the coalition has at most p-m-1 members.  This is the
+invariant `check_seed_coverage` checks; m < p/2 gives m <= p-m-1, so
+every coalition of at most m parties passes it.
 """
 
 from __future__ import annotations

@@ -177,6 +177,19 @@ def test_out_of_memory_exit_code(capsys, tmp_path, monkeypatch):
     assert len(err.strip().split("\n")) == 1
 
 
+def test_unexpected_exception_exit_code(capsys, tmp_path, monkeypatch):
+    out_dir, _ = keygen(capsys, tmp_path, "--seed", "t7")
+
+    def broken(key):
+        raise RuntimeError("evaluator broke")
+
+    monkeypatch.setattr(dpfkit.dpf, "eval_all", broken)
+    code, out, err = run(capsys, "eval-all", "--key", str(out_dir / "key_0.dpfk"))
+    assert code == 5
+    assert out == ""
+    assert err == "error: RuntimeError: evaluator broke\n"
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--key", str(tmp_path / "nope"), "--x", "0")
     assert code == 3

@@ -1,6 +1,7 @@
 """Seed expansion: golden vectors, rejection sampling, deterministic RNG."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given
@@ -226,11 +227,22 @@ class TestSampleSeed:
         assert a == b
 
 
+RESIDUE_MODULI = [
+    "2", "2*3*5*7", "257", "2*257", "3*65537", "2147483647", "2*3*2147483647",
+    "65521", "65537", "16777259",
+]
+RESIDUE_COUNTS = [0, 1, 3, 500, 5250]
+
+# sha256 over random_residues output from random.Random sources, captured
+# before the byte-level decoder was replaced.  random.Random.randbytes
+# draws whole 32-bit words per call, so this also pins how the reads are
+# split into randbytes calls.
+GOLDEN_RANDOM_RANDOM_RESIDUES = "5db7d824400c82cd1bbfeec49efc00fc21f96af27b416b4bd8b253a3fb6b15d5"
+
+
 class TestRandomResidues:
-    @pytest.mark.parametrize(
-        "modulus", ["2", "2*3*5*7", "257", "2*257", "3*65537", "2147483647", "2*3*2147483647"]
-    )
-    @pytest.mark.parametrize("count", [0, 1, 3, 500])
+    @pytest.mark.parametrize("modulus", RESIDUE_MODULI)
+    @pytest.mark.parametrize("count", RESIDUE_COUNTS)
     def test_reads_the_stream_like_randrange(self, modulus, count):
         m = parse_modulus(modulus)
         ref = DeterministicRandomSource(f"residues/{modulus}/{count}")
@@ -240,6 +252,16 @@ class TestRandomResidues:
         assert out.shape == (len(m.factors), count)
         assert out.T.tolist() == want
         assert got.randbytes(32) == ref.randbytes(32)  # same bytes consumed
+
+    def test_random_random_output_is_pinned(self):
+        digest = hashlib.sha256()
+        for modulus in RESIDUE_MODULI:
+            for count in RESIDUE_COUNTS:
+                rng = random.Random(f"residues/{modulus}/{count}")
+                out = random_residues(parse_modulus(modulus), count, rng)
+                digest.update(out.tobytes())
+                digest.update(rng.randbytes(8))  # the next read, after the split
+        assert digest.hexdigest() == GOLDEN_RANDOM_RANDOM_RESIDUES
 
     def test_other_sources_stay_in_range(self, rng):
         m = parse_modulus("2*257*65537")
