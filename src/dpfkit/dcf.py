@@ -72,6 +72,7 @@ def dcf_eval(key: DcfKey, x: int) -> FieldElement:
 def dcf_eval_all(key: DcfKey) -> FieldVector:
     """Shares for every domain point: `eval_all` plus each row's output share."""
     params = key.params
+    dpf.check_eval_budget(params)
     outputs = np.repeat(key.row_outputs.data, params.cols, axis=1)
     return dpf.eval_all(key.point_key) + FieldVector._raw(
         params.modulus, outputs[:, : params.domain_size]

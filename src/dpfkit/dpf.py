@@ -51,11 +51,12 @@ from .algebra import (
     minimize_grid,
     random_residues,
 )
-from .errors import HonestMajorityError, ParameterError
+from .errors import GuardError, HonestMajorityError, ParameterError
 from .prg import PrgSpec, expand, sample_seed
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
+EVAL_BUDGET = 1 << 32  # bytes of uint64 residues one full-domain output may take
 
 
 def check_party_counts(parties: int, corrupted: int) -> None:
@@ -285,12 +286,14 @@ def _combine_row(
     shares: np.ndarray,
     spec: PrgSpec,
     correction: FieldVector | None = None,
+    first: int = 0,
 ) -> np.ndarray:
-    """One row's share vector, shape (factors, cols).
+    """One row's share vector on columns first..output_len-1.
 
     `seeds` is uint8 of shape (k, lambda/8) and `shares` uint64 of shape
-    (factors, k); the result is sum_j shares[:, j] * G(seeds[j]), plus
-    shares[:, 0] * correction[:, :output_len] when a correction is given.
+    (factors, k); the result, of shape (factors, output_len - first), is
+    sum_j shares[:, j] * G(seeds[j]), plus shares[:, 0] * correction when a
+    correction is given, over those columns only.
     A product is at most (q-1)**2 for the largest factor q, so `period`
     of them fit in uint64 beside a reduced value; that is when to reduce.
     """
@@ -298,17 +301,17 @@ def _combine_row(
     q = spec.modulus.factors[-1]
     period = ((1 << 64) - 1 - q) // (q - 1) ** 2
     shares = shares[:, :, None]
-    acc = np.zeros((len(qs), spec.output_len), dtype=np.uint64)
+    acc = np.zeros((len(qs), spec.output_len - first), dtype=np.uint64)
     term = np.empty_like(acc)
     pending = 0
     if correction is not None:
-        np.multiply(correction.data[:, : spec.output_len], shares[:, 0], out=acc)
+        np.multiply(correction.data[:, first : spec.output_len], shares[:, 0], out=acc)
         pending = 1
     for j, seed in enumerate(seeds):
         if pending == period:
             acc %= qs
             pending = 0
-        np.multiply(expand(seed.tobytes(), spec).data, shares[:, j], out=term)
+        np.multiply(expand(seed.tobytes(), spec).data[:, first:], shares[:, j], out=term)
         acc += term
         pending += 1
     acc %= qs
@@ -341,15 +344,18 @@ def _gen_core(
     dealt = _deal(secrets.reshape(factors, -1), count, modulus, rng)
     dealt = dealt.reshape(*secrets.shape, count)
 
-    # Residues are below 2**31, so the sum cannot wrap before 2**33 seeds.
+    # Residues are below 2**31, so the sum cannot wrap before 2**33 seeds,
+    # and it stays below C(p, m+1) * q: adding that multiple of q before
+    # subtracting keeps the difference non-negative for one reduction.
+    qs = modulus._qs_np
     total = np.zeros((factors, params.cols), dtype=np.uint64)
     for seed in seeds[target_row]:
         total += expand(seed.tobytes(), params.prg).data
     target = np.zeros((factors, params.cols), dtype=np.uint64)
     first = 0 if prefix else target_col
     target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
-    total = FieldVector._raw(modulus, total % modulus._qs_np)
-    correction = FieldVector._raw(modulus, target) - total
+    target += params.combo_count * qs
+    correction = FieldVector._raw(modulus, (target - total) % qs)
 
     keys = []
     for party in range(params.parties):
@@ -384,10 +390,12 @@ def eval_point(key, x: int) -> FieldElement:
     if not 0 <= x < params.domain_size:
         raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
     row, col = divmod(x, params.cols)
-    # Expansions are prefix-stable, so the row's first col+1 entries suffice.
+    # Expansions are prefix-stable, so the row's first col+1 entries suffice,
+    # and only column col of them is combined.
     seeds, shares, correction = key.row(row)
-    data = _combine_row(seeds, shares, replace(params.prg, output_len=col + 1), correction)
-    return FieldElement(params.modulus, tuple(int(v) for v in data[:, col]))
+    spec = replace(params.prg, output_len=col + 1)
+    data = _combine_row(seeds, shares, spec, correction, first=col)
+    return FieldElement(params.modulus, tuple(int(v) for v in data[:, 0]))
 
 
 def eval_all(key) -> FieldVector:
@@ -398,6 +406,7 @@ def eval_all(key) -> FieldVector:
     expansions; with an auto grid used_rows() equals the row count.
     """
     params = key.params
+    check_eval_budget(params)
     n = params.domain_size
     out = np.empty((len(params.modulus.factors), n), dtype=np.uint64)
     for row in range(params.used_rows()):
@@ -420,6 +429,20 @@ def decode(shares: Sequence[FieldElement], expected_count: int | None = None) ->
     for s in shares[1:]:
         total = total + s
     return total
+
+
+def check_eval_budget(params: SchemeParams) -> None:
+    """Refuse a full-domain output of more than EVAL_BUDGET bytes.
+
+    A key header may declare N up to rows * cols, about the square of the
+    key's size, so this is checked before anything of size N is allocated.
+    """
+    size = 8 * len(params.modulus.factors) * params.domain_size
+    if size > EVAL_BUDGET:
+        raise GuardError(
+            f"refusing full-domain evaluation: {size} bytes of output "
+            f"exceeds the budget of {EVAL_BUDGET}"
+        )
 
 
 def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) -> bool:

@@ -65,35 +65,34 @@ def element_width(modulus: Modulus) -> int:
     return sum(_factor_widths(modulus))
 
 
+def _byte_columns(modulus: Modulus) -> list[tuple[int, int]]:
+    """(factor, byte) for each byte of an encoded element, in order."""
+    return [(fi, k) for fi, w in enumerate(_factor_widths(modulus)) for k in range(w)]
+
+
 def encode_vector(vec: FieldVector) -> bytes:
-    widths = _factor_widths(vec.modulus)
-    n = len(vec)
-    columns = []
-    for fi in range(len(vec.modulus.factors)):
-        row = vec.data[fi]
-        for k in range(widths[fi]):
-            columns.append(((row >> np.uint64(8 * k)) & np.uint64(0xFF)).astype(np.uint8))
-    if not columns:
-        return b""
-    stacked = np.stack(columns, axis=1)
-    assert stacked.shape == (n, sum(widths))
-    return stacked.tobytes()
+    """Each element's residues as the low bytes of their little-endian words."""
+    columns = _byte_columns(vec.modulus)
+    words = np.ascontiguousarray(vec.data, dtype="<u8")
+    octets = words.view(np.uint8).reshape(len(words), len(vec), 8)
+    out = np.empty((len(vec), len(columns)), dtype=np.uint8)
+    for i, (fi, k) in enumerate(columns):
+        out[:, i] = octets[fi, :, k]
+    return out.tobytes()
 
 
 def decode_vector(data: bytes, modulus: Modulus, count: int) -> FieldVector:
-    widths = _factor_widths(modulus)
-    total = sum(widths)
+    columns = _byte_columns(modulus)
+    total = len(columns)
     if len(data) != count * total:
         raise FormatError(
             f"element block is {len(data)} bytes, expected {count * total}"
         )
-    mat = np.frombuffer(data, dtype=np.uint8).reshape(count, total).astype(np.uint64)
-    arr = np.zeros((len(modulus.factors), count), dtype=np.uint64)
-    offset = 0
-    for fi, w in enumerate(widths):
-        for k in range(w):
-            arr[fi] |= mat[:, offset + k] << np.uint64(8 * k)
-        offset += w
+    mat = np.frombuffer(data, dtype=np.uint8).reshape(count, total)
+    arr = np.zeros((len(modulus.factors), count), dtype="<u8")
+    octets = arr.view(np.uint8).reshape(len(arr), count, 8)
+    for i, (fi, k) in enumerate(columns):
+        octets[fi, :, k] = mat[:, i]
     if arr.size and not (arr < modulus._qs_np).all():
         raise FormatError("element residue out of range for its factor")
     return FieldVector._raw(modulus, arr)

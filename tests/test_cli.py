@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpfkit
 from dpfkit.cli import main
+from dpfkit.dpf import DpfKey, SchemeParams
+from dpfkit.keyfile import write_key_file
 from dpfkit.pir import Database, write_database
-from dpfkit.algebra import parse_modulus
+from dpfkit.algebra import FieldVector, parse_modulus
 
 
 def run(capsys, *argv):
@@ -123,6 +126,32 @@ def test_guard_exit_code(capsys, tmp_path):
     )
     assert code == 4
     assert "exceeds the guard" in err
+
+
+def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
+    # A 2.3 MB key whose header declares N = 2**32 on a 2**16 x 2**16 grid:
+    # its full-domain output would take 2**35 bytes.
+    side = 1 << 16
+    modulus = parse_modulus("2")
+    params = SchemeParams(3, 1, 128, modulus, side * side, side, side)
+    key = DpfKey(
+        party=0,
+        params=params,
+        seeds=np.ones((side, 2, 16), dtype=np.uint8),
+        shares=np.zeros((1, side, 2), dtype=np.uint64),
+        correction=FieldVector.zeros(modulus, side),
+    )
+    path = tmp_path / "huge.dpfk"
+    write_key_file(path, key)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a row was evaluated past the budget")
+
+    monkeypatch.setattr(dpfkit.dpf, "_combine_row", evaluated)
+    code, out, err = run(capsys, "eval-all", "--key", str(path))
+    assert code == 4, err
+    assert out == ""
+    assert "exceeds the budget" in err
 
 
 def test_format_error_exit_code(capsys, tmp_path):

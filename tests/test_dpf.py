@@ -28,7 +28,7 @@ from dpfkit.dpf import (
     eval_point,
     gen,
 )
-from dpfkit.errors import HonestMajorityError, ParameterError
+from dpfkit.errors import GuardError, HonestMajorityError, ParameterError
 from dpfkit.keyfile import key_to_bytes
 from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource, PrgSpec
 
@@ -176,6 +176,10 @@ def test_eval_all_matches_pointwise(rng):
     ("boyle15", 3, 1, "5", 40, (7, 9)),
     ("boyle15", 4, 2, "3", 10, (4, 3)),
     ("trivial", 3, 1, "2*3*5", 40, "auto"),
+    ("ours", 3, 1, "2*3*5*7", 40, (5, 9)),
+    ("ours", 5, 2, "2147483647", 30, (4, 8)),
+    ("dcf", 3, 1, "2147483647", 30, (4, 8)),
+    ("boyle15", 3, 1, "7", 30, (5, 7)),
 ])
 def test_full_domain_evaluator_matches_pointwise(
     scheme, parties, corrupted, modulus_text, domain, grid, rng
@@ -212,14 +216,44 @@ def test_combine_row_matches_per_term_reduction_at_the_largest_residues(
     spec = PrgSpec(PRG_SHAKE128, 128, 3, modulus)
     correction = largest_residues(None, spec) if with_correction else None
     seeds = np.ones((seed_count, 16), dtype=np.uint8)
-    got = _combine_row(seeds, np.repeat(top, seed_count, axis=1), spec, correction)
+    shares = np.repeat(top, seed_count, axis=1)
     expected = []
     for q in modulus.factors:
         acc = (q - 1) * (q - 1) % q if with_correction else 0
         for _ in range(seed_count):
             acc = (acc + (q - 1) * (q - 1)) % q
-        expected.append([acc] * 3)
-    assert got.tolist() == expected
+        expected.append(acc)
+    whole = _combine_row(seeds, shares, spec, correction)
+    for first in (0, 1, 2):
+        got = _combine_row(seeds, shares, spec, correction, first=first)
+        assert got.tolist() == [[acc] * (3 - first) for acc in expected]
+        assert got.tolist() == whole[:, first:].tolist()
+
+
+@pytest.mark.parametrize("first", [0, 1, 4, 7])
+def test_combine_row_columns_from_first_match_the_whole_row(rng, first):
+    # Distinct columns, so a slice taken from the wrong column shows.
+    params = _make(5, 2, "2*3*5*7", 64, grid=(8, 8))
+    keys = gen(PointDescription(21, params.modulus.element(23)), params, rng)
+    for key in keys:
+        for row in (0, 2, 7):
+            seeds, shares, correction = key.row(row)
+            whole = _combine_row(seeds, shares, params.prg, correction)
+            part = _combine_row(seeds, shares, params.prg, correction, first=first)
+            assert part.tolist() == whole[:, first:].tolist()
+
+
+@pytest.mark.parametrize("scheme", ["ours", "dcf"])
+def test_full_domain_output_over_the_budget_is_refused(monkeypatch, rng, scheme):
+    gen_fn, eval_all_fn = {"ours": (gen, eval_all), "dcf": (dcf_gen, dcf_eval_all)}[scheme]
+    params = _make(3, 1, "2*3*5*7", 40, grid=(5, 9))
+    key = gen_fn(PointDescription(17, params.modulus.element(23)), params, rng)[0]
+    size = 8 * 4 * 40
+    monkeypatch.setattr(dpf, "EVAL_BUDGET", size)
+    assert len(eval_all_fn(key)) == 40
+    monkeypatch.setattr(dpf, "EVAL_BUDGET", size - 1)
+    with pytest.raises(GuardError, match="exceeds the budget"):
+        eval_all_fn(key)
 
 
 def test_eval_point_expands_only_the_prefix_it_reads(monkeypatch, rng):

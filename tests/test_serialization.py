@@ -3,6 +3,7 @@
 import hashlib
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,72 @@ class TestVectorCodec:
         m = parse_modulus("5")
         with pytest.raises(FormatError):
             decode_vector(b"\x01\x02", m, 3)
+
+
+def _reference_encode(vec):
+    """The byte-at-a-time encoder the strided codec replaced."""
+    widths = [((q - 1).bit_length() + 7) // 8 for q in vec.modulus.factors]
+    columns = []
+    for fi in range(len(vec.modulus.factors)):
+        row = vec.data[fi]
+        for k in range(widths[fi]):
+            columns.append(((row >> np.uint64(8 * k)) & np.uint64(0xFF)).astype(np.uint8))
+    return np.stack(columns, axis=1).tobytes()
+
+
+def _reference_decode(data, modulus, count):
+    """The shift-and-or decoder the strided codec replaced, without checks."""
+    widths = [((q - 1).bit_length() + 7) // 8 for q in modulus.factors]
+    mat = np.frombuffer(data, dtype=np.uint8).reshape(count, sum(widths)).astype(np.uint64)
+    arr = np.zeros((len(modulus.factors), count), dtype=np.uint64)
+    offset = 0
+    for fi, w in enumerate(widths):
+        for k in range(w):
+            arr[fi] |= mat[:, offset + k] << np.uint64(8 * k)
+        offset += w
+    return arr
+
+
+# Word widths 1 to 4 bytes alone and mixed within one element.
+CODEC_MODULI = [
+    "2*3*5*7",
+    "257",
+    "65537",
+    "16777259",
+    "2147483647",
+    "3*65537*2147483647",
+    "65521*65537*2147483647",
+]
+
+
+@pytest.mark.parametrize("modulus_text", CODEC_MODULI)
+@pytest.mark.parametrize("count", [0, 1, 7, 5525])
+@pytest.mark.parametrize("residues", ["random", "largest"])
+def test_codec_matches_the_byte_loop_reference(modulus_text, count, residues):
+    modulus = parse_modulus(modulus_text)
+    if residues == "largest":
+        data = np.repeat(modulus._qs_np - 1, count, axis=1)
+    else:
+        draws = np.random.default_rng(count)
+        data = np.stack([draws.integers(0, q, count, dtype=np.uint64) for q in modulus.factors])
+    vec = FieldVector._raw(modulus, data)
+    raw = encode_vector(vec)
+    assert raw == _reference_encode(vec)
+    decoded = decode_vector(raw, modulus, count)
+    assert decoded.data.dtype == np.uint64
+    assert decoded.data.tolist() == _reference_decode(raw, modulus, count).tolist()
+    assert decoded == vec
+
+
+@pytest.mark.parametrize("modulus_text", CODEC_MODULI)
+def test_codec_rejects_the_last_residue_out_of_range(modulus_text):
+    modulus = parse_modulus(modulus_text)
+    q = modulus.factors[-1]
+    width = ((q - 1).bit_length() + 7) // 8
+    raw = encode_vector(FieldVector.zeros(modulus, 7))
+    bad = raw[:-width] + q.to_bytes(width, "little")
+    with pytest.raises(FormatError, match="out of range"):
+        decode_vector(bad, modulus, 7)
 
 
 class TestMalformedInput:
