@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -276,32 +276,6 @@ class FieldElement:
             ),
         )
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same(other)
-        return FieldElement(
-            self.modulus,
-            tuple(
-                (a - b) % q
-                for a, b, q in zip(self.residues, other.residues, self.modulus.factors)
-            ),
-        )
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_same(other)
-        return FieldElement(
-            self.modulus,
-            tuple(
-                (a * b) % q
-                for a, b, q in zip(self.residues, other.residues, self.modulus.factors)
-            ),
-        )
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(
-            self.modulus,
-            tuple((-a) % q for a, q in zip(self.residues, self.modulus.factors)),
-        )
-
     def lift(self) -> int:
         """Map back to the unique integer in [0, modulus.value)."""
         total = 0
@@ -362,17 +336,6 @@ class FieldVector:
         rows = [random_residues(Modulus.prime(q), length, rng) for q in modulus.factors]
         return cls._raw(modulus, np.concatenate(rows))
 
-    @classmethod
-    def from_elements(
-        cls, modulus: Modulus, elements: Sequence[FieldElement]
-    ) -> "FieldVector":
-        arr = np.empty((len(modulus.factors), len(elements)), dtype=np.uint64)
-        for i, e in enumerate(elements):
-            if e.modulus != modulus:
-                raise ParameterError("mixed moduli in vector")
-            arr[:, i] = e.residues
-        return cls._raw(modulus, arr)
-
     def __len__(self) -> int:
         return self.data.shape[1]
 
@@ -401,19 +364,10 @@ class FieldVector:
         qs = self.modulus._qs_np
         return FieldVector._raw(self.modulus, (self.data + (qs - other.data)) % qs)
 
-    def __mul__(self, other) -> "FieldVector":
-        qs = self.modulus._qs_np
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ParameterError("scalar modulus mismatch")
-            col = np.array(other.residues, dtype=np.uint64).reshape(-1, 1)
-            return FieldVector._raw(self.modulus, (self.data * col) % qs)
+    def __mul__(self, other: "FieldVector") -> "FieldVector":
         self._check_same(other)
-        return FieldVector._raw(self.modulus, (self.data * other.data) % qs)
-
-    def __neg__(self) -> "FieldVector":
         qs = self.modulus._qs_np
-        return FieldVector._raw(self.modulus, (qs - self.data) % qs)
+        return FieldVector._raw(self.modulus, (self.data * other.data) % qs)
 
     def sum(self) -> FieldElement:
         if len(self) == 0:

@@ -69,12 +69,15 @@ def require_prime(modulus) -> None:
 
 
 def check_guard(q: int, parties: int) -> None:
-    count = q ** (parties - 1)
-    if count > COLUMN_GUARD:
-        raise GuardError(
-            f"refusing exponential blow-up: q^(p-1) = {count} columns per row "
-            f"exceeds the guard of {COLUMN_GUARD}"
-        )
+    """Refuse q^(p-1) > COLUMN_GUARD, multiplying no further than the guard."""
+    count = 1
+    for _ in range(parties - 1):
+        count *= q
+        if count > COLUMN_GUARD:
+            raise GuardError(
+                f"refusing exponential blow-up: q^(p-1) = {q}^{parties - 1} "
+                f"columns per row exceeds the guard of {COLUMN_GUARD}"
+            )
 
 
 def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[BoyleKey, ...]:

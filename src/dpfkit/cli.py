@@ -7,7 +7,7 @@ stderr.  Exit codes: 0 success, 2 bad parameters or usage, 3 malformed
 files, 4 guard refusals, 5 internal failures.
 
 Runs are deterministic under --seed, which derives all randomness from
-the given string; the production PRG stays in place unless
+the given string; the production PRG stays in place unless keygen's
 --insecure-test-prg additionally swaps in the non-cryptographic test
 generator (only valid together with --seed).
 """
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--lambda", dest="lambda_bits", type=int, default=128)
     demo.add_argument("--grid", choices=(GRID_AUTO, GRID_SQUARE), default=GRID_AUTO)
     demo.add_argument("--seed")
-    demo.add_argument("--insecure-test-prg", action="store_true")
     demo.set_defaults(run=_cmd_pir_demo)
 
     ins = commands.add_parser("inspect", help="print a key file header")

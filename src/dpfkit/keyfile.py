@@ -240,6 +240,11 @@ def _decode_boyle(
     reader: _Reader, params: dpf.SchemeParams, party: int
 ) -> baselines.BoyleKey:
     modulus = params.modulus
+    try:
+        baselines.require_prime(modulus)
+    except ParameterError as exc:
+        raise FormatError(f"invalid boyle15 key: {exc}") from exc
+    baselines.check_guard(modulus.value, params.parties)
     column_count = baselines.boyle_column_count(params)
     seed_end = 4 + params.lambda_bits // 8
     record = seed_end + element_width(modulus)

@@ -35,18 +35,6 @@ class Database:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, index: int) -> FieldElement:
-        return self.entries[index]
-
-    @classmethod
-    def from_ints(cls, values, modulus: Modulus) -> "Database":
-        elements = [modulus.element(v) for v in values]
-        return cls(modulus, FieldVector.from_elements(modulus, elements))
-
-    @classmethod
-    def random(cls, size: int, modulus: Modulus, rng: Random) -> "Database":
-        return cls(modulus, FieldVector.random(modulus, size, rng))
-
 
 def write_database(path, db: Database) -> None:
     payload = _COUNT.pack(len(db)) + keyfile.encode_vector(db.entries)

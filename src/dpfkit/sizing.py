@@ -265,11 +265,6 @@ def size_bunn_prg(
     )
 
 
-def measured_bits(key) -> int:
-    """Size of the serialized key in bits."""
-    return 8 * len(keyfile.key_to_bytes(key))
-
-
 def serialized_overhead_bits(params: SchemeParams, scheme: str = "ours") -> int:
     """Exact serialized-minus-analytic gap for the exactly-sized schemes.
 

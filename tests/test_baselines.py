@@ -117,6 +117,19 @@ class TestBoyle:
         with pytest.raises(GuardError):
             check_guard(2, 22)
 
+    def test_guard_stops_multiplying_past_the_limit(self):
+        # A key header can declare p = 65535; q^(p-1) must not be computed.
+        class CountedFactor(int):
+            products = 0
+
+            def __rmul__(self, other):
+                CountedFactor.products += 1
+                return other * int(self)
+
+        with pytest.raises(GuardError):
+            check_guard(CountedFactor(2 ** 31 - 1), 65535)
+        assert CountedFactor.products == 1
+
     def test_composite_modulus_rejected(self, rng):
         params = _params(3, 1, "2*3", 4)
         with pytest.raises(ParameterError, match="per factor"):

@@ -11,9 +11,10 @@ import pytest
 import dpfkit
 from dpfkit.cli import main
 from dpfkit.dpf import DpfKey, SchemeParams
-from dpfkit.keyfile import write_key_file
+from dpfkit.errors import FormatError, GuardError
+from dpfkit.keyfile import _pack_header, element_width, key_from_bytes, write_key_file
 from dpfkit.pir import Database, write_database
-from dpfkit.algebra import FieldVector, parse_modulus
+from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 
 
 def run(capsys, *argv):
@@ -118,14 +119,16 @@ def test_honest_majority_violation_exit_code(capsys, tmp_path):
 
 
 def test_guard_exit_code(capsys, tmp_path):
-    code, _, err = run(
-        capsys,
-        "keygen", "--scheme", "boyle15", "--N", "16", "--p", "7", "--m", "3",
-        "--modulus", "257", "--alpha", "0", "--beta", "1",
-        "--out-dir", str(tmp_path / "k"),
-    )
-    assert code == 4
-    assert "exceeds the guard" in err
+    # q^(p-1) for p = 20000 has more digits than Python will print.
+    for p, modulus in (("7", "257"), ("20000", "2147483647")):
+        code, _, err = run(
+            capsys,
+            "keygen", "--scheme", "boyle15", "--N", "16", "--p", p, "--m", "3",
+            "--modulus", modulus, "--alpha", "0", "--beta", "1",
+            "--out-dir", str(tmp_path / "k"),
+        )
+        assert code == 4, err
+        assert "exceeds the guard" in err
 
 
 def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
@@ -152,6 +155,32 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 4, err
     assert out == ""
     assert "exceeds the budget" in err
+
+
+@pytest.mark.parametrize("factors,error,exit_code", [
+    ((2147483629, 2147483647), FormatError, 3),  # composite modulus
+    ((2147483647,), GuardError, 4),  # q^(p-1) columns over COLUMN_GUARD
+])
+def test_crafted_boyle_header_refused_before_the_column_count(
+    capsys, tmp_path, monkeypatch, factors, error, exit_code
+):
+    # A boyle15 key for p = 65535 with one empty row: boyle_gen refuses
+    # both headers, and q^(p-1) would be a two-million-bit integer.
+    modulus = Modulus(factors)
+    params = SchemeParams(65535, 1, 128, modulus, 1, 1, 1)
+    blob = _pack_header(2, 0, params) + bytes(4) + bytes(element_width(modulus))
+
+    def column_count(params):
+        raise AssertionError("q^(p-1) was computed")
+
+    monkeypatch.setattr(dpfkit.baselines, "boyle_column_count", column_count)
+    with pytest.raises(error):
+        key_from_bytes(blob)
+    path = tmp_path / "crafted.dpfk"
+    path.write_bytes(blob)
+    code, out, err = run(capsys, "eval", "--key", str(path), "--x", "0")
+    assert code == exit_code, err
+    assert out == ""
 
 
 def test_format_error_exit_code(capsys, tmp_path):
@@ -346,7 +375,7 @@ def test_bench_size_bad_parameters(capsys, argv):
 def test_pir_demo(capsys, tmp_path):
     m = parse_modulus("257")
     db_path = tmp_path / "demo.db"
-    write_database(db_path, Database.from_ints(list(range(100, 150)), m))
+    write_database(db_path, Database(m, FieldVector(m, [list(range(100, 150))])))
     code, out, _ = run(
         capsys, "pir-demo", "--db", str(db_path), "--modulus", "257",
         "--index", "17", "--p", "3", "--m", "1", "--seed", "s",
@@ -359,10 +388,24 @@ def test_pir_demo(capsys, tmp_path):
     assert int(fields["trivial_bits"]) == 50 * 9
 
 
+def test_pir_demo_refuses_the_test_prg_flag(capsys, tmp_path):
+    # pir-demo always runs SHAKE-128; the test PRG flag belongs to keygen.
+    m = parse_modulus("5")
+    db_path = tmp_path / "demo.db"
+    write_database(db_path, Database(m, FieldVector(m, [[1, 2, 3, 4]])))
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "pir-demo", "--db", str(db_path), "--modulus", "5", "--index", "0",
+            "--p", "3", "--m", "1", "--seed", "s", "--insecure-test-prg",
+        ])
+    assert exc.value.code == 2
+    assert "--insecure-test-prg" in capsys.readouterr().err
+
+
 def test_pir_demo_dishonest_majority_rejected(capsys, tmp_path):
     m = parse_modulus("5")
     db_path = tmp_path / "demo.db"
-    write_database(db_path, Database.from_ints([1, 2, 3, 4], m))
+    write_database(db_path, Database(m, FieldVector(m, [[1, 2, 3, 4]])))
     code, _, err = run(
         capsys, "pir-demo", "--db", str(db_path), "--modulus", "5",
         "--index", "0", "--p", "4", "--m", "2", "--seed", "s",

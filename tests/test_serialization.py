@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
-from dpfkit.baselines import boyle_gen, trivial_eval, trivial_gen
+from dpfkit.baselines import boyle_gen, check_guard, trivial_eval, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
 from dpfkit.dpf import PointDescription, SchemeParams, eval_point, gen
-from dpfkit.errors import FormatError
+from dpfkit.errors import FormatError, GuardError
 from dpfkit.keyfile import (
     decode_vector,
     encode_vector,
@@ -415,5 +415,12 @@ def test_mutated_golden_blobs_parse_or_raise_format_error(blob):
     try:
         key = key_from_bytes(blob)
     except FormatError:
+        return
+    except GuardError:
+        # A boyle15 header past COLUMN_GUARD is refused as boyle_gen refuses it.
+        scheme, _, params, _ = parse_header(blob)
+        assert scheme == 2
+        with pytest.raises(GuardError):
+            check_guard(params.modulus.value, params.parties)
         return
     assert key_to_bytes(key) == blob

@@ -20,7 +20,6 @@ from dpfkit.sizing import (
     crossover_report,
     emit_figure,
     eval_formula,
-    measured_bits,
     serialized_overhead_bits,
     size_boyle,
     size_boyle_crt,
@@ -87,7 +86,7 @@ class TestMeasuredAgreement:
         rng = DeterministicRandomSource("sz1")
         key = gen(PointDescription(123, params.modulus.element(9)), params, rng)[0]
         analytic = size_ours(300, 5, 2, 128, params.modulus)
-        assert measured_bits(key) == analytic + serialized_overhead_bits(params, "ours")
+        assert 8 * len(key_to_bytes(key)) == analytic + serialized_overhead_bits(params, "ours")
 
     def test_exact_overhead_comparison_scheme(self):
         params = SchemeParams.create(
@@ -96,7 +95,7 @@ class TestMeasuredAgreement:
         rng = DeterministicRandomSource("sz2")
         key = dcf_gen(PointDescription(20, params.modulus.element(2)), params, rng)[1]
         analytic = size_dcf(50, 3, 1, 128, params.modulus)
-        assert measured_bits(key) == analytic + serialized_overhead_bits(params, "dcf")
+        assert 8 * len(key_to_bytes(key)) == analytic + serialized_overhead_bits(params, "dcf")
 
     def test_exact_overhead_trivial_scheme(self):
         from dpfkit.baselines import trivial_gen
@@ -107,7 +106,7 @@ class TestMeasuredAgreement:
         rng = DeterministicRandomSource("sz3")
         key = trivial_gen(PointDescription(5, params.modulus.one()), params, rng)[2]
         analytic = size_trivial(64, params.modulus)
-        assert measured_bits(key) == analytic + serialized_overhead_bits(
+        assert 8 * len(key_to_bytes(key)) == analytic + serialized_overhead_bits(
             params, "trivial"
         )
 
