@@ -13,9 +13,7 @@ from .algebra import (
     FieldElement,
     FieldVector,
     Modulus,
-    all_combinations,
     is_prime,
-    member_columns,
     minimize_grid,
     parse_modulus,
     primorial,
@@ -121,7 +119,6 @@ __all__ = [
     "PrgSpec",
     "SchemeParams",
     "TrivialKey",
-    "all_combinations",
     "boyle_column_count",
     "boyle_gen",
     "check_seed_coverage",
@@ -140,7 +137,6 @@ __all__ = [
     "is_prime",
     "key_from_bytes",
     "key_to_bytes",
-    "member_columns",
     "minimize_grid",
     "parse_modulus",
     "pir_answer",

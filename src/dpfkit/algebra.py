@@ -10,9 +10,8 @@ theorem (`FieldElement.lift`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 from typing import Iterable
 
@@ -391,20 +390,6 @@ class FieldVector:
         return f"FieldVector(mod {self.modulus}, len {len(self)})"
 
 
-@lru_cache(maxsize=None)
-def all_combinations(p: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-subsets of {0..p-1} in rank (lexicographic) order."""
-    return tuple(itertools.combinations(range(p), k))
-
-
-@lru_cache(maxsize=None)
-def member_columns(p: int, k: int, party: int) -> tuple[int, ...]:
-    """Ranks of the k-subsets that contain `party`, in increasing order."""
-    if not 0 <= party < p:
-        raise ParameterError(f"party {party} out of range for p={p}")
-    return tuple(j for j, s in enumerate(all_combinations(p, k)) if party in s)
-
-
 def primorial(n: int) -> Modulus:
     """Product of the first n primes as a Modulus (n=1 gives 2)."""
     if n < 1:
@@ -424,8 +409,7 @@ def minimize_grid(domain_size: int, row_cost, col_cost) -> tuple[int, int, objec
     Only rows of the form r or ceil(domain_size/v) with r, v <= ceil(sqrt(N))
     can be optimal (for fixed rows the best cols is ceil(N/rows), and the
     map r -> ceil(N/r) folds every candidate above sqrt(N) onto one below).
-    Ties prefer fewer rows.  Costs may be int or Fraction; the winning cost
-    is returned unchanged.
+    Ties prefer fewer rows.  The winning cost is returned unchanged.
     """
     if domain_size < 1:
         raise ParameterError(f"domain size must be >= 1, got {domain_size}")

@@ -17,6 +17,9 @@ party, and that column's unexpanded seed masks W.
 
 A key stores, per row, only the (seed, share) pairs for the columns that
 contain its party: C(p-1, m) pairs out of the C(p, m+1) columns.
+Columns are ranked in lexicographic order, so column 0 is {0, ..., m}:
+parties 0..m apply the correction, and evaluation needs no other fact
+about the layout.
 
 CNF view.  The seeds form a replicated sharing in the sense of CNF
 sharing (Bunn, Kushilevitz and Ostrovsky, "CNF-FSS and its Applications",
@@ -34,6 +37,7 @@ every coalition of at most m parties passes it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb, isqrt
@@ -46,8 +50,6 @@ from .algebra import (
     FieldElement,
     FieldVector,
     Modulus,
-    all_combinations,
-    member_columns,
     minimize_grid,
     random_residues,
 )
@@ -139,12 +141,16 @@ class SchemeParams:
     def honest_majority(self) -> bool:
         return 2 * self.corrupted < self.parties
 
-    @property
+    @cached_property
     def combinations(self) -> tuple[tuple[int, ...], ...]:
-        return all_combinations(self.parties, self.corrupted + 1)
+        """All (m+1)-subsets of the parties in rank order, one per column."""
+        return tuple(itertools.combinations(range(self.parties), self.corrupted + 1))
 
     def member_columns(self, party: int) -> tuple[int, ...]:
-        return member_columns(self.parties, self.corrupted + 1, party)
+        """Ranks of the columns whose subset contains `party`, ascending."""
+        if not 0 <= party < self.parties:
+            raise ParameterError(f"party {party} out of range for p={self.parties}")
+        return tuple(j for j, s in enumerate(self.combinations) if party in s)
 
     def used_rows(self) -> int:
         """Rows that actually contain domain points (the last may be partial)."""
@@ -173,7 +179,8 @@ class DpfKey:
 
     `seeds` is uint8 of shape (rows, C(p-1, m), lambda/8) and `shares` is
     uint64 of shape (factors, rows, C(p-1, m)); both list the party's
-    columns in `params.member_columns(party)` order.
+    columns in `params.member_columns(party)` order.  Parties 0..m hold
+    column 0 and so also apply the correction.
     """
 
     party: int
@@ -196,9 +203,9 @@ class DpfKey:
 
     def row(self, r: int) -> tuple[np.ndarray, np.ndarray, FieldVector | None]:
         """The (seeds, shares, correction or None) that `_combine_row` takes."""
-        # A party holding column 0 also multiplies that column's share into
-        # the public correction vector.
-        holds_first = self.params.member_columns(self.party)[0] == 0
+        # Column 0 is the subset {0, ..., m}; its members also multiply that
+        # column's share into the public correction vector.
+        holds_first = self.party <= self.params.corrupted
         return self.seeds[r], self.shares[:, r], self.correction if holds_first else None
 
 
@@ -460,7 +467,7 @@ def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) 
             raise ParameterError(f"coalition member {member} out of range")
     return any(
         not members.intersection(subset)
-        for subset in all_combinations(parties, corrupted + 1)
+        for subset in itertools.combinations(range(parties), corrupted + 1)
     )
 
 

@@ -38,9 +38,9 @@ freezes them so tests can prove the model was not quietly re-tuned.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 
 from . import keyfile
@@ -97,13 +97,13 @@ def size_trivial(domain_size: int, modulus: Modulus) -> int:
     return domain_size * modulus.residue_bits
 
 
-def _boyle_row_cost(q: int, parties: int, lambda_bits: int) -> Fraction:
+def _boyle_row_cost(q: int, parties: int, lambda_bits: int) -> int:
+    """q^(p-1) * (lambda*(q-1)/q + ceil(lg q) + 32), exact for p >= 2."""
     bits = (q - 1).bit_length()
-    per_column = Fraction(lambda_bits * (q - 1), q) + bits + 32
-    return q ** (parties - 1) * per_column
+    return q ** (parties - 2) * (q - 1) * lambda_bits + q ** (parties - 1) * (bits + 32)
 
 
-def _grid_boyle(domain_size, parties, lambda_bits, modulus) -> tuple[int, int, Fraction]:
+def _grid_boyle(domain_size, parties, lambda_bits, modulus) -> tuple[int, int, int]:
     """(rows, cols, expected bits) of the model-optimal prime-modulus instance."""
     if len(modulus.factors) != 1:
         raise ParameterError("prime moduli only; use size_boyle_crt for composites")
@@ -347,8 +347,7 @@ class FigureDataset:
     def to_csv_text(self) -> str:
         lines = ["scheme,x,bits"]
         for scheme, x, bits in self.rows:
-            value = float(bits)
-            text = str(int(value)) if value.is_integer() else repr(value)
+            text = str(int(bits)) if bits.is_integer() else repr(bits)
             lines.append(f"{scheme},{x},{text}")
         return "\n".join(lines) + "\n"
 
@@ -361,6 +360,20 @@ def _default_corrupted(parties: int) -> int:
     return (parties - 1) // 2
 
 
+def _in_float_range(fn):
+    """Raise a size past the float range as ParameterError, not OverflowError."""
+
+    @functools.wraps(fn)
+    def sized(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise ParameterError(f"a key size exceeds the float range: {exc}") from exc
+
+    return sized
+
+
+@_in_float_range
 def emit_figure(
     figure: str,
     *,
@@ -386,16 +399,13 @@ def emit_figure(
             f"unknown figure {figure!r}; pick one of {sorted(_FIGURES)}"
         )
     sweeps_modulus = figure in ("modulus", "primorial")
-    if sweeps_modulus:
-        primorials = [primorial(i).value for i in range(1, PRIMORIAL_SWEEP_COUNT + 1)]
-        if x_values is not None:
-            xs = sorted(set(x_values))
-        elif figure == "modulus":
-            xs = sorted(set(MODULUS_SWEEP_PRIMES) | set(primorials))
-        else:
-            xs = primorials
-    elif x_values is not None:
-        xs = sorted(x_values)
+    primorials = [primorial(i).value for i in range(1, PRIMORIAL_SWEEP_COUNT + 1)]
+    if x_values is not None:
+        xs = sorted(set(x_values))
+    elif figure == "modulus":
+        xs = sorted(set(MODULUS_SWEEP_PRIMES) | set(primorials))
+    elif figure == "primorial":
+        xs = primorials
     else:
         xs = DOMAIN_SWEEP_SIZES if figure == "domain" else PARTY_SWEEP
     fixed = modulus if modulus is not None else Modulus.prime(MERSENNE31)
@@ -418,10 +428,12 @@ def emit_figure(
                 ("bunn-prg", x, size_bunn_prg(bunn_prg_formula, n, p, m, mod, lambda_bits))
             )
 
-    rows.sort(key=lambda r: (r[0], r[1]))
+    # (scheme, x) pairs are unique, so sorting never compares the sizes
+    rows = sorted((scheme, x, float(bits)) for scheme, x, bits in rows)
     return FigureDataset(figure=_FIGURES[figure], rows=tuple(rows))
 
 
+@_in_float_range
 def compression_info(
     domain_size: int = 10 ** 6,
     parties: int = 7,

@@ -1,4 +1,4 @@
-"""Residue arithmetic, combination indexing, and grid optimization."""
+"""Residue arithmetic, the column layout, and grid optimization."""
 
 import itertools
 import random
@@ -13,13 +13,12 @@ from dpfkit.algebra import (
     FieldElement,
     FieldVector,
     Modulus,
-    all_combinations,
     is_prime,
-    member_columns,
     minimize_grid,
     parse_modulus,
     primorial,
 )
+from dpfkit.dpf import SchemeParams
 from dpfkit.errors import ParameterError
 
 
@@ -229,18 +228,35 @@ class TestFieldVector:
 
 
 class TestCombinations:
-    @pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (7, 4), (8, 1), (6, 6)])
+    @staticmethod
+    def _params(p, m):
+        return SchemeParams(p, m, 8, Modulus.prime(2), 1, 1, 1)
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (7, 4), (6, 6)])
     def test_rank_matches_lexicographic_order(self, p, k):
         combos = list(itertools.combinations(range(p), k))
-        assert all_combinations(p, k) == tuple(combos)
+        assert self._params(p, k - 1).combinations == tuple(combos)
 
     def test_member_columns(self):
         p, k = 5, 3
-        combos = all_combinations(p, k)
+        params = self._params(p, k - 1)
         for party in range(p):
-            cols = member_columns(p, k, party)
-            assert cols == tuple(j for j, s in enumerate(combos) if party in s)
+            cols = params.member_columns(party)
+            assert cols == tuple(
+                j for j, s in enumerate(params.combinations) if party in s
+            )
             assert len(cols) == comb(p - 1, k - 1)
+        for party in (-1, p):
+            with pytest.raises(ParameterError):
+                params.member_columns(party)
+
+    def test_column_zero_is_held_by_parties_up_to_m(self):
+        # DpfKey.row relies on this closed form instead of listing subsets
+        for p in range(2, 12):
+            for m in range(1, p):
+                params = self._params(p, m)
+                for party in range(p):
+                    assert (party <= m) == (0 in params.member_columns(party))
 
 
 class TestMinimizeGrid:

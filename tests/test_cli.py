@@ -10,9 +10,16 @@ import pytest
 
 import dpfkit
 from dpfkit.cli import main
-from dpfkit.dpf import DpfKey, SchemeParams
+from dpfkit.dpf import DpfKey, SchemeParams, eval_all, eval_point
 from dpfkit.errors import FormatError, GuardError
-from dpfkit.keyfile import _pack_header, element_width, key_from_bytes, write_key_file
+from dpfkit.keyfile import (
+    _pack_header,
+    element_width,
+    key_from_bytes,
+    key_to_bytes,
+    write_key_file,
+)
+from dpfkit.prg import expand
 from dpfkit.pir import Database, write_database
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 
@@ -155,6 +162,36 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 4, err
     assert out == ""
     assert "exceeds the budget" in err
+
+
+def test_evaluation_does_not_list_the_column_subsets(capsys, tmp_path):
+    # A 16 KB key whose header declares p = 8001, m = 1: listing the
+    # C(8001, 2) = 32 million column subsets would take gigabytes, but
+    # evaluation only needs to know that parties 0..m hold column 0.
+    modulus = parse_modulus("2")
+    params = SchemeParams(8001, 1, 8, modulus, 1, 1, 1)
+    rng = np.random.default_rng(5)
+    seeds = rng.integers(1, 256, size=(1, 8000, 1), dtype=np.uint8)
+    shares = rng.integers(0, 2, size=(1, 1, 8000), dtype=np.uint64)
+    key = DpfKey(0, params, seeds, shares, FieldVector(modulus, [[1]]))
+    blob = key_to_bytes(key)
+    assert len(blob) == 16047
+    key = key_from_bytes(blob)
+
+    value = eval_point(key, 0).residues[0]
+    assert eval_all(key).data.tolist() == [[value]]
+    # party 0 is in column 0's subset, so it adds share 0 times the correction
+    total = int(shares[0, 0, 0])
+    for seed, share in zip(seeds[0], shares[0, 0]):
+        total += int(share) * int(expand(seed.tobytes(), params.prg).data[0, 0])
+    assert value == total % 2
+    assert "combinations" not in key.params.__dict__
+
+    path = tmp_path / "wide.dpfk"
+    path.write_bytes(blob)
+    code, out, err = run(capsys, "eval", "--key", str(path), "--x", "0")
+    assert code == 0, err
+    assert out == f"{value}\n"
 
 
 @pytest.mark.parametrize("factors,error,exit_code", [
@@ -364,12 +401,30 @@ def test_bench_size_bad_x_values(capsys):
     ("--figure", "parties", "--x-values", "1"),
     ("--figure", "domain", "--N", "100", "--x-values", "100", "--c-it", "nan"),
     ("--figure", "domain", "--N", "100", "--x-values", "100", "--c-it", "-3"),
+    # sizes past the float range: C(2000, 1000) columns, and q^39 at q = 2^31-1
+    ("--figure", "parties", "--x-values", "3,2000"),
+    ("--figure", "modulus", "--p", "40"),
 ])
 def test_bench_size_bad_parameters(capsys, argv):
     code, out, err = run(capsys, "bench-size", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("figure,low,high", [
+    ("domain", "100", "1000"), ("parties", "3", "5"),
+    ("modulus", "6", "7"), ("primorial", "6", "30"),
+])
+def test_bench_size_dedupes_x_values(capsys, figure, low, high):
+    argv = ("bench-size", "--figure", figure, "--N", "100", "--x-values")
+    code, once, _ = run(capsys, *argv, f"{low},{high}")
+    assert code == 0
+    code, repeated, _ = run(capsys, *argv, f"{high},{low},{high},{low}")
+    assert code == 0
+    assert repeated == once
+    assert len(set(once.splitlines())) == len(once.splitlines())
 
 
 def test_pir_demo(capsys, tmp_path):
