@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle
 from math import isqrt
 from typing import Iterable
 
@@ -200,9 +201,11 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     attempt is read.  An attempt keeps its top k bits exactly when its raw
     word is below f << (8*ceil(k/8) - k), so only accepted words are
     shifted.  With one factor every read is a whole number of attempts and
-    a round is one vectorised compare; with several, a round is walked
-    attempt by attempt and a partial attempt at its end is carried into
-    the next read.
+    a round is one pass (`bytes.translate` for one-byte words, else a
+    vectorised compare).  With several, each attempt costs one lookup: in
+    its factor's table of 256 outcomes when every word is one byte, else a
+    compare against its factor's bound, carrying a partial attempt at the
+    end of a read into the next.
     """
     factors = modulus.factors
     nf = len(factors)
@@ -211,32 +214,53 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     bounds = [q << s for q, s in zip(factors, shifts)]
     if nf == 1:
         (width,), (shift,), (bound,) = widths, shifts, bounds
+        rejected = bytes(range(bound, 256))
         out = [np.zeros(0, dtype=np.uint32)]
         need = count
         while need:
-            raw = np.frombuffer(rng.randbytes(need * width), dtype=np.uint8)
-            padded = np.zeros((need, 4), dtype=np.uint8)  # as big-endian uint32
-            padded[:, 4 - width :] = raw.reshape(need, width)
-            words = padded.view(">u4").ravel()
-            kept = words[words < bound] >> shift
+            blob = rng.randbytes(need * width)
+            if width == 1:
+                kept = np.frombuffer(blob.translate(None, rejected), dtype=np.uint8) >> shift
+            else:
+                padded = np.zeros((need, 4), dtype=np.uint8)  # as big-endian uint32
+                padded[:, 4 - width :] = np.frombuffer(blob, np.uint8).reshape(need, width)
+                words = padded.view(">u4").ravel()
+                kept = words[words < bound] >> shift
             out.append(kept)
             need -= len(kept)
         return np.concatenate(out).astype(np.uint64)[None, :]
+    total = count * nf
     drawn: list[int] = []
-    factor, carry = 0, b""
-    while len(drawn) < count * nf:
-        cycles, extra = divmod(count * nf - len(drawn), nf)
-        owed = cycles * sum(widths) + sum(widths[(factor + j) % nf] for j in range(extra))
-        blob = carry + rng.randbytes(owed - len(carry))
-        pos, size = 0, len(blob)
-        while pos + widths[factor] <= size:
-            width = widths[factor]
-            word = blob[pos] if width == 1 else int.from_bytes(blob[pos : pos + width], "big")
-            pos += width
-            if word < bounds[factor]:
-                drawn.append(word >> shifts[factor])
-                factor = (factor + 1) % nf
-        carry = blob[pos:]
+    append = drawn.append
+    if max(widths) == 1:
+        # Byte b yields b >> shift when b < bound, and -1 (rejected) otherwise.
+        tables = cycle([
+            [v for v in range(q) for _ in range(1 << s)] + [-1] * (256 - bound)
+            for q, s, bound in zip(factors, shifts, bounds)
+        ])
+        table = next(tables)
+        while len(drawn) < total:
+            for b in rng.randbytes(total - len(drawn)):
+                value = table[b]
+                if value >= 0:
+                    append(value)
+                    table = next(tables)
+    else:
+        specs = cycle(zip(widths, bounds, shifts))
+        width, bound, shift = next(specs)
+        carry = b""
+        while len(drawn) < total:
+            cycles, extra = divmod(total - len(drawn), nf)
+            owed = cycles * sum(widths) + sum(widths[(len(drawn) + j) % nf] for j in range(extra))
+            blob = carry + rng.randbytes(owed - len(carry))
+            pos, size = 0, len(blob)
+            while pos + width <= size:
+                word = blob[pos] if width == 1 else int.from_bytes(blob[pos : pos + width], "big")
+                pos += width
+                if word < bound:
+                    append(word >> shift)
+                    width, bound, shift = next(specs)
+            carry = blob[pos:]
     return np.array(drawn, dtype=np.uint64).reshape(count, nf).T
 
 
@@ -403,23 +427,31 @@ def primorial(n: int) -> Modulus:
     return Modulus(tuple(primes))
 
 
-def minimize_grid(domain_size: int, row_cost, col_cost) -> tuple[int, int, object]:
+def minimize_grid(domain_size: int, row_cost: int, col_cost: int) -> tuple[int, int, int]:
     """Minimize rows*row_cost + cols*col_cost subject to rows*cols >= domain_size.
 
-    Only rows of the form r or ceil(domain_size/v) with r, v <= ceil(sqrt(N))
-    can be optimal (for fixed rows the best cols is ceil(N/rows), and the
-    map r -> ceil(N/r) folds every candidate above sqrt(N) onto one below).
-    Ties prefer fewer rows.  The winning cost is returned unchanged.
+    Costs are positive integers.  Only rows r or ceil(N/v) with r, v <=
+    ceil(sqrt(N)) can be optimal, with cols ceil(N/rows).  A row count's
+    cost is at least g(r) = r*row_cost + N*col_cost/r, least at
+    r* = sqrt(N*col_cost/row_cost), so only those in [lo, hi], where g is
+    at most the cost next to r*, are scanned.  Ties prefer fewer rows.
     """
     if domain_size < 1:
         raise ParameterError(f"domain size must be >= 1, got {domain_size}")
-    root = isqrt(domain_size) + 1
-    cands = set(range(1, root + 1))
-    cands.update(-(-domain_size // v) for v in range(1, root + 1))
-    best = None
-    for r in sorted(cands):
-        v = -(-domain_size // r)
-        cost = r * row_cost + v * col_cost
-        if best is None or cost < best[2]:
-            best = (r, v, cost)
-    return best
+    if row_cost < 1 or col_cost < 1:
+        raise ParameterError(f"grid costs must be positive, got {row_cost}, {col_cost}")
+    n = domain_size
+
+    def cost(r: int) -> int:
+        return r * row_cost + -(-n // r) * col_cost
+
+    near = max(1, min(n - 1, isqrt(n * col_cost // row_cost)))
+    bound = min(cost(near), cost(near + 1))
+    spread = isqrt(bound * bound - 4 * row_cost * n * col_cost) + 1
+    lo = max(1, (bound - spread) // (2 * row_cost))
+    hi = min(n, (bound + spread) // (2 * row_cost) + 1)
+    root = isqrt(n) + 1
+    cands = set(range(lo, min(hi, root) + 1))
+    cands.update(-(-n // v) for v in range(max(1, n // hi), min(root, n // lo + 1) + 1))
+    rows = min(cands, key=lambda r: (cost(r), r))
+    return rows, -(-n // rows), cost(rows)

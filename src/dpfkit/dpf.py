@@ -254,20 +254,20 @@ def _distinct_seeds(params: SchemeParams, rng) -> np.ndarray:
     Returns uint8 of shape (rows, columns, lambda/8).  Reads the stream as
     one `sample_seed` call per candidate would: each read asks for exactly
     the seeds still missing, and a candidate that is all zero or already
-    taken is skipped.
+    taken is skipped.  A read is split into seeds in one NumPy pass, and an
+    insertion-ordered dict keeps each seed where it first came up; the
+    all-zero seed is then dropped from it.
     """
     size = params.lambda_bits // 8
     want = params.rows * params.combo_count
-    seen: set[bytes] = set()
-    flat: list[bytes] = []
-    while len(flat) < want:
-        blob = rng.randbytes(size * (want - len(flat)))
-        for i in range(0, len(blob), size):
-            s = blob[i : i + size]
-            if any(s) and s not in seen:
-                seen.add(s)
-                flat.append(s)
-    table = np.frombuffer(b"".join(flat), dtype=np.uint8)
+    if want >= 256 ** size:
+        raise ParameterError(f"{want} cells exceed the {256 ** size - 1} {size}-byte seeds")
+    taken: dict[bytes, None] = {}
+    while len(taken) < want:
+        blob = rng.randbytes(size * (want - len(taken)))
+        taken.update(dict.fromkeys(np.frombuffer(blob, dtype=f"V{size}").tolist()))
+        taken.pop(bytes(size), None)
+    table = np.frombuffer(b"".join(taken), dtype=np.uint8)
     return table.reshape(params.rows, params.combo_count, size)
 
 

@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from math import comb, prod
+import time
+from math import comb, isqrt, prod
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dpfkit.algebra import (
 )
 from dpfkit.dpf import SchemeParams
 from dpfkit.errors import ParameterError
+from dpfkit.sizing import _boyle_row_cost
 
 
 def _random_element(modulus: Modulus, rng) -> FieldElement:
@@ -292,3 +294,83 @@ class TestMinimizeGrid:
     def test_rejects_empty_domain(self):
         with pytest.raises(ParameterError):
             minimize_grid(0, 1, 1)
+
+    def test_rejects_non_positive_costs(self):
+        for costs in ((0, 1), (1, 0), (-3, 2)):
+            with pytest.raises(ParameterError):
+                minimize_grid(10, *costs)
+
+
+def _full_scan(n, row_cost, col_cost):
+    """Every candidate row count r or ceil(n/v) with r, v <= isqrt(n) + 1:
+    the grid search before it was bounded, kept as its reference."""
+    root = isqrt(n) + 1
+    cands = set(range(1, root + 1))
+    cands.update(-(-n // v) for v in range(1, root + 1))
+    best = None
+    for r in sorted(cands):
+        v = -(-n // r)
+        cost = r * row_cost + v * col_cost
+        if best is None or cost < best[2]:
+            best = (r, v, cost)
+    return best
+
+
+def _choose_grid_costs(parties, corrupted, lambda_bits, modulus_text):
+    """(row cost, column cost) as `dpf.choose_grid` passes them."""
+    bits = parse_modulus(modulus_text).residue_bits
+    return comb(parties - 1, corrupted) * (lambda_bits + bits), bits
+
+
+def _boyle_costs(q, parties, lambda_bits):
+    """(row cost, column cost) as `sizing`'s Boyle model passes them."""
+    return _boyle_row_cost(q, parties, lambda_bits), (q - 1).bit_length()
+
+
+GRID_COSTS = [
+    _choose_grid_costs(3, 1, 128, "2*3*5*7"),
+    _choose_grid_costs(7, 3, 128, "2147483647"),
+    _choose_grid_costs(5, 2, 8, "2"),
+    _boyle_costs(2, 3, 128),
+    _boyle_costs(5, 3, 128),
+    _boyle_costs(3, 5, 64),
+    (1, 1),
+    (1, 1000),
+]
+
+
+class TestBoundedGridSearch:
+    @pytest.mark.parametrize("costs", GRID_COSTS)
+    def test_every_small_domain_matches_the_full_scan(self, costs):
+        for n in range(1, 5001):
+            assert minimize_grid(n, *costs) == _full_scan(n, *costs), n
+
+    @pytest.mark.parametrize("costs", GRID_COSTS)
+    def test_random_domains_match_the_full_scan(self, costs):
+        rnd = random.Random(repr(costs))
+        domains = [rnd.randrange(5001, 10 ** 9) for _ in range(12)]
+        for n in domains + [10 ** 9, 10 ** 6 * (10 ** 3 + 1)]:
+            assert minimize_grid(n, *costs) == _full_scan(n, *costs), n
+
+    @given(
+        st.integers(min_value=1, max_value=10 ** 7),
+        st.integers(min_value=1, max_value=10 ** 6),
+        st.integers(min_value=1, max_value=10 ** 4),
+    )
+    def test_random_costs_match_the_full_scan(self, n, row_cost, col_cost):
+        assert minimize_grid(n, row_cost, col_cost) == _full_scan(n, row_cost, col_cost)
+
+    @pytest.mark.parametrize("n", [10 ** 18, 10 ** 18 - 12345, 2 ** 63 + 12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("costs", GRID_COSTS)
+    def test_huge_domains_return_quickly_and_beat_their_neighbours(self, n, costs):
+        start = time.perf_counter()
+        rows, cols, cost = minimize_grid(n, *costs)
+        assert time.perf_counter() - start < 5
+        assert cols == -(-n // rows) and cost == rows * costs[0] + cols * costs[1]
+        # No row count in a wide band around the optimum, or folded onto
+        # one with nearby column counts, costs less or ties with fewer rows.
+        near = set(range(max(1, rows - 3000), min(n, rows + 3000) + 1))
+        near.update(-(-n // v) for v in range(max(1, cols - 3000), cols + 3001))
+        for r in near:
+            other = r * costs[0] + -(-n // r) * costs[1]
+            assert other > cost or (other == cost and r >= rows), r

@@ -125,6 +125,18 @@ def test_honest_majority_violation_exit_code(capsys, tmp_path):
     assert "m < p/2" in err
 
 
+def test_too_few_distinct_seeds_exit_code(capsys, tmp_path):
+    # 117 x 3 cells need distinct non-zero one-byte seeds, of which 255 exist.
+    code, _, err = run(
+        capsys,
+        "keygen", "--N", "100000", "--p", "3", "--m", "1", "--modulus", "7",
+        "--lambda", "8", "--alpha", "5", "--beta", "1", "--seed", "x",
+        "--out-dir", str(tmp_path / "k"),
+    )
+    assert code == 2
+    assert "351 cells exceed the 255 1-byte seeds" in err
+
+
 def test_guard_exit_code(capsys, tmp_path):
     # q^(p-1) for p = 20000 has more digits than Python will print.
     for p, modulus in (("7", "257"), ("20000", "2147483647")):
@@ -336,12 +348,14 @@ def test_decode_validation(capsys):
 def test_bench_size_stdout_and_file(capsys, tmp_path):
     code, out, err = run(
         capsys, "bench-size", "--figure", "domain", "--N", "1000",
-        "--x-values", "100,1000",
+        "--x-values", "100,1000,1000000000000000000",
     )
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "scheme,x,bits"
     assert "trivial,1000,31000" in lines
+    # 10^18 sizes only because the grid search skips most row counts.
+    assert any(line.startswith("ours,1000000000000000000,") for line in lines)
     assert "smaller than the bunn-it model" in err
 
     csv_path = tmp_path / "fig.csv"

@@ -22,6 +22,7 @@ from dpfkit.dpf import (
     SchemeParams,
     _combine_row,
     _deal,
+    _distinct_seeds,
     choose_grid,
     decode,
     eval_all,
@@ -352,6 +353,48 @@ def test_deterministic_generation_is_byte_stable():
         keys = gen(point, params, rng)
         blobs.append(tuple(key_to_bytes(k) for k in keys))
     assert blobs[0] == blobs[1]
+
+
+def _seed_by_seed(params, rng):
+    """`_distinct_seeds` as a loop over every candidate, its reference."""
+    size = params.lambda_bits // 8
+    want = params.rows * params.combo_count
+    seen, flat = set(), []
+    while len(flat) < want:
+        blob = rng.randbytes(size * (want - len(flat)))
+        for i in range(0, len(blob), size):
+            s = blob[i : i + size]
+            if any(s) and s not in seen:
+                seen.add(s)
+                flat.append(s)
+    table = np.frombuffer(b"".join(flat), dtype=np.uint8)
+    return table.reshape(params.rows, params.combo_count, size)
+
+
+@pytest.mark.parametrize(
+    "lambda_bits,grid", [(8, (40, 2)), (8, (80, 3)), (16, (30, 10)), (128, (181, 30))]
+)
+def test_distinct_seeds_match_the_seed_by_seed_loop(lambda_bits, grid):
+    # At 8 bits zero and repeated seeds come up in every draw, so the seeds
+    # are gathered over several reads; at 128 bits the first read suffices.
+    params = _make(3, 1, "7", grid[0] * grid[1], grid=grid, lambda_bits=lambda_bits)
+    for label in range(25):
+        ref = DeterministicRandomSource(f"seeds/{lambda_bits}/{label}")
+        got = DeterministicRandomSource(f"seeds/{lambda_bits}/{label}")
+        want = _seed_by_seed(params, ref)
+        assert np.array_equal(_distinct_seeds(params, got), want)
+        assert got.randbytes(16) == ref.randbytes(16)  # same next read
+
+
+def test_more_cells_than_distinct_seeds_is_refused():
+    # 255 non-zero one-byte seeds cannot fill 258 cells; the search used
+    # to loop forever.
+    params = _make(3, 1, "7", 256, grid=(86, 3), lambda_bits=8)
+    point = PointDescription(0, params.modulus.one())
+    with pytest.raises(ParameterError, match="258 cells exceed the 255 1-byte seeds"):
+        gen(point, params, DeterministicRandomSource("x"))
+    fits = _make(3, 1, "7", 255, grid=(85, 3), lambda_bits=8)
+    assert len(gen(point, fits, DeterministicRandomSource("x"))) == 3
 
 
 def test_test_prg_round_trip(rng):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -168,6 +169,48 @@ def test_every_word_width_matches_reference_sampler(algorithm, stream_fn, q, n):
     assert expand(SEED, PrgSpec(algorithm, 128, n, Modulus.prime(q))).lift_all() == expected
 
 
+@pytest.mark.parametrize("algorithm,stream_fn,q,first_bytes", [
+    (PRG_SHAKE128, _shake_bytes, 5, 133),
+    (PRG_SHAKE128, _shake_bytes, 65537, 1345),
+    (PRG_SHAKE128, _shake_bytes, 2 ** 24 + 43, 743),
+    (PRG_TEST_LCG, _lcg_bytes, 3, 2820),
+    (PRG_TEST_LCG, _lcg_bytes, 65537, 555),
+    (PRG_TEST_LCG, _lcg_bytes, 2 ** 24 + 43, 1895),
+])
+def test_a_short_first_prefix_of_one_three_or_four_byte_words_is_doubled(
+    stream_calls, algorithm, stream_fn, q, first_bytes
+):
+    # For these seeds the first prefix holds fewer than 1000 accepted words,
+    # so the one-byte `translate` filter and the wide boolean-mask filter
+    # each run on a second, doubled prefix.
+    seed = first_bytes.to_bytes(2, "little") + bytes(range(3, 17))
+    out = _sample_residues(algorithm, seed, 0, q, 1000)
+    assert len(stream_calls) == 2
+    stream = stream_fn(seed, 0, 1 << 15)
+    assert out.tolist() == _reference_residues(lambda n: stream[:n], q, 1000)
+
+
+# One to four bytes per word, acceptance rates from just above 1/2 to 1.
+SAMPLER_PRIMES = [2, 3, 5, 7, 127, 251, 257, 4093, 65521, 65537, 131071,
+                  8388593, 16777259, 2 ** 31 - 1]
+
+
+@given(
+    st.sampled_from([(PRG_SHAKE128, _shake_bytes), (PRG_TEST_LCG, _lcg_bytes)]),
+    st.sampled_from(SAMPLER_PRIMES),
+    st.integers(min_value=1, max_value=700),
+    st.binary(min_size=16, max_size=16),
+)
+def test_sampler_matches_reference_on_random_seeds(prg_pair, q, n, seed):
+    """Either side of the 256-word shortcut, for every word width."""
+    algorithm, stream_fn = prg_pair
+    width = ((q - 1).bit_length() + 7) // 8
+    stream = stream_fn(seed, 0, (8 * n + 64) * width)
+    expected = _reference_residues(lambda length: stream[:length], q, n)
+    out = _sample_residues(algorithm, seed, 0, q, n)
+    assert out.dtype.itemsize >= width and out.tolist() == expected
+
+
 def test_expansion_is_prefix_stable():
     modulus = Modulus.from_factors([3, 257])
     short = expand(SEED, PrgSpec(PRG_SHAKE128, 128, 10, modulus))
@@ -262,6 +305,26 @@ class TestRandomResidues:
                 digest.update(out.tobytes())
                 digest.update(rng.randbytes(8))  # the next read, after the split
         assert digest.hexdigest() == GOLDEN_RANDOM_RANDOM_RESIDUES
+
+    @given(
+        st.sampled_from([
+            "2*3*5*7*11*13", "251", "2*3*5*7*11*13*17*19*23", "3*251",
+            "2*251*257", "7*65537*2147483647", "131071", "8388593",
+        ]),
+        st.integers(min_value=0, max_value=700),
+        st.integers(min_value=0, max_value=2 ** 32),
+    )
+    def test_walks_and_filters_read_like_randrange(self, modulus, count, label):
+        """All-one-byte, one-factor and mixed-width moduli consume exactly
+        the bytes that randrange does, and return what it returns."""
+        m = parse_modulus(modulus)
+        ref = DeterministicRandomSource(label)
+        got = DeterministicRandomSource(label)
+        want = [[ref.randrange(q) for q in m.factors] for _ in range(count)]
+        out = random_residues(m, count, got)
+        assert out.shape == (len(m.factors), count) and out.dtype == np.uint64
+        assert out.T.tolist() == want
+        assert got.randbytes(32) == ref.randbytes(32)
 
     def test_other_sources_stay_in_range(self, rng):
         m = parse_modulus("2*257*65537")
