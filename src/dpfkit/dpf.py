@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -288,6 +288,14 @@ def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
     return shares
 
 
+def _reduce(values: np.ndarray, qs: np.ndarray, scratch: np.ndarray) -> None:
+    """values %= qs in place, through quotients in `scratch`: on row-sized
+    arrays this takes a third to a half of the time of `%=`."""
+    np.floor_divide(values, qs, out=scratch)
+    scratch *= qs
+    values -= scratch
+
+
 def _combine_row(
     seeds: np.ndarray,
     shares: np.ndarray,
@@ -316,12 +324,12 @@ def _combine_row(
         pending = 1
     for j, seed in enumerate(seeds):
         if pending == period:
-            acc %= qs
+            _reduce(acc, qs, term)
             pending = 0
         np.multiply(expand(seed.tobytes(), spec).data[:, first:], shares[:, j], out=term)
         acc += term
         pending += 1
-    acc %= qs
+    _reduce(acc, qs, term)
     return acc
 
 
@@ -405,6 +413,19 @@ def eval_point(key, x: int) -> FieldElement:
     return FieldElement(params.modulus, tuple(int(v) for v in data[:, 0]))
 
 
+def eval_rows(key) -> Iterator[tuple[int, np.ndarray]]:
+    """This party's shares row by row: (start, shares) for every used row.
+
+    `shares` is the row's reduced (factors, width) block for domain points
+    start .. start+width-1; the last row is trimmed to the domain.  Each
+    held seed is expanded exactly once, and only one row is held at a time.
+    """
+    params = key.params
+    for row in range(params.used_rows()):
+        start = row * params.cols
+        yield start, _eval_row(key, row)[:, : params.domain_size - start]
+
+
 def eval_all(key) -> FieldVector:
     """Shares for every domain point, expanding each held seed exactly once.
 
@@ -414,13 +435,9 @@ def eval_all(key) -> FieldVector:
     """
     params = key.params
     check_eval_budget(params)
-    n = params.domain_size
-    out = np.empty((len(params.modulus.factors), n), dtype=np.uint64)
-    for row in range(params.used_rows()):
-        data = _eval_row(key, row)
-        start = row * params.cols
-        width = min(params.cols, n - start)
-        out[:, start : start + width] = data[:, :width]
+    out = np.empty((len(params.modulus.factors), params.domain_size), dtype=np.uint64)
+    for start, shares in eval_rows(key):
+        out[:, start : start + shares.shape[1]] = shares
     return FieldVector._raw(params.modulus, out)
 
 

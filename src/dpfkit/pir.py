@@ -5,6 +5,12 @@ servers; each server inner-products its full evaluation vector with the
 database and returns a single element, and the client sums the answers.
 Per-query upload is p keys and download is p elements, against the
 trivial N-element transfer.
+
+The server is the linear one of Chor, Goldreich, Kushilevitz and Sudan
+(FOCS 1995), streamed: it evaluates its key one grid row at a time and
+folds each row into the answer, reading the database once, row by row.
+Its working memory is O(F*V) for F modulus factors and V grid columns,
+not the O(F*N) of a full evaluation vector.
 """
 
 from __future__ import annotations
@@ -13,9 +19,12 @@ import struct
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from . import keyfile
 from .algebra import FieldElement, FieldVector, Modulus
-from .dpf import DpfKey, PointDescription, SchemeParams, decode, eval_all, gen
+from .dpf import DpfKey, PointDescription, SchemeParams, _reduce, decode, eval_rows, gen
+from .dpf import eval_all  # unused here, but the benchmark wraps `pir.eval_all`
 from .errors import FormatError, ParameterError
 
 _COUNT = struct.Struct("<Q")
@@ -66,7 +75,13 @@ def pir_query(
 
 
 def pir_answer(key: DpfKey, db: Database) -> FieldElement:
-    """One server's share of the selected entry."""
+    """One server's share of the selected entry, streamed row by row.
+
+    Each row from `eval_rows` is multiplied into its database entries,
+    reduced, summed per factor and reduced again.  Residues are below
+    2**31, so every product is below 2**62, and a sum of fewer than 2**32
+    reduced terms (a row's columns, or the rows' totals) is below 2**63.
+    """
     params = key.params
     if len(db) != params.domain_size:
         raise ParameterError(
@@ -74,8 +89,17 @@ def pir_answer(key: DpfKey, db: Database) -> FieldElement:
         )
     if db.modulus != params.modulus:
         raise ParameterError("database modulus differs from the key modulus")
-    selector = eval_all(key)
-    return (selector * db.entries).sum()
+    qs = params.modulus._qs_np
+    entries = db.entries.data
+    scratch = np.empty((len(qs), params.cols), dtype=np.uint64)
+    total = np.zeros(len(qs), dtype=np.uint64)
+    for start, shares in eval_rows(key):
+        width = shares.shape[1]
+        shares *= entries[:, start : start + width]
+        _reduce(shares, qs, scratch[:, :width])
+        total += shares.sum(axis=1) % qs[:, 0]
+    total %= qs[:, 0]
+    return FieldElement(params.modulus, tuple(int(v) for v in total))
 
 
 def pir_reconstruct(answers, params: SchemeParams) -> FieldElement:

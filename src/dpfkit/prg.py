@@ -24,8 +24,8 @@ run of rejections into an InternalError instead of a hang.
 The stream and this acceptance rule are the bit-exact contract: the
 output is the first n accepted words.  How they are found is not: the
 prefix size, the shortcut when its first n words all pass, and the
-one-pass ``bytes.translate`` that deletes rejected one-byte words are
-free to change.
+filter are free to change.  Accepted words are kept with
+``np.compress``, which does not branch on each word.
 """
 
 from __future__ import annotations
@@ -85,15 +85,13 @@ class PrgSpec:
 
 
 @lru_cache(maxsize=256)
-def _word_format(q: int) -> tuple[int, np.dtype, np.integer, np.integer, float, bytes]:
+def _word_format(q: int) -> tuple[int, np.dtype, np.integer, np.integer, float]:
     """Width, dtype (its own when NumPy has one), mask, q and acceptance
-    rate of factor q's candidate words, and the byte values a one-byte
-    word is rejected at; mask and q are dtype scalars."""
+    rate of factor q's candidate words; mask and q are dtype scalars."""
     bits = (q - 1).bit_length()
     width = (bits + 7) // 8
     dtype = np.dtype(f"<u{width}" if width in (1, 2, 4, 8) else np.uint64)
-    rejected = bytes(b for b in range(256) if b & ((1 << bits) - 1) >= q)
-    return width, dtype, dtype.type((1 << bits) - 1), dtype.type(q), q / (1 << bits), rejected
+    return width, dtype, dtype.type((1 << bits) - 1), dtype.type(q), q / (1 << bits)
 
 
 def _le_words(raw: bytes, width: int) -> np.ndarray:
@@ -125,7 +123,7 @@ def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: 
     The words are used as they stand when the first n all pass; a prefix
     with fewer than n accepted words is doubled and squeezed again.
     """
-    width, dtype, mask, bound, accept, rejected = _word_format(q)
+    width, dtype, mask, bound, accept = _word_format(q)
     # The expected word count for n acceptances plus three standard deviations.
     words = ceil(n / accept + 3 * sqrt(n * (1 - accept)) / accept) + 8
     # Testing the first n words costs about as much as gathering 256.
@@ -133,14 +131,11 @@ def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: 
     cap = (n << 20) + (1 << 20)
     while True:
         raw = _stream(algorithm, seed, factor_index, words * width)
-        if width == 1:
-            good = np.frombuffer(raw.translate(None, rejected), dtype=np.uint8) & mask
-        else:
-            same = dtype.itemsize == width
-            candidates = (np.frombuffer(raw, dtype=dtype) if same else _le_words(raw, width)) & mask
-            if fast and candidates[:n].max() < bound:
-                return candidates[:n]
-            good = candidates[candidates < bound]
+        same = dtype.itemsize == width
+        candidates = (np.frombuffer(raw, dtype=dtype) if same else _le_words(raw, width)) & mask
+        if fast and candidates[:n].max() < bound:
+            return candidates[:n]
+        good = candidates.compress(candidates < bound)
         if good.size >= n:
             return good[:n]
         if words > cap:

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpfkit import dpf
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
@@ -23,10 +25,12 @@ from dpfkit.dpf import (
     _combine_row,
     _deal,
     _distinct_seeds,
+    _reduce,
     choose_grid,
     decode,
     eval_all,
     eval_point,
+    eval_rows,
     gen,
 )
 from dpfkit.errors import GuardError, HonestMajorityError, ParameterError
@@ -242,6 +246,36 @@ def test_combine_row_columns_from_first_match_the_whole_row(rng, first):
             whole = _combine_row(seeds, shares, params.prg, correction)
             part = _combine_row(seeds, shares, params.prg, correction, first=first)
             assert part.tolist() == whole[:, first:].tolist()
+
+
+_U64 = st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+
+
+@given(
+    st.lists(st.integers(2, 2 ** 31 - 1), min_size=1, max_size=4),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_reduce_matches_the_remainder_operator(factors, width, data):
+    values = np.array(
+        [data.draw(st.lists(_U64, min_size=width, max_size=width)) for _ in factors],
+        dtype=np.uint64,
+    )
+    qs = np.array(factors, dtype=np.uint64)[:, None]
+    expected = values % qs
+    _reduce(values, qs, np.empty_like(values))
+    assert values.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("domain,grid", [(40, (5, 9)), (45, (5, 9)), (30, (6, 9))])
+def test_eval_rows_cover_the_domain_once_and_trim_the_last_row(rng, domain, grid):
+    params = _make(3, 1, "2*3*5*7", domain, grid=grid)
+    key = gen(PointDescription(domain - 1, params.modulus.element(23)), params, rng)[0]
+    rows = list(eval_rows(key))
+    assert [start for start, _ in rows] == list(range(0, domain, grid[1]))
+    assert [shares.shape for _, shares in rows][-1] == (4, domain - rows[-1][0])
+    joined = np.concatenate([shares for _, shares in rows], axis=1)
+    assert joined.tolist() == eval_all(key).data.tolist()
 
 
 @pytest.mark.parametrize("scheme", ["ours", "dcf"])

@@ -1,11 +1,16 @@
 """Private lookups: query, answer, reconstruct, and the database file."""
 
+import tracemalloc
+from math import comb
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfkit import pir
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
-from dpfkit.dpf import SchemeParams
+from dpfkit.dpf import SchemeParams, eval_all
 from dpfkit.errors import FormatError, ParameterError
 from dpfkit.keyfile import encode_vector
 from dpfkit.pir import (
@@ -17,7 +22,7 @@ from dpfkit.pir import (
     read_database,
     write_database,
 )
-from dpfkit.prg import DeterministicRandomSource
+from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource, expansion_count
 
 
 def _params(parties, corrupted, modulus, domain, **kw):
@@ -134,6 +139,84 @@ class TestQueryFlow:
         answers = [pir_answer(k, db) for k in keys]
         with pytest.raises(ParameterError):
             pir_reconstruct(answers[:2], params)
+
+
+def _full_domain_answer(key, db):
+    """The reference answer: the inner product of the whole selector vector."""
+    return (eval_all(key) * db.entries).sum()
+
+
+@st.composite
+def _streaming_case(draw):
+    """Keys and a database with p <= 7, m < p/2 and N <= 3000; the grid
+    often ends in a partial row and sometimes has an unused one."""
+    parties = draw(st.integers(3, 7))
+    corrupted = draw(st.integers(1, (parties - 1) // 2))
+    modulus = parse_modulus(draw(st.sampled_from(["2147483647", "2*3*5*7", "65521", "3*65537"])))
+    domain = draw(st.integers(1, 3000))
+    cols = draw(st.integers(max(1, domain // 40), domain))
+    rows = -(-domain // cols) + draw(st.integers(0, 1))
+    rng = DeterministicRandomSource(draw(st.integers(0, 2 ** 32)))
+    params = _params(
+        parties, corrupted, modulus, domain, grid=(rows, cols),
+        prg_algorithm=draw(st.sampled_from([PRG_SHAKE128, PRG_TEST_LCG])),
+    )
+    db = Database(modulus, FieldVector.random(modulus, domain, rng))
+    index = draw(st.integers(0, domain - 1))
+    return pir_query(index, params, rng), db, index
+
+
+class TestStreamingAnswer:
+    @settings(max_examples=40)
+    @given(_streaming_case())
+    def test_matches_the_full_domain_inner_product(self, case):
+        keys, db, index = case
+        answers = [pir_answer(key, db) for key in keys]
+        assert answers == [_full_domain_answer(key, db) for key in keys]
+        assert pir_reconstruct(answers, keys[0].params) == db.entries[index]
+
+    def test_largest_residues_do_not_wrap(self, monkeypatch):
+        # Every share and entry is q-1, so each product is the largest there
+        # is, and the answer is N * (q-1)**2 = N mod q.
+        modulus = Modulus.prime(2 ** 31 - 1)
+        q = modulus.factors[0]
+        n, cols = 20_000, 5243
+        params = _params(3, 1, modulus, n, grid=(4, cols))
+        key = pir_query(0, params, DeterministicRandomSource("wrap"))[0]
+        top = np.full((1, n), q - 1, dtype=np.uint64)
+
+        def largest_rows(key):
+            for start in range(0, n, cols):
+                yield start, top[:, start : start + cols].copy()
+
+        monkeypatch.setattr(pir, "eval_rows", largest_rows)
+        db = Database(modulus, FieldVector(modulus, top))
+        assert pir_answer(key, db).lift() == n % q
+
+    @pytest.mark.parametrize("modulus_text", ["2147483647", "2*3*5*7"])
+    def test_memory_stays_below_a_quarter_of_the_selector(self, modulus_text):
+        modulus = parse_modulus(modulus_text)
+        n = 2 ** 16
+        rng = DeterministicRandomSource("stream-memory")
+        db = Database(modulus, FieldVector.random(modulus, n, rng))
+        key = pir_query(n // 3, _params(3, 1, modulus, n), rng)[0]
+        pir_answer(key, db)  # fill the word-format cache outside the trace
+        tracemalloc.start()
+        try:
+            pir_answer(key, db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(modulus.factors) * n * 8 / 4
+
+    def test_expands_each_held_seed_once(self, rng):
+        modulus = parse_modulus("2*3*5*7")
+        params = _params(5, 2, modulus, 100, grid=(13, 9))
+        db = Database(modulus, FieldVector.random(modulus, 100, rng))
+        key = pir_query(42, params, rng)[0]
+        before = expansion_count()
+        pir_answer(key, db)
+        assert expansion_count() - before == params.used_rows() * comb(4, 2) == 72
 
 
 class TestDemo:

@@ -181,8 +181,7 @@ def test_a_short_first_prefix_of_one_three_or_four_byte_words_is_doubled(
     stream_calls, algorithm, stream_fn, q, first_bytes
 ):
     # For these seeds the first prefix holds fewer than 1000 accepted words,
-    # so the one-byte `translate` filter and the wide boolean-mask filter
-    # each run on a second, doubled prefix.
+    # so the filter runs again on a second, doubled prefix.
     seed = first_bytes.to_bytes(2, "little") + bytes(range(3, 17))
     out = _sample_residues(algorithm, seed, 0, q, 1000)
     assert len(stream_calls) == 2
@@ -190,9 +189,10 @@ def test_a_short_first_prefix_of_one_three_or_four_byte_words_is_doubled(
     assert out.tolist() == _reference_residues(lambda n: stream[:n], q, 1000)
 
 
-# One to four bytes per word, acceptance rates from just above 1/2 to 1.
-SAMPLER_PRIMES = [2, 3, 5, 7, 127, 251, 257, 4093, 65521, 65537, 131071,
-                  8388593, 16777259, 2 ** 31 - 1]
+# One to four bytes per word, acceptance rates from just above 1/2 to 1;
+# 131 (0.51), 40961 (0.625, two-byte words) and 2**30+3 (0.5) reject many.
+SAMPLER_PRIMES = [2, 3, 5, 7, 127, 131, 251, 257, 4093, 40961, 65521, 65537, 131071,
+                  8388593, 16777259, 1073741827, 2 ** 31 - 1]
 
 
 @given(
