@@ -75,7 +75,7 @@ from .prg import (
     PrgSpec,
     expand,
     expansion_count,
-    sample_seed,
+    sample_seeds,
 )
 from .sizing import (
     FigureDataset,
@@ -146,7 +146,7 @@ __all__ = [
     "primorial",
     "read_database",
     "read_key_file",
-    "sample_seed",
+    "sample_seeds",
     "simulate_coalition_view",
     "size_boyle",
     "size_boyle_crt",

@@ -163,9 +163,6 @@ class Modulus:
             raise ParameterError(f"expected an integer, got {value!r}")
         return FieldElement(self, tuple(value % q for q in self.factors))
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
     def one(self) -> "FieldElement":
         return self.element(1)
 
@@ -189,6 +186,18 @@ def parse_modulus(text: str) -> Modulus:
     return Modulus.from_int(value)
 
 
+def byte_words(raw: bytes, width: int, order: str) -> np.ndarray:
+    """`raw` read as unsigned `width`-byte words in byte order `order`
+    ("<" or ">"): a view for 1-, 2- and 4-byte words, and a copy padded
+    to 4 bytes for 3-byte words."""
+    if width != 3:
+        return np.frombuffer(raw, dtype=f"{order}u{width}")
+    padded = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+    low = slice(1, 4) if order == ">" else slice(0, 3)
+    padded[:, low] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+    return padded.view(f"{order}u4").ravel()
+
+
 def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     """`count` uniform elements of Z_q as a (factors, count) uint64 array.
 
@@ -201,11 +210,10 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     attempt is read.  An attempt keeps its top k bits exactly when its raw
     word is below f << (8*ceil(k/8) - k), so only accepted words are
     shifted.  With one factor every read is a whole number of attempts and
-    a round is one pass (`bytes.translate` for one-byte words, else a
-    vectorised compare).  With several, each attempt costs one lookup: in
-    its factor's table of 256 outcomes when every word is one byte, else a
-    compare against its factor's bound, carrying a partial attempt at the
-    end of a read into the next.
+    a round is one `compress` over the read's words.  With several, each
+    attempt costs one lookup: in its factor's table of 256 outcomes when
+    every word is one byte, else a compare against its factor's bound,
+    carrying a partial attempt at the end of a read into the next.
     """
     factors = modulus.factors
     nf = len(factors)
@@ -214,21 +222,13 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     bounds = [q << s for q, s in zip(factors, shifts)]
     if nf == 1:
         (width,), (shift,), (bound,) = widths, shifts, bounds
-        rejected = bytes(range(bound, 256))
-        out = [np.zeros(0, dtype=np.uint32)]
+        out = [np.zeros(0, dtype=np.uint64)]
         need = count
         while need:
-            blob = rng.randbytes(need * width)
-            if width == 1:
-                kept = np.frombuffer(blob.translate(None, rejected), dtype=np.uint8) >> shift
-            else:
-                padded = np.zeros((need, 4), dtype=np.uint8)  # as big-endian uint32
-                padded[:, 4 - width :] = np.frombuffer(blob, np.uint8).reshape(need, width)
-                words = padded.view(">u4").ravel()
-                kept = words[words < bound] >> shift
-            out.append(kept)
-            need -= len(kept)
-        return np.concatenate(out).astype(np.uint64)[None, :]
+            words = byte_words(rng.randbytes(need * width), width, ">")
+            out.append(words.compress(words < bound) >> shift)
+            need -= len(out[-1])
+        return np.concatenate(out)[None, :]
     total = count * nf
     drawn: list[int] = []
     append = drawn.append
@@ -312,8 +312,8 @@ class FieldVector:
 
     The payload has shape (num_factors, length) with dtype uint64 and is
     treated as immutable: operations return new vectors.  Factor values
-    stay below 2**31, so sums and products of two residues never overflow
-    64-bit intermediates.
+    stay below 2**31, so the sum of two residues never overflows 64-bit
+    intermediates.
     """
 
     __slots__ = ("modulus", "data")
@@ -335,23 +335,6 @@ class FieldVector:
     @classmethod
     def _raw(cls, modulus: Modulus, data: np.ndarray) -> "FieldVector":
         return cls(modulus, data, validate=False)
-
-    @classmethod
-    def zeros(cls, modulus: Modulus, length: int) -> "FieldVector":
-        return cls._raw(
-            modulus, np.zeros((len(modulus.factors), length), dtype=np.uint64)
-        )
-
-    @classmethod
-    def unit(
-        cls, modulus: Modulus, length: int, index: int, value: FieldElement
-    ) -> "FieldVector":
-        """Vector that is `value` at `index` and zero elsewhere."""
-        if not 0 <= index < length:
-            raise ParameterError(f"index {index} out of range for length {length}")
-        arr = np.zeros((len(modulus.factors), length), dtype=np.uint64)
-        arr[:, index] = value.residues
-        return cls._raw(modulus, arr)
 
     @classmethod
     def random(cls, modulus: Modulus, length: int, rng) -> "FieldVector":
@@ -381,23 +364,6 @@ class FieldVector:
         self._check_same(other)
         qs = self.modulus._qs_np
         return FieldVector._raw(self.modulus, (self.data + other.data) % qs)
-
-    def __sub__(self, other: "FieldVector") -> "FieldVector":
-        self._check_same(other)
-        qs = self.modulus._qs_np
-        return FieldVector._raw(self.modulus, (self.data + (qs - other.data)) % qs)
-
-    def __mul__(self, other: "FieldVector") -> "FieldVector":
-        self._check_same(other)
-        qs = self.modulus._qs_np
-        return FieldVector._raw(self.modulus, (self.data * other.data) % qs)
-
-    def sum(self) -> FieldElement:
-        if len(self) == 0:
-            return self.modulus.zero()
-        qs = self.modulus._qs_np[:, 0]
-        totals = self.data.sum(axis=1) % qs
-        return FieldElement(self.modulus, tuple(int(v) for v in totals))
 
     def lift_all(self) -> list[int]:
         return [e.lift() for e in self]

@@ -10,6 +10,11 @@ scheme exists here to be measured, not used.
 
 Its keys are evaluated by `dpf.eval_point` and `dpf.eval_all`, through
 `BoyleKey.row`.  `trivial_gen` additively shares the whole truth table.
+
+Both deal on arrays with the helpers `dpf.gen` uses: `boyle_gen` draws
+each row's seeds with `prg.sample_seeds` and builds its correction with
+`dpf._correction`, and `trivial_gen` completes its last table by the
+rule of `dpf._deal`.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldElement, FieldVector
-from .dpf import PointDescription, SchemeParams
+from .dpf import PointDescription, SchemeParams, _correction, check_eval_budget
 from .errors import GuardError, ParameterError
-from .prg import expand, sample_seed
+from .prg import expand, sample_seeds
 
 COLUMN_GUARD = 1 << 20
 
@@ -87,7 +92,7 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     point.validate(params)
     q = params.modulus.value
     parties = params.parties
-    target_row, target_col = divmod(point.alpha, params.cols)
+    target_row = point.alpha // params.cols
     count = boyle_column_count(params)
 
     # Every length-p vector summing to 0: row i is (head, tail) for the
@@ -99,23 +104,21 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     sum_one[:, 0] = (sum_one[:, 0] + 1) % q
 
     per_party_rows: list[list[tuple]] = [[] for _ in range(parties)]
-    total = FieldVector.zeros(params.modulus, params.cols)
+    total = np.zeros((1, params.cols), dtype=np.uint64)
     for row in range(params.rows):
         order = list(range(count))
         rng.shuffle(order)
         vectors = (sum_one if row == target_row else sum_zero)[order]
-        seeds = [sample_seed(params.lambda_bits, rng) for _ in range(count)]
+        seeds = sample_seeds(count, params.lambda_bits, rng)
         if row == target_row:
             for seed in seeds:
-                total = total + expand(seed, params.prg)
-        seeds = np.frombuffer(b"".join(seeds), dtype=np.uint8).reshape(count, -1)
+                total += expand(seed.tobytes(), params.prg).data
         for party in range(parties):
             held = np.flatnonzero(vectors[:, party])
             shares = vectors[held, party].astype(np.uint64)[None, :]
             per_party_rows[party].append((held.astype(np.uint32), seeds[held], shares))
 
-    unit = FieldVector.unit(params.modulus, params.cols, target_col, point.beta)
-    correction = unit - total
+    correction = _correction(total, count, point, params, prefix=False)
     return tuple(
         BoyleKey(party=party, params=params, rows=tuple(rows), correction=correction)
         for party, rows in enumerate(per_party_rows)
@@ -123,21 +126,22 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
 
 
 def trivial_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[TrivialKey, ...]:
-    """Additive sharing of the full truth table."""
+    """Additive sharing of the full truth table, refused past `dpf.EVAL_BUDGET`:
+    parties 0..p-2 get uniform tables, the last the truth minus their sum."""
     point.validate(params)
-    truth = FieldVector.unit(
-        params.modulus, params.domain_size, point.alpha, point.beta
-    )
+    check_eval_budget(params)
+    modulus = params.modulus
+    qs = modulus._qs_np
     tables = [
-        FieldVector.random(params.modulus, params.domain_size, rng)
+        FieldVector.random(modulus, params.domain_size, rng).data
         for _ in range(params.parties - 1)
     ]
-    rest = truth
-    for t in tables:
-        rest = rest - t
-    tables.append(rest)
+    truth = np.zeros((len(qs), params.domain_size), dtype=np.uint64)
+    truth[:, point.alpha] = point.beta.residues
+    tables.append((truth + (params.parties - 1) * qs - sum(tables)) % qs)
     return tuple(
-        TrivialKey(party=i, params=params, table=t) for i, t in enumerate(tables)
+        TrivialKey(party=i, params=params, table=FieldVector._raw(modulus, t))
+        for i, t in enumerate(tables)
     )
 
 

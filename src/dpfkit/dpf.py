@@ -33,6 +33,11 @@ stays masked as long as some (m+1)-subset avoids the coalition, that is,
 as long as the coalition has at most p-m-1 members.  This is the
 invariant `check_seed_coverage` checks; m < p/2 gives m <= p-m-1, so
 every coalition of at most m parties passes it.
+
+Dealing is on arrays.  `_gen_core` deals `gen` and `dcf_gen` keys with
+`_distinct_seeds`, `_deal` and `_correction`.  The baselines reuse
+`_correction` and `_deal`'s rule, and they and `simulate_coalition_view`
+draw seeds with `prg.sample_seeds`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .algebra import (
     random_residues,
 )
 from .errors import GuardError, HonestMajorityError, ParameterError
-from .prg import PrgSpec, expand, sample_seed
+from .prg import PrgSpec, expand, sample_seeds
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
@@ -252,11 +257,11 @@ def _distinct_seeds(params: SchemeParams, rng) -> np.ndarray:
     """A distinct non-zero seed for every (row, column) cell.
 
     Returns uint8 of shape (rows, columns, lambda/8).  Reads the stream as
-    one `sample_seed` call per candidate would: each read asks for exactly
-    the seeds still missing, and a candidate that is all zero or already
-    taken is skipped.  A read is split into seeds in one NumPy pass, and an
-    insertion-ordered dict keeps each seed where it first came up; the
-    all-zero seed is then dropped from it.
+    `prg.sample_seeds` does: each read asks for exactly the seeds still
+    missing, and a candidate that is all zero or already taken is skipped.
+    A read is split into seeds in one NumPy pass, and an insertion-ordered
+    dict keeps each seed where it first came up; the all-zero seed is then
+    dropped from it.
     """
     size = params.lambda_bits // 8
     want = params.rows * params.combo_count
@@ -286,6 +291,24 @@ def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
     shares = np.concatenate([drawn, last[:, :, None]], axis=2)
     assert (shares.sum(axis=2) % qs == secrets).all(), "sharing misses its secret"
     return shares
+
+
+def _correction(
+    total: np.ndarray, count: int, point: PointDescription, params: SchemeParams, prefix: bool
+) -> FieldVector:
+    """Beta on the target row's columns up to the target column (only at
+    it unless `prefix`) minus `total`, the unreduced sum of the target
+    row's `count` expansions.  Residues are below 2**31, so that sum
+    cannot wrap before 2**33 seeds, and it is below count * q: adding that
+    multiple of q first keeps the difference non-negative for one reduction.
+    """
+    qs = params.modulus._qs_np
+    target_col = point.alpha % params.cols
+    target = np.zeros((len(qs), params.cols), dtype=np.uint64)
+    first = 0 if prefix else target_col
+    target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
+    target += count * qs
+    return FieldVector._raw(params.modulus, (target - total) % qs)
 
 
 def _reduce(values: np.ndarray, qs: np.ndarray, scratch: np.ndarray) -> None:
@@ -340,9 +363,7 @@ def _gen_core(
 
     Each (row, column) cell gets a seed and an (m+1)-sharing of 1 on the
     target row and 0 elsewhere, split among the column subset's members
-    in ascending order.  The correction is beta on the target row's
-    columns up to the target column (only at it unless `prefix`) minus
-    the sum of that row's expanded seeds.
+    in ascending order.  The correction comes from `_correction`.
     """
     if not params.honest_majority:
         raise HonestMajorityError(
@@ -351,7 +372,7 @@ def _gen_core(
     point.validate(params)
     modulus = params.modulus
     factors = len(modulus.factors)
-    target_row, target_col = divmod(point.alpha, params.cols)
+    target_row = point.alpha // params.cols
     seeds = _distinct_seeds(params, rng)
     secrets = np.zeros((factors, params.rows, params.combo_count), dtype=np.uint64)
     secrets[:, target_row] = 1
@@ -359,18 +380,10 @@ def _gen_core(
     dealt = _deal(secrets.reshape(factors, -1), count, modulus, rng)
     dealt = dealt.reshape(*secrets.shape, count)
 
-    # Residues are below 2**31, so the sum cannot wrap before 2**33 seeds,
-    # and it stays below C(p, m+1) * q: adding that multiple of q before
-    # subtracting keeps the difference non-negative for one reduction.
-    qs = modulus._qs_np
     total = np.zeros((factors, params.cols), dtype=np.uint64)
     for seed in seeds[target_row]:
         total += expand(seed.tobytes(), params.prg).data
-    target = np.zeros((factors, params.cols), dtype=np.uint64)
-    first = 0 if prefix else target_col
-    target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
-    target += params.combo_count * qs
-    correction = FieldVector._raw(modulus, (target - total) % qs)
+    correction = _correction(total, params.combo_count, point, params, prefix)
 
     keys = []
     for party in range(params.parties):
@@ -456,7 +469,7 @@ def decode(shares: Sequence[FieldElement], expected_count: int | None = None) ->
 
 
 def check_eval_budget(params: SchemeParams) -> None:
-    """Refuse a full-domain output of more than EVAL_BUDGET bytes.
+    """Refuse a full-domain vector of more than EVAL_BUDGET bytes.
 
     A key header may declare N up to rows * cols, about the square of the
     key's size, so this is checked before anything of size N is allocated.
@@ -464,7 +477,7 @@ def check_eval_budget(params: SchemeParams) -> None:
     size = 8 * len(params.modulus.factors) * params.domain_size
     if size > EVAL_BUDGET:
         raise GuardError(
-            f"refusing full-domain evaluation: {size} bytes of output "
+            f"refusing a full-domain vector: {size} bytes of output "
             f"exceeds the budget of {EVAL_BUDGET}"
         )
 
@@ -515,9 +528,8 @@ def simulate_coalition_view(
     )
     seed_len = params.lambda_bits // 8
     seeds = np.zeros((params.rows, params.combo_count, seed_len), dtype=np.uint8)
-    for row in range(params.rows):
-        for j in visible:
-            seeds[row, j] = list(sample_seed(params.lambda_bits, rng))
+    drawn = sample_seeds(params.rows * len(visible), params.lambda_bits, rng)
+    seeds[:, visible] = drawn.reshape(params.rows, len(visible), seed_len)
 
     keys = []
     cells = params.rows * params.tuples_per_row

@@ -38,7 +38,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .algebra import FieldVector, Modulus
+from .algebra import FieldVector, Modulus, byte_words
 from .errors import InternalError, ParameterError
 
 PRG_SHAKE128 = 0
@@ -85,22 +85,13 @@ class PrgSpec:
 
 
 @lru_cache(maxsize=256)
-def _word_format(q: int) -> tuple[int, np.dtype, np.integer, np.integer, float]:
-    """Width, dtype (its own when NumPy has one), mask, q and acceptance
-    rate of factor q's candidate words; mask and q are dtype scalars."""
+def _word_format(q: int) -> tuple[int, np.integer, np.integer, float]:
+    """Width, mask, q and acceptance rate of factor q's candidate words;
+    mask and q are scalars of the dtype `byte_words` returns."""
     bits = (q - 1).bit_length()
     width = (bits + 7) // 8
-    dtype = np.dtype(f"<u{width}" if width in (1, 2, 4, 8) else np.uint64)
-    return width, dtype, dtype.type((1 << bits) - 1), dtype.type(q), q / (1 << bits)
-
-
-def _le_words(raw: bytes, width: int) -> np.ndarray:
-    """Split a byte string into little-endian uint64 words of `width` bytes."""
-    mat = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width).astype(np.uint64)
-    out = np.zeros(mat.shape[0], dtype=np.uint64)
-    for k in range(width):
-        out |= mat[:, k] << np.uint64(8 * k)
-    return out
+    dtype = byte_words(bytes(width), width, "<").dtype
+    return width, dtype.type((1 << bits) - 1), dtype.type(q), q / (1 << bits)
 
 
 def _stream(algorithm: int, seed: bytes, factor_index: int, length: int) -> bytes:
@@ -118,12 +109,12 @@ def _stream(algorithm: int, seed: bytes, factor_index: int, length: int) -> byte
 
 
 def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: int) -> np.ndarray:
-    """The first n accepted words of the stream, in `_word_format`'s dtype.
+    """The first n accepted words of the stream, in `byte_words`'s dtype.
 
     The words are used as they stand when the first n all pass; a prefix
     with fewer than n accepted words is doubled and squeezed again.
     """
-    width, dtype, mask, bound, accept = _word_format(q)
+    width, mask, bound, accept = _word_format(q)
     # The expected word count for n acceptances plus three standard deviations.
     words = ceil(n / accept + 3 * sqrt(n * (1 - accept)) / accept) + 8
     # Testing the first n words costs about as much as gathering 256.
@@ -131,8 +122,7 @@ def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: 
     cap = (n << 20) + (1 << 20)
     while True:
         raw = _stream(algorithm, seed, factor_index, words * width)
-        same = dtype.itemsize == width
-        candidates = (np.frombuffer(raw, dtype=dtype) if same else _le_words(raw, width)) & mask
+        candidates = byte_words(raw, width, "<") & mask
         if fast and candidates[:n].max() < bound:
             return candidates[:n]
         good = candidates.compress(candidates < bound)
@@ -167,19 +157,25 @@ def expand(seed: bytes, spec: PrgSpec) -> FieldVector:
     return FieldVector._raw(spec.modulus, arr)
 
 
-def sample_seed(lambda_bits: int, rng) -> bytes:
-    """Uniform non-zero seed of lambda_bits/8 bytes.
+def sample_seeds(count: int, lambda_bits: int, rng) -> np.ndarray:
+    """`count` uniform non-zero seeds of lambda_bits/8 bytes, as uint8 of
+    shape (count, lambda_bits/8).
 
     The all-zero string is reserved as the "absent seed" sentinel in
-    serialized keys and is resampled on the (negligible) chance it comes up.
+    serialized keys and is skipped on the (negligible) chance it comes up.
+    Reads the stream as one `rng.randbytes(lambda_bits/8)` call per
+    candidate would: each read asks for exactly the seeds still owed.
     """
     if lambda_bits % 8 != 0 or lambda_bits < 8:
         raise ParameterError(f"bad seed length {lambda_bits}")
-    n = lambda_bits // 8
-    while True:
-        s = rng.randbytes(n)
-        if any(s):
-            return s
+    size = lambda_bits // 8
+    out = [np.zeros((0, size), dtype=np.uint8)]
+    need = count
+    while need:
+        drawn = np.frombuffer(rng.randbytes(need * size), dtype=np.uint8).reshape(need, size)
+        out.append(drawn[drawn.any(axis=1)])
+        need -= len(out[-1])
+    return np.concatenate(out)
 
 
 class DeterministicRandomSource(random.Random):

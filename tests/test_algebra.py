@@ -158,7 +158,7 @@ class TestFieldElement:
 
     def test_is_zero(self):
         m = Modulus.from_int(6)
-        assert _is_zero(m.zero())
+        assert _is_zero(m.element(0))
         assert not _is_zero(m.one())
         assert _is_zero(m.element(6))
 
@@ -188,24 +188,6 @@ class TestFieldVector:
         a = FieldVector.random(m, 20, rng)
         b = FieldVector.random(m, 20, rng)
         assert (a + b).lift_all() == [(x + y) % m.value for x, y in zip(a.lift_all(), b.lift_all())]
-        assert (a - b).lift_all() == [(x - y) % m.value for x, y in zip(a.lift_all(), b.lift_all())]
-        assert (a * b).lift_all() == [(x * y) % m.value for x, y in zip(a.lift_all(), b.lift_all())]
-
-    def test_sum(self, rng):
-        m = Modulus.prime(97)
-        v = FieldVector.random(m, 31, rng)
-        assert v.sum().lift() == sum(v.lift_all()) % 97
-
-    def test_unit_vector(self):
-        m = Modulus.from_int(10)
-        v = FieldVector.unit(m, 5, 2, m.element(9))
-        assert v.lift_all() == [0, 0, 9, 0, 0]
-        with pytest.raises(ParameterError):
-            FieldVector.unit(m, 5, 5, m.element(1))
-
-    def test_zeros(self):
-        m = Modulus.from_int(6)
-        assert FieldVector.zeros(m, 4).lift_all() == [0, 0, 0, 0]
 
     def test_residues_out_of_range_rejected(self):
         m = Modulus.prime(5)
@@ -226,7 +208,7 @@ class TestFieldVector:
         a = FieldVector.random(m, 8, rng)
         b = FieldVector(m, a.data.copy())
         assert a == b
-        assert a != FieldVector.zeros(m, 8)
+        assert a != FieldVector(m, np.zeros((2, 8)))
 
 
 class TestCombinations:

@@ -161,7 +161,7 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
         params=params,
         seeds=np.ones((side, 2, 16), dtype=np.uint8),
         shares=np.zeros((1, side, 2), dtype=np.uint64),
-        correction=FieldVector.zeros(modulus, side),
+        correction=FieldVector(modulus, np.zeros((1, side))),
     )
     path = tmp_path / "huge.dpfk"
     write_key_file(path, key)
@@ -174,6 +174,24 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 4, err
     assert out == ""
     assert "exceeds the budget" in err
+
+
+def test_trivial_keygen_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
+    # Each table of N = 2**30 residues would take 8 GiB, twice the budget.
+    def drawn(*args, **kwargs):
+        raise AssertionError("a table was drawn past the budget")
+
+    monkeypatch.setattr(dpfkit.algebra.FieldVector, "random", drawn)
+    code, out, err = run(
+        capsys,
+        "keygen", "--scheme", "trivial", "--N", str(1 << 30), "--modulus", "7",
+        "--p", "3", "--m", "1", "--alpha", "0", "--beta", "1", "--seed", "x",
+        "--out-dir", str(tmp_path / "k"),
+    )
+    assert code == 4, err
+    assert out == ""
+    assert "exceeds the budget" in err
+    assert not (tmp_path / "k").exists()
 
 
 def test_evaluation_does_not_list_the_column_subsets(capsys, tmp_path):

@@ -85,7 +85,7 @@ def test_single_point_domain(rng):
 
 def test_zero_beta(rng):
     params = _params(3, 1, "5", 8)
-    keys = dcf_gen(PointDescription(3, params.modulus.zero()), params, rng)
+    keys = dcf_gen(PointDescription(3, params.modulus.element(0)), params, rng)
     assert _decode_all(keys, 8) == [0] * 8
 
 

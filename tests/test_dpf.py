@@ -161,7 +161,7 @@ def test_single_point_domain(rng):
 
 def test_zero_beta_shares_zero_function(rng):
     params = _make(3, 1, "5", 6)
-    keys = gen(PointDescription(2, params.modulus.zero()), params, rng)
+    keys = gen(PointDescription(2, params.modulus.element(0)), params, rng)
     assert _decode_all(keys, 6) == [0] * 6
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfkit import pir
-from dpfkit.algebra import FieldVector, Modulus, parse_modulus
+from dpfkit.algebra import FieldElement, FieldVector, Modulus, parse_modulus
 from dpfkit.dpf import SchemeParams, eval_all
 from dpfkit.errors import FormatError, ParameterError
 from dpfkit.keyfile import encode_vector
@@ -142,8 +142,11 @@ class TestQueryFlow:
 
 
 def _full_domain_answer(key, db):
-    """The reference answer: the inner product of the whole selector vector."""
-    return (eval_all(key) * db.entries).sum()
+    """The reference answer: the inner product of the whole selector vector,
+    in Python integers so that no product or sum can wrap."""
+    products = eval_all(key).data.astype(object) * db.entries.data.astype(object)
+    totals = products.sum(axis=1) % np.array(db.modulus.factors, dtype=object)
+    return FieldElement(db.modulus, tuple(int(v) for v in totals))
 
 
 @st.composite

@@ -20,7 +20,7 @@ from dpfkit.prg import (
     _stream,
     expand,
     expansion_count,
-    sample_seed,
+    sample_seeds,
 )
 
 SEED = bytes(range(1, 17))
@@ -257,17 +257,37 @@ class TestSpecValidation:
             expand("not bytes", spec)
 
 
-class TestSampleSeed:
-    def test_length_and_nonzero(self, rng):
-        for bits in (8, 64, 128, 256):
-            seed = sample_seed(bits, rng)
-            assert len(seed) == bits // 8
-            assert any(seed)
+def _seed_loop(count: int, lambda_bits: int, rng) -> tuple[list[bytes], int]:
+    """Reference: one read per candidate seed, all-zero candidates skipped.
+    Returns the seeds and the number skipped."""
+    seeds, skipped = [], 0
+    while len(seeds) < count:
+        seed = rng.randbytes(lambda_bits // 8)
+        if any(seed):
+            seeds.append(seed)
+        else:
+            skipped += 1
+    return seeds, skipped
 
-    def test_deterministic_under_seeded_rng(self):
-        a = sample_seed(128, DeterministicRandomSource("s"))
-        b = sample_seed(128, DeterministicRandomSource("s"))
-        assert a == b
+
+class TestSampleSeeds:
+    @pytest.mark.parametrize("bits", [8, 16, 128])
+    @pytest.mark.parametrize("count", [0, 1, 3000])
+    def test_reads_the_stream_like_one_read_per_seed(self, bits, count):
+        ref = DeterministicRandomSource(f"seeds/{bits}/{count}")
+        got = DeterministicRandomSource(f"seeds/{bits}/{count}")
+        want, skipped = _seed_loop(count, bits, ref)
+        out = sample_seeds(count, bits, got)
+        assert out.dtype == np.uint8 and out.shape == (count, bits // 8)
+        assert [seed.tobytes() for seed in out] == want
+        assert got.randbytes(32) == ref.randbytes(32)  # same bytes consumed
+        if bits == 8 and count == 3000:
+            assert skipped > 0  # all-zero candidates came up and were skipped
+
+    def test_rejects_bad_lambda(self, rng):
+        for bits in (0, 12):
+            with pytest.raises(ParameterError):
+                sample_seeds(1, bits, rng)
 
 
 RESIDUE_MODULI = [

@@ -1,5 +1,6 @@
 """Coalition views: seed coverage and indistinguishability structure."""
 
+import hashlib
 import itertools
 from collections import Counter
 from math import comb
@@ -16,7 +17,7 @@ from dpfkit.dpf import (
 )
 from dpfkit.errors import ParameterError
 from dpfkit.keyfile import key_to_bytes
-from dpfkit.prg import DeterministicRandomSource
+from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource
 
 
 def _params(parties, corrupted, modulus_text, domain, **kw):
@@ -52,7 +53,37 @@ class TestSeedCoverage:
             check_seed_coverage(5, 2, (0, 5))
 
 
+# sha256 over the key bytes of every view in SIMULATED_VIEW_SWEEP, captured
+# while the simulator still drew its seeds with one read per seed.
+SIMULATED_VIEW_DIGEST = "d5a4bc25e3fcbdc965f6acfde5bc0c0f7528c8fe1b244d0528b128d642363e1f"
+
+SIMULATED_VIEW_SWEEP = [
+    # parties, corrupted, modulus, grid, lambda bits, PRG tag; at 8 bits
+    # two of the three one-member views draw all-zero candidates among
+    # their 400 seeds, which the simulator skips.
+    (3, 1, "5", (200, 2), 8, PRG_SHAKE128),
+    (5, 2, "2*3*5*7", (6, 7), 16, PRG_TEST_LCG),
+    (7, 3, "2147483647", (3, 10), 128, PRG_SHAKE128),
+]
+
+
 class TestSimulatedView:
+    def test_view_bytes_are_pinned(self):
+        digest = hashlib.sha256()
+        for parties, corrupted, modulus, grid, bits, tag in SIMULATED_VIEW_SWEEP:
+            params = _params(
+                parties, corrupted, modulus, grid[0] * grid[1],
+                grid=grid, lambda_bits=bits, prg_algorithm=tag,
+            )
+            for size in range(corrupted + 1):
+                for coalition in itertools.combinations(range(parties), size):
+                    rng = DeterministicRandomSource(f"view/{parties}/{coalition}")
+                    view = simulate_coalition_view(params, coalition, rng)
+                    assert [key.party for key in view.keys] == list(coalition)
+                    for key in view.keys:
+                        digest.update(key_to_bytes(key))
+        assert digest.hexdigest() == SIMULATED_VIEW_DIGEST
+
     def test_coalition_bound_enforced(self):
         params = _params(5, 2, "7", 16)
         rng = DeterministicRandomSource("sim")

@@ -296,7 +296,7 @@ def test_codec_rejects_the_last_residue_out_of_range(modulus_text):
     modulus = parse_modulus(modulus_text)
     q = modulus.factors[-1]
     width = ((q - 1).bit_length() + 7) // 8
-    raw = encode_vector(FieldVector.zeros(modulus, 7))
+    raw = encode_vector(FieldVector(modulus, np.zeros((len(modulus.factors), 7))))
     bad = raw[:-width] + q.to_bytes(width, "little")
     with pytest.raises(FormatError, match="out of range"):
         decode_vector(bad, modulus, 7)
