@@ -24,11 +24,9 @@ from .baselines import (
     TrivialKey,
     boyle_column_count,
     boyle_gen,
-    trivial_eval,
-    trivial_eval_all,
     trivial_gen,
 )
-from .dcf import DcfKey, dcf_eval, dcf_eval_all, dcf_gen
+from .dcf import DcfKey, dcf_eval, dcf_gen
 from .dpf import (
     GRID_AUTO,
     GRID_SQUARE,
@@ -125,7 +123,6 @@ __all__ = [
     "choose_grid",
     "crossover_report",
     "dcf_eval",
-    "dcf_eval_all",
     "dcf_gen",
     "decode",
     "emit_figure",
@@ -155,8 +152,6 @@ __all__ = [
     "size_dcf",
     "size_ours",
     "size_trivial",
-    "trivial_eval",
-    "trivial_eval_all",
     "trivial_gen",
     "write_database",
     "write_key_file",

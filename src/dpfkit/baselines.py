@@ -8,8 +8,8 @@ columns, which is why its keys blow up exponentially in the party count;
 a hard guard refuses parameter sets past 2**20 columns because the
 scheme exists here to be measured, not used.
 
-Its keys are evaluated by `dpf.eval_point` and `dpf.eval_all`, through
-`BoyleKey.row`.  `trivial_gen` additively shares the whole truth table.
+`trivial_gen` additively shares the whole truth table.  Both schemes'
+keys are evaluated by `dpf`'s evaluators through their `row` methods.
 
 Both deal on arrays with the helpers `dpf.gen` uses: `boyle_gen` draws
 each row's seeds with `prg.sample_seeds` and builds its correction with
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FieldElement, FieldVector
-from .dpf import PointDescription, SchemeParams, _correction, check_eval_budget
+from .algebra import FieldVector
+from .dpf import PointDescription, Row, SchemeParams, _correction, check_eval_budget
 from .errors import GuardError, ParameterError
 from .prg import expand, sample_seeds
 
@@ -50,19 +50,32 @@ class BoyleKey:
     rows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     correction: FieldVector
 
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray, FieldVector | None]:
-        """The (seeds, shares, correction or None) that `dpf._combine_row` takes."""
+    def row(self, r: int) -> Row:
+        """The (seeds, shares, correction or None, None) that `dpf._combine_row` takes."""
         columns, seeds, shares = self.rows[r]
         # Column 0's share also multiplies the public correction vector.
         holds_first = columns.size > 0 and columns[0] == 0
-        return seeds, shares, self.correction if holds_first else None
+        return seeds, shares, self.correction if holds_first else None, None
 
 
 @dataclass(frozen=True)
 class TrivialKey:
+    """One additive share of the whole truth table, shape (factors, N)."""
+
     party: int
     params: SchemeParams
     table: FieldVector
+
+    def __post_init__(self) -> None:
+        params = self.params
+        if self.table.data.shape != (len(params.modulus.factors), params.domain_size):
+            raise ParameterError("table must have shape (factors, domain size)")
+
+    def row(self, r: int) -> Row:
+        """No seeds: the row's slice of the table is its whole share."""
+        cols, factors = self.params.cols, len(self.params.modulus.factors)
+        no_seeds = np.empty((0, 0), dtype=np.uint8), np.empty((factors, 0), dtype=np.uint64)
+        return *no_seeds, None, self.table.data[:, r * cols : (r + 1) * cols]
 
 
 def require_prime(modulus) -> None:
@@ -143,15 +156,3 @@ def trivial_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Tri
         TrivialKey(party=i, params=params, table=FieldVector._raw(modulus, t))
         for i, t in enumerate(tables)
     )
-
-
-def trivial_eval(key: TrivialKey, x: int) -> FieldElement:
-    if not 0 <= x < key.params.domain_size:
-        raise ParameterError(
-            f"input {x} outside domain [0, {key.params.domain_size})"
-        )
-    return key.table[x]
-
-
-def trivial_eval_all(key: TrivialKey) -> FieldVector:
-    return key.table

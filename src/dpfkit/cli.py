@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import baselines, dcf, dpf, keyfile, pir, sizing
-from .algebra import Modulus, parse_modulus
+from .algebra import FieldVector, Modulus, parse_modulus
 from .dpf import GRID_AUTO, GRID_SQUARE, PointDescription, SchemeParams
 from .errors import DpfError, FormatError, GuardError, ParameterError
 from .prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource
@@ -35,16 +35,6 @@ _SCHEME_GENERATORS = {
     "boyle15": baselines.boyle_gen,
     "trivial": baselines.trivial_gen,
     "dcf": dcf.dcf_gen,
-}
-
-# Key type -> (module, point evaluator, full-domain evaluator).  The
-# functions are looked up by name on each call, so a rebound module
-# attribute, such as a tracing wrapper, is the one that runs.
-_EVALUATORS = {
-    dpf.DpfKey: (dpf, "eval_point", "eval_all"),
-    dcf.DcfKey: (dcf, "dcf_eval", "dcf_eval_all"),
-    baselines.BoyleKey: (dpf, "eval_point", "eval_all"),
-    baselines.TrivialKey: (baselines, "trivial_eval", "trivial_eval_all"),
 }
 
 
@@ -101,19 +91,21 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_eval(args) -> int:
     key = keyfile.read_key_file(args.key)
-    module, point, _ = _EVALUATORS[type(key)]
-    print(getattr(module, point)(key, args.x).lift())
+    print(dpf.eval_point(key, args.x).lift())
     return EXIT_OK
 
 
 def _cmd_eval_all(args) -> int:
+    """Streams the key's rows: one row of shares is held at a time."""
     key = keyfile.read_key_file(args.key)
-    module, _, full_domain = _EVALUATORS[type(key)]
-    vector = getattr(module, full_domain)(key)
+    params = key.params
+    dpf.check_eval_budget(params)
+    blocks = (FieldVector._raw(params.modulus, shares) for _, shares in dpf.eval_rows(key))
     if args.out is None:
-        sys.stdout.write("\n".join(map(str, vector.lift_all())) + "\n")
+        for block in blocks:
+            sys.stdout.write("\n".join(map(str, block.lift_all())) + "\n")
         return EXIT_OK
-    pir.write_database(args.out, pir.Database(key.params.modulus, vector))
+    pir.write_blocks(args.out, params.domain_size, blocks)
     print(args.out)
     return EXIT_OK
 

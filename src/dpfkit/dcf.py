@@ -12,7 +12,8 @@ top of `dpf.gen`:
   row r sum to beta exactly when r lies strictly below the target row,
   which settles all comparisons across rows.
 
-Evaluation adds the row's output share to the usual row evaluation.
+Evaluation adds the row's output share to the usual row evaluation, as
+the offset that `DcfKey.row` hands to `dpf`'s evaluators.
 Privacy is unchanged: the extra shares are a fresh additive sharing per
 row (uniform for any proper subset of parties), and the prefix vector
 stays masked behind the same uncovered-column seed as before.
@@ -49,6 +50,12 @@ class DcfKey:
     def params(self) -> dpf.SchemeParams:
         return self.point_key.params
 
+    def row(self, r: int) -> dpf.Row:
+        """The point key's row, with this row's output share on every column."""
+        seeds, shares, correction, _ = self.point_key.row(r)
+        output = self.row_outputs.data[:, r : r + 1]
+        return seeds, shares, correction, np.broadcast_to(output, (len(output), self.params.cols))
+
 
 def dcf_gen(
     point: dpf.PointDescription, params: dpf.SchemeParams, rng
@@ -66,14 +73,4 @@ def dcf_gen(
 
 def dcf_eval(key: DcfKey, x: int) -> FieldElement:
     """This party's additive share of beta * [x <= alpha]."""
-    return dpf.eval_point(key.point_key, x) + key.row_outputs[x // key.params.cols]
-
-
-def dcf_eval_all(key: DcfKey) -> FieldVector:
-    """Shares for every domain point: `eval_all` plus each row's output share."""
-    params = key.params
-    dpf.check_eval_budget(params)
-    outputs = np.repeat(key.row_outputs.data, params.cols, axis=1)
-    return dpf.eval_all(key.point_key) + FieldVector._raw(
-        params.modulus, outputs[:, : params.domain_size]
-    )
+    return dpf.eval_point(key, x)

@@ -38,6 +38,11 @@ Dealing is on arrays.  `_gen_core` deals `gen` and `dcf_gen` keys with
 `_distinct_seeds`, `_deal` and `_correction`.  The baselines reuse
 `_correction` and `_deal`'s rule, and they and `simulate_coalition_view`
 draw seeds with `prg.sample_seeds`.
+
+One evaluator serves every scheme: each key's `row(r)` gives the row's
+seeds, shares, correction (for column 0's holders) and an offset (a DCF
+row output share, or a slice of a trivial key's table), and
+`_combine_row` under `eval_point`, `eval_rows` and `eval_all` sums them.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .prg import PrgSpec, expand, sample_seeds
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
 EVAL_BUDGET = 1 << 32  # bytes of uint64 residues one full-domain output may take
+Row = tuple[np.ndarray, np.ndarray, FieldVector | None, np.ndarray | None]  # see `_combine_row`
 
 
 def check_party_counts(parties: int, corrupted: int) -> None:
@@ -206,12 +212,13 @@ class DpfKey:
         if len(self.correction) != params.cols:
             raise ParameterError("correction length disagrees with grid")
 
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray, FieldVector | None]:
-        """The (seeds, shares, correction or None) that `_combine_row` takes."""
+    def row(self, r: int) -> Row:
+        """The (seeds, shares, correction or None, None) `_combine_row` takes."""
         # Column 0 is the subset {0, ..., m}; its members also multiply that
         # column's share into the public correction vector.
         holds_first = self.party <= self.params.corrupted
-        return self.seeds[r], self.shares[:, r], self.correction if holds_first else None
+        correction = self.correction if holds_first else None
+        return self.seeds[r], self.shares[:, r], correction, None
 
 
 @dataclass(frozen=True)
@@ -320,10 +327,11 @@ def _reduce(values: np.ndarray, qs: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _combine_row(
+    spec: PrgSpec,
     seeds: np.ndarray,
     shares: np.ndarray,
-    spec: PrgSpec,
     correction: FieldVector | None = None,
+    offset: np.ndarray | None = None,
     first: int = 0,
 ) -> np.ndarray:
     """One row's share vector on columns first..output_len-1.
@@ -331,9 +339,11 @@ def _combine_row(
     `seeds` is uint8 of shape (k, lambda/8) and `shares` uint64 of shape
     (factors, k); the result, of shape (factors, output_len - first), is
     sum_j shares[:, j] * G(seeds[j]), plus shares[:, 0] * correction when a
-    correction is given, over those columns only.
+    correction is given, plus `offset` (reduced residues, at least
+    output_len columns) when one is given, over those columns only.
     A product is at most (q-1)**2 for the largest factor q, so `period`
     of them fit in uint64 beside a reduced value; that is when to reduce.
+    The offset is added before the first reduction, in that value's place.
     """
     qs = spec.modulus._qs_np
     q = spec.modulus.factors[-1]
@@ -345,6 +355,8 @@ def _combine_row(
     if correction is not None:
         np.multiply(correction.data[:, first : spec.output_len], shares[:, 0], out=acc)
         pending = 1
+    if offset is not None:
+        acc += offset[:, first : spec.output_len]
     for j, seed in enumerate(seeds):
         if pending == period:
             _reduce(acc, qs, term)
@@ -406,23 +418,16 @@ def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...
     return _gen_core(point, params, rng, prefix=False)[0]
 
 
-def _eval_row(key, row: int) -> np.ndarray:
-    """This party's share vector for one grid row, shape (factors, cols)."""
-    seeds, shares, correction = key.row(row)
-    return _combine_row(seeds, shares, key.params.prg, correction)
-
-
 def eval_point(key, x: int) -> FieldElement:
-    """This party's additive share of f(x); `key` is a DpfKey or a BoyleKey."""
+    """This party's additive share of f(x), for a key of any scheme."""
     params = key.params
     if not 0 <= x < params.domain_size:
         raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
     row, col = divmod(x, params.cols)
     # Expansions are prefix-stable, so the row's first col+1 entries suffice,
     # and only column col of them is combined.
-    seeds, shares, correction = key.row(row)
     spec = replace(params.prg, output_len=col + 1)
-    data = _combine_row(seeds, shares, spec, correction, first=col)
+    data = _combine_row(spec, *key.row(row), first=col)
     return FieldElement(params.modulus, tuple(int(v) for v in data[:, 0]))
 
 
@@ -430,19 +435,21 @@ def eval_rows(key) -> Iterator[tuple[int, np.ndarray]]:
     """This party's shares row by row: (start, shares) for every used row.
 
     `shares` is the row's reduced (factors, width) block for domain points
-    start .. start+width-1; the last row is trimmed to the domain.  Each
-    held seed is expanded exactly once, and only one row is held at a time.
+    start .. start+width-1; the last row stops at the domain's end, and
+    only that prefix of it is expanded.  Each held seed is expanded
+    exactly once, and only one row is held at a time.
     """
     params = key.params
     for row in range(params.used_rows()):
         start = row * params.cols
-        yield start, _eval_row(key, row)[:, : params.domain_size - start]
+        spec = replace(params.prg, output_len=min(params.cols, params.domain_size - start))
+        yield start, _combine_row(spec, *key.row(row))
 
 
 def eval_all(key) -> FieldVector:
     """Shares for every domain point, expanding each held seed exactly once.
 
-    `key` is a DpfKey or a BoyleKey.  Only rows that contain domain points
+    Serves a key of any scheme.  Only rows that contain domain points
     are evaluated, so a DpfKey costs used_rows() * C(parties-1, corrupted)
     expansions; with an auto grid used_rows() equals the row count.
     """

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from random import Random
+from typing import Iterable
 
 import numpy as np
 
@@ -45,10 +46,16 @@ class Database:
         return len(self.entries)
 
 
-def write_database(path, db: Database) -> None:
-    payload = _COUNT.pack(len(db)) + keyfile.encode_vector(db.entries)
+def write_blocks(path, count: int, blocks: Iterable[FieldVector]) -> None:
+    """Write `count` entries, given in `blocks`; a failing block leaves a short file."""
     with open(path, "wb") as fh:
-        fh.write(payload)
+        fh.write(_COUNT.pack(count))
+        for block in blocks:
+            fh.write(keyfile.encode_vector(block))
+
+
+def write_database(path, db: Database) -> None:
+    write_blocks(path, len(db), [db.entries])
 
 
 def read_database(path, modulus: Modulus) -> Database:

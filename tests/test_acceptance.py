@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
-from dpfkit.baselines import boyle_gen, trivial_eval, trivial_gen
+from dpfkit.baselines import boyle_gen, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
 from dpfkit.dpf import (
     PointDescription,
@@ -388,12 +388,7 @@ def test_criterion_09_serialization_stability(tmp_path):
         back = read_key_file(path)
         assert key_to_bytes(back) == blobs[0][0]
 
-        if scheme == "dcf":
-            evaluate = dcf_eval
-        elif scheme == "trivial":
-            evaluate = trivial_eval
-        else:
-            evaluate = eval_point
+        evaluate = dcf_eval if scheme == "dcf" else eval_point
         originals = generator(
             point, params, DeterministicRandomSource(f"criterion-9-{scheme}")
         )

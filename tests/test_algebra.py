@@ -3,7 +3,7 @@
 import itertools
 import random
 import time
-from math import comb, isqrt, prod
+from math import comb, isqrt
 
 import numpy as np
 import pytest

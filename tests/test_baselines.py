@@ -1,19 +1,17 @@
 """Full-enumeration and truth-table reference schemes."""
 
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from dpfkit.algebra import Modulus, parse_modulus
+from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 from dpfkit.baselines import (
-    COLUMN_GUARD,
+    TrivialKey,
     boyle_column_count,
     boyle_gen,
     check_guard,
     require_prime,
-    trivial_eval,
     trivial_gen,
 )
 from dpfkit.dpf import PointDescription, SchemeParams, decode, eval_point
@@ -160,13 +158,23 @@ class TestTrivial:
         beta = params.modulus.element(rng.randrange(1, params.modulus.value))
         keys = trivial_gen(PointDescription(4, beta), params, rng)
         expected = [beta.lift() if x == 4 else 0 for x in range(n)]
-        assert _decode_all(keys, trivial_eval, n) == expected
+        assert _decode_all(keys, eval_point, n) == expected
 
     def test_table_length_is_domain(self, rng):
         params = _params(4, 1, "5", 7)
         keys = trivial_gen(PointDescription(0, params.modulus.one()), params, rng)
         for key in keys:
             assert len(key.table) == 7
+
+    @pytest.mark.parametrize("length", [6, 8])
+    def test_table_of_another_length_is_refused(self, rng, length):
+        # Evaluation slices the table row by row, so a short table would
+        # otherwise read as zeros past its end.
+        params = _params(3, 1, "5", 7)
+        key = trivial_gen(PointDescription(0, params.modulus.one()), params, rng)[0]
+        table = np.resize(key.table.data, (1, length))
+        with pytest.raises(ParameterError, match="table must have shape"):
+            TrivialKey(key.party, params, FieldVector._raw(params.modulus, table))
 
     def test_single_table_is_not_the_function(self, rng):
         params = _params(3, 1, "257", 16)
@@ -178,4 +186,4 @@ class TestTrivial:
         params = _params(3, 1, "5", 4)
         keys = trivial_gen(PointDescription(0, params.modulus.one()), params, rng)
         with pytest.raises(ParameterError):
-            trivial_eval(keys[0], 4)
+            eval_point(keys[0], 4)

@@ -2,10 +2,11 @@
 
 The digest covers, per configuration, every party's serialized key, its
 re-serialization after a decode and the decoded key's full-domain
-evaluation, plus three point evaluations of party 0's decoded key.  Each
-key is evaluated through the CLI's dispatch table, so the digest pins
-what `dpfkit eval` and `dpfkit eval-all` compute.  A refactor that
-changes any output bit of any scheme changes the digest.
+evaluation, plus three point evaluations of party 0's decoded key.  Keys
+of every scheme are evaluated by `dpf.eval_all` and `dpf.eval_point`;
+`dpfkit eval` calls the second, and `dpfkit eval-all` streams the rows
+the first joins, so the digest pins what both commands compute.  A
+refactor that changes any output bit of any scheme changes the digest.
 
 Skipped configurations: ours and dcf when m >= p/2 (generation refuses
 them), boyle15 over composite moduli (refused), and, to keep the suite
@@ -18,7 +19,6 @@ import itertools
 
 from dpfkit import baselines, dcf, dpf, sizing
 from dpfkit.algebra import parse_modulus
-from dpfkit.cli import _EVALUATORS
 from dpfkit.dpf import PointDescription, SchemeParams
 from dpfkit.keyfile import key_from_bytes, key_to_bytes
 from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource
@@ -69,11 +69,10 @@ def _hash_config(digest, scheme, p, m, modulus, n, tag) -> None:
         back = key_from_bytes(blob)
         digest.update(blob)
         digest.update(key_to_bytes(back))
-        module, point_eval, full_domain = _EVALUATORS[type(back)]
-        digest.update(getattr(module, full_domain)(back).data.tobytes())
+        digest.update(dpf.eval_all(back).data.tobytes())
         if back.party == 0:
             for x in (0, point.alpha, n - 1):
-                share = getattr(module, point_eval)(back, x)
+                share = dpf.eval_point(back, x)
                 digest.update(repr(share.residues).encode())
 
 

@@ -1,16 +1,19 @@
 """Command-line behavior: round trips, determinism, exit codes, output."""
 
+import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dpfkit
+from dpfkit import baselines, dcf, dpf
 from dpfkit.cli import main
-from dpfkit.dpf import DpfKey, SchemeParams, eval_all, eval_point
+from dpfkit.dpf import DpfKey, PointDescription, SchemeParams, eval_all, eval_point
 from dpfkit.errors import FormatError, GuardError
 from dpfkit.keyfile import (
     _pack_header,
@@ -19,7 +22,7 @@ from dpfkit.keyfile import (
     key_to_bytes,
     write_key_file,
 )
-from dpfkit.prg import expand
+from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource, expand
 from dpfkit.pir import Database, write_database
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 
@@ -294,7 +297,7 @@ def test_out_of_memory_exit_code(capsys, tmp_path, monkeypatch):
     def out_of_memory(key):
         raise MemoryError()
 
-    monkeypatch.setattr(dpfkit.dpf, "eval_all", out_of_memory)
+    monkeypatch.setattr(dpfkit.dpf, "eval_rows", out_of_memory)
     code, out, err = run(capsys, "eval-all", "--key", str(out_dir / "key_0.dpfk"))
     assert code == 5
     assert out == ""
@@ -308,7 +311,7 @@ def test_unexpected_exception_exit_code(capsys, tmp_path, monkeypatch):
     def broken(key):
         raise RuntimeError("evaluator broke")
 
-    monkeypatch.setattr(dpfkit.dpf, "eval_all", broken)
+    monkeypatch.setattr(dpfkit.dpf, "eval_rows", broken)
     code, out, err = run(capsys, "eval-all", "--key", str(out_dir / "key_0.dpfk"))
     assert code == 5
     assert out == ""
@@ -340,6 +343,81 @@ def test_eval_all_stdout_and_file(capsys, tmp_path, scheme):
 
     back = read_database(share_file, parse_modulus("5"))
     assert back.entries.lift_all() == stdout_values
+
+
+GENERATORS = {
+    "ours": dpf.gen,
+    "dcf": dcf.dcf_gen,
+    "boyle15": baselines.boyle_gen,
+    "trivial": baselines.trivial_gen,
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(GENERATORS))
+@pytest.mark.parametrize("prg_algorithm", [PRG_SHAKE128, PRG_TEST_LCG])
+@pytest.mark.parametrize("domain,grid", [
+    (1, (1, 1)),  # one point
+    (5, (1, 8)),  # fewer points than columns
+    (7, (3, 3)),  # a last row of one point
+])
+def test_eval_all_streams_what_eval_all_returns(
+    capsys, tmp_path, scheme, prg_algorithm, domain, grid
+):
+    modulus = parse_modulus("7" if scheme == "boyle15" else "2*3*5*7")
+    params = SchemeParams.create(3, 1, modulus, domain, grid=grid, prg_algorithm=prg_algorithm)
+    point = PointDescription(domain // 2, modulus.element(6))
+    rng = DeterministicRandomSource(f"stream-{scheme}-{domain}")
+    for key in GENERATORS[scheme](point, params, rng):
+        path = tmp_path / f"key_{key.party}.dpfk"
+        write_key_file(path, key)
+        vector = eval_all(key)
+        code, out, err = run(capsys, "eval-all", "--key", str(path))
+        assert code == 0, err
+        assert out == "\n".join(map(str, vector.lift_all())) + "\n"
+
+        streamed, whole = tmp_path / "streamed.bin", tmp_path / "whole.bin"
+        code, out, err = run(capsys, "eval-all", "--key", str(path), "--out", str(streamed))
+        assert (code, out) == (0, f"{streamed}\n"), err
+        write_database(whole, Database(modulus, vector))
+        assert streamed.read_bytes() == whole.read_bytes()
+
+
+class _Sink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("scheme", ["ours", "dcf"])
+def test_eval_all_holds_less_than_one_full_domain_output(tmp_path, scheme):
+    # An output of 2**16 uint64 residues takes 512 KiB; the key takes about
+    # 10 KB, so a streamed eval-all holds far less than the output.
+    domain = 1 << 16
+    modulus = parse_modulus("2147483647")
+    params = SchemeParams.create(3, 1, modulus, domain)
+    point = PointDescription(12345, modulus.element(5))
+    key = GENERATORS[scheme](point, params, DeterministicRandomSource("memory"))[1]
+    path = tmp_path / "key.dpfk"
+    write_key_file(path, key)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["eval-all", "--key", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 2 * domain
+    assert peak < 8 * len(modulus.factors) * domain
 
 
 def test_inspect_fields(capsys, tmp_path):

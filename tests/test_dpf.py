@@ -1,6 +1,5 @@
 """Key generation, evaluation, and decoding of the compact point scheme."""
 
-import itertools
 from math import comb
 
 import numpy as np
@@ -10,13 +9,8 @@ from hypothesis import strategies as st
 
 from dpfkit import dpf
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
-from dpfkit.baselines import (
-    boyle_gen,
-    trivial_eval,
-    trivial_eval_all,
-    trivial_gen,
-)
-from dpfkit.dcf import dcf_eval, dcf_eval_all, dcf_gen
+from dpfkit.baselines import boyle_gen, trivial_gen
+from dpfkit.dcf import dcf_gen
 from dpfkit.dpf import (
     GRID_SQUARE,
     DpfKey,
@@ -191,9 +185,9 @@ def test_full_domain_evaluator_matches_pointwise(
 ):
     gen_fn, eval_fn, eval_all_fn = {
         "ours": (gen, eval_point, eval_all),
-        "dcf": (dcf_gen, dcf_eval, dcf_eval_all),
+        "dcf": (dcf_gen, eval_point, eval_all),
         "boyle15": (boyle_gen, eval_point, eval_all),
-        "trivial": (trivial_gen, trivial_eval, trivial_eval_all),
+        "trivial": (trivial_gen, eval_point, eval_all),
     }[scheme]
     params = _make(parties, corrupted, modulus_text, domain, grid=grid)
     keys = gen_fn(PointDescription(domain // 2, params.modulus.element(23)), params, rng)
@@ -205,12 +199,14 @@ def test_full_domain_evaluator_matches_pointwise(
 @pytest.mark.parametrize("modulus_text", ["2147483647", "2*2147483647", "2*3*5*7"])
 @pytest.mark.parametrize("seed_count", [1, 4, 5, 9, 13])
 @pytest.mark.parametrize("with_correction", [False, True])
+@pytest.mark.parametrize("with_offset", [False, True])
 def test_combine_row_matches_per_term_reduction_at_the_largest_residues(
-    monkeypatch, modulus_text, seed_count, with_correction
+    monkeypatch, modulus_text, seed_count, with_correction, with_offset
 ):
-    # Every share, expanded residue and correction entry is q-1, so each
-    # product is the largest there is: summing one more product than the
-    # reduction period allows wraps uint64 and changes the result.
+    # Every share, expanded residue, correction and offset entry is q-1, so
+    # each product is the largest there is: summing one more product than
+    # the reduction period allows wraps uint64 and changes the result.  The
+    # offset takes the place of the reduced value the period leaves room for.
     modulus = parse_modulus(modulus_text)
     top = np.array([[q - 1] for q in modulus.factors], dtype=np.uint64)
 
@@ -220,17 +216,19 @@ def test_combine_row_matches_per_term_reduction_at_the_largest_residues(
     monkeypatch.setattr(dpf, "expand", largest_residues)
     spec = PrgSpec(PRG_SHAKE128, 128, 3, modulus)
     correction = largest_residues(None, spec) if with_correction else None
+    offset = largest_residues(None, spec).data if with_offset else None
     seeds = np.ones((seed_count, 16), dtype=np.uint8)
     shares = np.repeat(top, seed_count, axis=1)
     expected = []
     for q in modulus.factors:
         acc = (q - 1) * (q - 1) % q if with_correction else 0
+        acc = (acc + q - 1) % q if with_offset else acc
         for _ in range(seed_count):
             acc = (acc + (q - 1) * (q - 1)) % q
         expected.append(acc)
-    whole = _combine_row(seeds, shares, spec, correction)
+    whole = _combine_row(spec, seeds, shares, correction, offset)
     for first in (0, 1, 2):
-        got = _combine_row(seeds, shares, spec, correction, first=first)
+        got = _combine_row(spec, seeds, shares, correction, offset, first=first)
         assert got.tolist() == [[acc] * (3 - first) for acc in expected]
         assert got.tolist() == whole[:, first:].tolist()
 
@@ -242,9 +240,8 @@ def test_combine_row_columns_from_first_match_the_whole_row(rng, first):
     keys = gen(PointDescription(21, params.modulus.element(23)), params, rng)
     for key in keys:
         for row in (0, 2, 7):
-            seeds, shares, correction = key.row(row)
-            whole = _combine_row(seeds, shares, params.prg, correction)
-            part = _combine_row(seeds, shares, params.prg, correction, first=first)
+            whole = _combine_row(params.prg, *key.row(row))
+            part = _combine_row(params.prg, *key.row(row), first=first)
             assert part.tolist() == whole[:, first:].tolist()
 
 
@@ -278,9 +275,31 @@ def test_eval_rows_cover_the_domain_once_and_trim_the_last_row(rng, domain, grid
     assert joined.tolist() == eval_all(key).data.tolist()
 
 
+@pytest.mark.parametrize("scheme", ["ours", "dcf", "boyle15", "trivial"])
+def test_rows_are_combined_only_up_to_the_domain(monkeypatch, rng, scheme):
+    # A header may declare far more columns than the domain has points; a
+    # trivial key's table then covers only the first few.  No row may be
+    # combined past the domain's end.
+    gen_fn = {"ours": gen, "dcf": dcf_gen, "boyle15": boyle_gen, "trivial": trivial_gen}[scheme]
+    params = _make(3, 1, "5", 3, grid=(1, 4096))
+    lengths = []
+
+    def recording_combine(spec, *args, **kwargs):
+        lengths.append(spec.output_len)
+        return _combine_row(spec, *args, **kwargs)
+
+    monkeypatch.setattr(dpf, "_combine_row", recording_combine)
+    for key in gen_fn(PointDescription(1, params.modulus.element(4)), params, rng):
+        lengths.clear()
+        rows = list(eval_rows(key))
+        assert lengths == [3]
+        assert [shares.shape for _, shares in rows] == [(1, 3)]
+        assert eval_all(key).lift_all() == [eval_point(key, x).lift() for x in range(3)]
+
+
 @pytest.mark.parametrize("scheme", ["ours", "dcf"])
 def test_full_domain_output_over_the_budget_is_refused(monkeypatch, rng, scheme):
-    gen_fn, eval_all_fn = {"ours": (gen, eval_all), "dcf": (dcf_gen, dcf_eval_all)}[scheme]
+    gen_fn, eval_all_fn = {"ours": (gen, eval_all), "dcf": (dcf_gen, eval_all)}[scheme]
     params = _make(3, 1, "2*3*5*7", 40, grid=(5, 9))
     key = gen_fn(PointDescription(17, params.modulus.element(23)), params, rng)[0]
     size = 8 * 4 * 40

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 from collections import Counter
-from math import comb
 
 import pytest
 

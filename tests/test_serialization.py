@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfkit.algebra import FieldVector, Modulus, parse_modulus
-from dpfkit.baselines import boyle_gen, check_guard, trivial_eval, trivial_gen
+from dpfkit.algebra import FieldVector, parse_modulus
+from dpfkit.baselines import boyle_gen, check_guard, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
 from dpfkit.dpf import PointDescription, SchemeParams, eval_point, gen
 from dpfkit.errors import FormatError, GuardError

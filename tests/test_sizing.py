@@ -1,6 +1,5 @@
 """Analytic size models, formula evaluation, and figure datasets."""
 
-import math
 from math import comb
 
 import pytest
