@@ -211,9 +211,10 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     word is below f << (8*ceil(k/8) - k), so only accepted words are
     shifted.  With one factor every read is a whole number of attempts and
     a round is one `compress` over the read's words.  With several, each
-    attempt costs one lookup: in its factor's table of 256 outcomes when
-    every word is one byte, else a compare against its factor's bound,
-    carrying a partial attempt at the end of a read into the next.
+    attempt costs one compare against its factor's bound.  When every word
+    is one byte the accepted bytes are kept whole and shifted in one NumPy
+    pass at the end; otherwise each accepted word is shifted as it comes,
+    and a partial attempt at the end of a read is carried into the next.
     """
     factors = modulus.factors
     nf = len(factors)
@@ -230,37 +231,35 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
             need -= len(out[-1])
         return np.concatenate(out)[None, :]
     total = count * nf
+    if max(widths) == 1:
+        kept = bytearray()
+        keep = kept.append
+        limits = cycle(bounds)
+        bound = next(limits)
+        while len(kept) < total:
+            for b in rng.randbytes(total - len(kept)):
+                if b < bound:
+                    keep(b)
+                    bound = next(limits)
+        words = np.frombuffer(kept, dtype=np.uint8).reshape(count, nf)
+        return (words >> np.array(shifts, dtype=np.uint8)).T.astype(np.uint64)
     drawn: list[int] = []
     append = drawn.append
-    if max(widths) == 1:
-        # Byte b yields b >> shift when b < bound, and -1 (rejected) otherwise.
-        tables = cycle([
-            [v for v in range(q) for _ in range(1 << s)] + [-1] * (256 - bound)
-            for q, s, bound in zip(factors, shifts, bounds)
-        ])
-        table = next(tables)
-        while len(drawn) < total:
-            for b in rng.randbytes(total - len(drawn)):
-                value = table[b]
-                if value >= 0:
-                    append(value)
-                    table = next(tables)
-    else:
-        specs = cycle(zip(widths, bounds, shifts))
-        width, bound, shift = next(specs)
-        carry = b""
-        while len(drawn) < total:
-            cycles, extra = divmod(total - len(drawn), nf)
-            owed = cycles * sum(widths) + sum(widths[(len(drawn) + j) % nf] for j in range(extra))
-            blob = carry + rng.randbytes(owed - len(carry))
-            pos, size = 0, len(blob)
-            while pos + width <= size:
-                word = blob[pos] if width == 1 else int.from_bytes(blob[pos : pos + width], "big")
-                pos += width
-                if word < bound:
-                    append(word >> shift)
-                    width, bound, shift = next(specs)
-            carry = blob[pos:]
+    specs = cycle(zip(widths, bounds, shifts))
+    width, bound, shift = next(specs)
+    carry = b""
+    while len(drawn) < total:
+        cycles, extra = divmod(total - len(drawn), nf)
+        owed = cycles * sum(widths) + sum(widths[(len(drawn) + j) % nf] for j in range(extra))
+        blob = carry + rng.randbytes(owed - len(carry))
+        pos, size = 0, len(blob)
+        while pos + width <= size:
+            word = blob[pos] if width == 1 else int.from_bytes(blob[pos : pos + width], "big")
+            pos += width
+            if word < bound:
+                append(word >> shift)
+                width, bound, shift = next(specs)
+        carry = blob[pos:]
     return np.array(drawn, dtype=np.uint64).reshape(count, nf).T
 
 

@@ -294,9 +294,9 @@ def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
     n = secrets.shape[1]
     drawn = random_residues(modulus, n * (count - 1), rng)
     drawn = drawn.reshape(len(modulus.factors), n, count - 1)
-    last = (secrets + (count - 1) * qs - drawn.sum(axis=2)) % qs
+    last = (secrets + (count - 1) * qs - np.einsum("fnc->fn", drawn)) % qs
     shares = np.concatenate([drawn, last[:, :, None]], axis=2)
-    assert (shares.sum(axis=2) % qs == secrets).all(), "sharing misses its secret"
+    assert (np.einsum("fnc->fn", shares) % qs == secrets).all(), "sharing misses its secret"
     return shares
 
 
@@ -306,16 +306,16 @@ def _correction(
     """Beta on the target row's columns up to the target column (only at
     it unless `prefix`) minus `total`, the unreduced sum of the target
     row's `count` expansions.  Residues are below 2**31, so that sum
-    cannot wrap before 2**33 seeds, and it is below count * q: adding that
-    multiple of q first keeps the difference non-negative for one reduction.
+    cannot wrap before 2**33 seeds, and it is below count * q: so
+    count * q - total + beta is non-negative, and one `_reduce` ends it.
     """
     qs = params.modulus._qs_np
     target_col = point.alpha % params.cols
-    target = np.zeros((len(qs), params.cols), dtype=np.uint64)
     first = 0 if prefix else target_col
-    target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
-    target += count * qs
-    return FieldVector._raw(params.modulus, (target - total) % qs)
+    out = count * qs - total
+    out[:, first : target_col + 1] += np.array(point.beta.residues, dtype=np.uint64)[:, None]
+    _reduce(out, qs, np.empty_like(out))
+    return FieldVector._raw(params.modulus, out)
 
 
 def _reduce(values: np.ndarray, qs: np.ndarray, scratch: np.ndarray) -> None:
@@ -469,10 +469,7 @@ def decode(shares: Sequence[FieldElement], expected_count: int | None = None) ->
         raise ParameterError(
             f"expected {expected_count} shares, got {len(shares)}"
         )
-    total = shares[0]
-    for s in shares[1:]:
-        total = total + s
-    return total
+    return sum(shares[1:], shares[0])
 
 
 def check_eval_budget(params: SchemeParams) -> None:

@@ -111,11 +111,9 @@ def _pack_header(scheme: int, party: int, params: dpf.SchemeParams) -> bytes:
         params.rows,
         params.cols,
     )
-    parts = [head, bytes([len(params.modulus.factors)])]
-    for q in params.modulus.factors:
-        parts.append(_FACTOR.pack(q))
-    parts.append(_PRG.pack(params.prg_algorithm, params.lambda_bits, params.cols))
-    return b"".join(parts)
+    factors = b"".join(_FACTOR.pack(q) for q in params.modulus.factors)
+    prg_field = _PRG.pack(params.prg_algorithm, params.lambda_bits, params.cols)
+    return head + bytes([len(params.modulus.factors)]) + factors + prg_field
 
 
 def header_size(modulus: Modulus) -> int:
@@ -278,6 +276,11 @@ def _decode_trivial(
     reader: _Reader, params: dpf.SchemeParams, party: int
 ) -> baselines.TrivialKey:
     table = _take_vector(reader, params.modulus, params.domain_size)
+    # Only the auto and square grids: evaluation pays a Python step per row.
+    args = params.domain_size, params.parties, params.corrupted, params.lambda_bits, params.modulus
+    grids = [dpf.choose_grid(*args, mode) for mode in (dpf.GRID_AUTO, dpf.GRID_SQUARE)]
+    if (params.rows, params.cols) not in grids:
+        raise FormatError(f"trivial key grid {params.rows}x{params.cols} is neither of {grids}")
     return baselines.TrivialKey(party, params, table)
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,42 @@ def test_trivial_keygen_over_the_budget_exit_code(capsys, tmp_path, monkeypatch)
     assert not (tmp_path / "k").exists()
 
 
+def test_trivial_key_off_the_chosen_grids_is_refused(capsys, tmp_path):
+    # A 10**5 x 1 grid makes every row walk pay 10**5 Python row steps,
+    # about 700x the auto grid's cost; such a file is malformed (exit 3).
+    modulus = parse_modulus("7")
+    params = SchemeParams.create(3, 1, modulus, 10 ** 5, grid=(10 ** 5, 1))
+    point = PointDescription(5, modulus.element(3))
+    key = baselines.trivial_gen(point, params, DeterministicRandomSource("narrow"))[0]
+    path = tmp_path / "narrow.dpfk"
+    write_key_file(path, key)
+    for argv in (["eval", "--key", str(path), "--x", "5"], ["eval-all", "--key", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), err
+        assert "trivial key grid 100000x1" in err
+
+    # A huge declared domain is refused by the body-length check first.
+    huge = replace(params, domain_size=1 << 40, rows=1 << 9, cols=1 << 31)
+    blob = _pack_header(3, 0, huge) + bytes(100)
+    path.write_bytes(blob)
+    code, out, err = run(capsys, "eval", "--key", str(path), "--x", "0")
+    assert (code, out) == (3, "") and "truncated" in err
+
+
+@pytest.mark.parametrize("grid", ["auto", "square"])
+def test_cli_written_trivial_keys_parse_and_evaluate(capsys, tmp_path, grid):
+    out_dir, _ = keygen(
+        capsys, tmp_path, "--seed", "g", "--grid", grid, scheme="trivial", n=10, alpha=6
+    )
+    total = 0
+    for party in range(3):
+        path = str(out_dir / f"key_{party}.dpfk")
+        code, out, err = run(capsys, "eval-all", "--key", path)
+        assert code == 0, err
+        total += int(out.split()[6])
+    assert total % 5 == 3
+
+
 def test_evaluation_does_not_list_the_column_subsets(capsys, tmp_path):
     # A 16 KB key whose header declares p = 8001, m = 1: listing the
     # C(8001, 2) = 32 million column subsets would take gigabytes, but
@@ -367,11 +404,19 @@ def test_eval_all_streams_what_eval_all_returns(
     params = SchemeParams.create(3, 1, modulus, domain, grid=grid, prg_algorithm=prg_algorithm)
     point = PointDescription(domain // 2, modulus.element(6))
     rng = DeterministicRandomSource(f"stream-{scheme}-{domain}")
+    # A trivial key file must be on the auto or square grid; (1, 8) for
+    # N = 5 is neither, so its files are refused as malformed.
+    refused = scheme == "trivial" and grid not in [
+        dpf.choose_grid(domain, 3, 1, 128, modulus, mode) for mode in ("auto", "square")
+    ]
     for key in GENERATORS[scheme](point, params, rng):
         path = tmp_path / f"key_{key.party}.dpfk"
         write_key_file(path, key)
         vector = eval_all(key)
         code, out, err = run(capsys, "eval-all", "--key", str(path))
+        if refused:
+            assert (code, out) == (3, "") and "trivial key grid 1x8" in err
+            continue
         assert code == 0, err
         assert out == "\n".join(map(str, vector.lift_all())) + "\n"
 

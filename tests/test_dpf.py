@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dpfkit import dpf
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
-from dpfkit.baselines import boyle_gen, trivial_gen
+from dpfkit.baselines import COLUMN_GUARD, boyle_gen, trivial_gen
 from dpfkit.dcf import dcf_gen
 from dpfkit.dpf import (
     GRID_SQUARE,
@@ -131,6 +131,70 @@ class TestSharing:
                 k.shares[:, :, params.member_columns(k.party).index(j)] for k in holders
             )
             assert np.array_equal(total % params.modulus._qs_np, expected)
+
+
+WIDE_MODULI = ["2*3*5*7", "2147483647", "65521*65537*2147483647"]
+
+
+def _remainder_correction(total, count, point, params, prefix):
+    """Reference: `_correction` as the uint64 `%` formula it replaced."""
+    qs = params.modulus._qs_np
+    target_col = point.alpha % params.cols
+    target = np.zeros((len(qs), params.cols), dtype=np.uint64)
+    first = 0 if prefix else target_col
+    target[:, first : target_col + 1] = np.array(point.beta.residues)[:, None]
+    target += count * qs
+    return (target - total) % qs
+
+
+@pytest.mark.parametrize("modulus_text", WIDE_MODULI)
+@pytest.mark.parametrize("count", [3, COLUMN_GUARD, 1 << 32])
+@pytest.mark.parametrize("prefix", [False, True])
+@pytest.mark.parametrize("col", [0, 6])
+@pytest.mark.parametrize("total_kind", ["largest", "zero", "random"])
+def test_correction_matches_the_remainder_formula(modulus_text, count, prefix, col, total_kind):
+    params = _make(3, 1, modulus_text, 14, grid=(2, 7))
+    qs = params.modulus._qs_np
+    beta = params.modulus.element(params.modulus.value - 1)  # q_i - 1 in every factor
+    point = PointDescription(7 + col, beta)
+    total = {
+        "largest": np.broadcast_to(count * (qs - 1), (len(qs), 7)),
+        "zero": np.zeros((len(qs), 7), dtype=np.uint64),
+        "random": np.random.default_rng(count).integers(0, count * (qs - 1), size=(len(qs), 7),
+                                                        dtype=np.uint64, endpoint=True),
+    }[total_kind]
+    got = dpf._correction(total, count, point, params, prefix)
+    assert got.data.tolist() == _remainder_correction(total, count, point, params, prefix).tolist()
+
+
+def _summed_deal(secrets, count, modulus, rng):
+    """Reference: `_deal` with the `sum(axis=2)` passes it replaced."""
+    qs = modulus._qs_np
+    n = secrets.shape[1]
+    drawn = dpf.random_residues(modulus, n * (count - 1), rng)
+    drawn = drawn.reshape(len(modulus.factors), n, count - 1)
+    last = (secrets + (count - 1) * qs - drawn.sum(axis=2)) % qs
+    shares = np.concatenate([drawn, last[:, :, None]], axis=2)
+    assert (shares.sum(axis=2) % qs == secrets).all()
+    return shares
+
+
+@pytest.mark.parametrize("modulus_text", WIDE_MODULI)
+@pytest.mark.parametrize("count", [2, 3, 300])
+@pytest.mark.parametrize("draws", ["stream", "largest", "zero"])
+def test_deal_matches_the_summed_formula(monkeypatch, modulus_text, count, draws):
+    modulus = parse_modulus(modulus_text)
+    qs = modulus._qs_np
+    if draws != "stream":
+        value = qs - 1 if draws == "largest" else qs * 0
+        monkeypatch.setattr(
+            dpf, "random_residues", lambda m, k, rng: np.repeat(value, k, axis=1)
+        )
+    secrets = np.concatenate([qs - 1, qs * 0, qs - 1, qs // 2], axis=1)
+    label = f"deal/{modulus_text}/{count}"
+    got = _deal(secrets, count, modulus, DeterministicRandomSource(label))
+    want = _summed_deal(secrets, count, modulus, DeterministicRandomSource(label))
+    assert got.shape == (len(qs), 4, count) and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("modulus_text", ["2", "3", "257", "2*3*5", "15"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -351,6 +352,77 @@ class TestRandomResidues:
         out = random_residues(m, 2000, rng)
         assert (out < m._qs_np).all()
         assert all(len(set(row)) == q for row, q in zip(out.tolist(), m.factors[:2]))
+
+
+class _RecordingSource(DeterministicRandomSource):
+    """A DeterministicRandomSource that records the length of every read."""
+
+    def __init__(self, seed_value):
+        super().__init__(seed_value)
+        self.reads = []
+
+    def randbytes(self, n):
+        self.reads.append(n)
+        return super().randbytes(n)
+
+
+def _table_walk(modulus, count, rng):
+    """Reference: the multi-factor walk `random_residues` used before it
+    kept accepted bytes whole.  One-byte words are looked up in a table of
+    256 outcomes per factor; wider words are compared against their
+    factor's bound, a partial attempt carried into the next read."""
+    factors = modulus.factors
+    nf = len(factors)
+    widths = [(q.bit_length() + 7) // 8 for q in factors]
+    shifts = [8 * w - q.bit_length() for q, w in zip(factors, widths)]
+    bounds = [q << s for q, s in zip(factors, shifts)]
+    total = count * nf
+    drawn = []
+    if max(widths) == 1:
+        tables = cycle([
+            [v for v in range(q) for _ in range(1 << s)] + [-1] * (256 - bound)
+            for q, s, bound in zip(factors, shifts, bounds)
+        ])
+        table = next(tables)
+        while len(drawn) < total:
+            for b in rng.randbytes(total - len(drawn)):
+                if table[b] >= 0:
+                    drawn.append(table[b])
+                    table = next(tables)
+    else:
+        specs = cycle(zip(widths, bounds, shifts))
+        width, bound, shift = next(specs)
+        carry = b""
+        while len(drawn) < total:
+            cycles, extra = divmod(total - len(drawn), nf)
+            owed = cycles * sum(widths) + sum(widths[(len(drawn) + j) % nf] for j in range(extra))
+            blob = carry + rng.randbytes(owed - len(carry))
+            pos = 0
+            while pos + width <= len(blob):
+                word = int.from_bytes(blob[pos : pos + width], "big")
+                pos += width
+                if word < bound:
+                    drawn.append(word >> shift)
+                    width, bound, shift = next(specs)
+            carry = blob[pos:]
+    return np.array(drawn, dtype=np.uint64).reshape(count, nf).T
+
+
+@pytest.mark.parametrize("modulus", ["2*3*5*7", "2*3*5*7*11*13", "3*251", "2*251*257"])
+@pytest.mark.parametrize("count", [0, 1, 2, 362, 543])
+def test_multi_factor_read_splits_are_pinned(modulus, count):
+    """The same values from the same sequence of read lengths as the
+    table walk, and the stream left at the same place."""
+    m = parse_modulus(modulus)
+    ref = _RecordingSource(f"splits/{modulus}/{count}")
+    got = _RecordingSource(f"splits/{modulus}/{count}")
+    want = _table_walk(m, count, ref)
+    out = random_residues(m, count, got)
+    assert out.dtype == np.uint64 and out.tolist() == want.tolist()
+    assert got.reads == ref.reads
+    assert got.randbytes(32) == ref.randbytes(32)
+    if count >= 362:
+        assert len(ref.reads) > 1  # rejections forced more than one read
 
 
 class TestDeterministicRandomSource:
