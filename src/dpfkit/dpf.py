@@ -361,7 +361,7 @@ def _combine_row(
         if pending == period:
             _reduce(acc, qs, term)
             pending = 0
-        np.multiply(expand(seed.tobytes(), spec).data[:, first:], shares[:, j], out=term)
+        np.multiply(expand(seed.tobytes(), spec, first).data, shares[:, j], out=term)
         acc += term
         pending += 1
     _reduce(acc, qs, term)
@@ -425,7 +425,7 @@ def eval_point(key, x: int) -> FieldElement:
         raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
     row, col = divmod(x, params.cols)
     # Expansions are prefix-stable, so the row's first col+1 entries suffice,
-    # and only column col of them is combined.
+    # and each expansion returns only column col of them.
     spec = replace(params.prg, output_len=col + 1)
     data = _combine_row(spec, *key.row(row), first=col)
     return FieldElement(params.modulus, tuple(int(v) for v in data[:, 0]))

@@ -22,10 +22,13 @@ candidates per output element turns a (cryptographically impossible)
 run of rejections into an InternalError instead of a hang.
 
 The stream and this acceptance rule are the bit-exact contract: the
-output is the first n accepted words.  How they are found is not: the
-prefix size, the shortcut when its first n words all pass, and the
-filter are free to change.  Accepted words are kept with
-``np.compress``, which does not branch on each word.
+output is the first n accepted words, and ``expand(..., first=f)``
+returns accepted words f..n-1 of them.  How they are found is not: the
+prefix size, the shortcut when its first n words all pass, the filter
+and the way the f-th accepted word is located are free to change.
+Accepted words are kept with ``np.compress``, which does not branch on
+each word; those before a point safely short of the f-th are only
+counted.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, sqrt
+from math import ceil, floor, sqrt
 
 import numpy as np
 
@@ -108,8 +111,10 @@ def _stream(algorithm: int, seed: bytes, factor_index: int, length: int) -> byte
     return bytes(buf[:length])
 
 
-def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: int) -> np.ndarray:
-    """The first n accepted words of the stream, in `byte_words`'s dtype.
+def _sample_residues(
+    algorithm: int, seed: bytes, factor_index: int, q: int, n: int, first: int = 0
+) -> np.ndarray:
+    """Accepted words first..n-1 of the stream, in `byte_words`'s dtype.
 
     The words are used as they stand when the first n all pass; a prefix
     with fewer than n accepted words is doubled and squeezed again.
@@ -119,15 +124,26 @@ def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: 
     words = ceil(n / accept + 3 * sqrt(n * (1 - accept)) / accept) + 8
     # Testing the first n words costs about as much as gathering 256.
     fast = n >= 256 and accept ** n > 0.5
+    # Words before `skip`, four standard deviations short of where the
+    # first-th pass is expected, are only counted.
+    skip = first and max(first, floor((first - 4 * sqrt(first * (1 - accept))) / accept))
     cap = (n << 20) + (1 << 20)
     while True:
         raw = _stream(algorithm, seed, factor_index, words * width)
         candidates = byte_words(raw, width, "<") & mask
         if fast and candidates[:n].max() < bound:
-            return candidates[:n]
-        good = candidates.compress(candidates < bound)
-        if good.size >= n:
-            return good[:n]
+            return candidates[first:n]
+        if skip:
+            passed = candidates < bound
+            before = np.count_nonzero(passed[:skip])
+            if before > first:
+                # The first-th pass lies before `skip`, but never before word `first`.
+                skip, before = first, np.count_nonzero(passed[:first])
+            good = candidates[skip:].compress(passed[skip:])
+        else:
+            before, good = 0, candidates.compress(candidates < bound)
+        if before + good.size >= n:
+            return good[first - before : n - before]
         if words > cap:
             raise InternalError(
                 f"rejection sampling exceeded {cap} candidates for q={q}"
@@ -135,11 +151,13 @@ def _sample_residues(algorithm: int, seed: bytes, factor_index: int, q: int, n: 
         words *= 2
 
 
-def expand(seed: bytes, spec: PrgSpec) -> FieldVector:
-    """Stretch a seed into `spec.output_len` field elements.
+def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
+    """Stretch a seed into `spec.output_len` field elements and return
+    those from index `first` on.
 
-    Pure function of (seed, spec): repeated calls return identical
-    vectors, and streams for distinct prime factors never overlap.
+    Pure function of (seed, spec, first): repeated calls return identical
+    vectors, `first` only drops the leading elements, and streams for
+    distinct prime factors never overlap.
     """
     if not isinstance(seed, (bytes, bytearray)):
         raise ParameterError(f"seed must be bytes, got {type(seed).__name__}")
@@ -147,11 +165,13 @@ def expand(seed: bytes, spec: PrgSpec) -> FieldVector:
         raise ParameterError(
             f"seed is {len(seed)} bytes, spec wants {spec.seed_bytes}"
         )
+    if not 0 <= first < spec.output_len:
+        raise ParameterError(f"first element {first} outside [0, {spec.output_len})")
     seed = bytes(seed)
     factors = spec.modulus.factors
-    arr = np.empty((len(factors), spec.output_len), dtype=np.uint64)
+    arr = np.empty((len(factors), spec.output_len - first), dtype=np.uint64)
     for fi, q in enumerate(factors):
-        arr[fi] = _sample_residues(spec.algorithm, seed, fi, q, spec.output_len)
+        arr[fi] = _sample_residues(spec.algorithm, seed, fi, q, spec.output_len, first)
     global _expansions
     _expansions += 1
     return FieldVector._raw(spec.modulus, arr)

@@ -1,5 +1,6 @@
 """Key generation, evaluation, and decoding of the compact point scheme."""
 
+import random
 from math import comb
 
 import numpy as np
@@ -260,6 +261,26 @@ def test_full_domain_evaluator_matches_pointwise(
         assert vec.lift_all() == [eval_fn(key, x).lift() for x in range(domain)]
 
 
+@pytest.mark.parametrize("scheme", ["ours", "dcf", "trivial"])
+@pytest.mark.parametrize("modulus_text", ["2*3*5*7", "131"])
+@pytest.mark.parametrize("grid", [(3, 4099), (2, 5525)])
+def test_point_evaluation_matches_rows_of_thousands_of_columns(scheme, modulus_text, grid, rng):
+    # Wide rows put the column read far past the first word of each seed's
+    # stream, so eval_point counts passes instead of gathering them; 131
+    # accepts just over half of its one-byte words.  The last row is partial.
+    gen_fn = {"ours": gen, "dcf": dcf_gen, "trivial": trivial_gen}[scheme]
+    params = _make(3, 1, modulus_text, 10_000, grid=grid)
+    cols = params.cols
+    assert cols >= 1000 and params.domain_size % cols
+    keys = gen_fn(PointDescription(cols + 7, params.modulus.element(23)), params, rng)
+    last = params.domain_size - 1
+    picks = random.Random(cols).sample(range(params.domain_size), 20)
+    xs = sorted({0, 1, cols - 1, cols, cols + 7, last - last % cols, last, *picks})
+    for key in keys:
+        full = eval_all(key).lift_all()
+        assert [eval_point(key, x).lift() for x in xs] == [full[x] for x in xs]
+
+
 @pytest.mark.parametrize("modulus_text", ["2147483647", "2*2147483647", "2*3*5*7"])
 @pytest.mark.parametrize("seed_count", [1, 4, 5, 9, 13])
 @pytest.mark.parametrize("with_correction", [False, True])
@@ -274,8 +295,8 @@ def test_combine_row_matches_per_term_reduction_at_the_largest_residues(
     modulus = parse_modulus(modulus_text)
     top = np.array([[q - 1] for q in modulus.factors], dtype=np.uint64)
 
-    def largest_residues(seed, spec):
-        return FieldVector._raw(modulus, np.repeat(top, spec.output_len, axis=1))
+    def largest_residues(seed, spec, first=0):
+        return FieldVector._raw(modulus, np.repeat(top, spec.output_len - first, axis=1))
 
     monkeypatch.setattr(dpf, "expand", largest_residues)
     spec = PrgSpec(PRG_SHAKE128, 128, 3, modulus)
@@ -379,16 +400,16 @@ def test_eval_point_expands_only_the_prefix_it_reads(monkeypatch, rng):
     keys = gen(PointDescription(29, params.modulus.element(23)), params, rng)
     lengths = []
 
-    def recording_expand(seed, spec):
-        lengths.append(spec.output_len)
-        return dpf.prg.expand(seed, spec)
+    def recording_expand(seed, spec, first=0):
+        lengths.append((spec.output_len, first))
+        return dpf.prg.expand(seed, spec, first)
 
     full = eval_all(keys[0]).lift_all()
     monkeypatch.setattr(dpf, "expand", recording_expand)
     for x in (0, 29, 59):
         lengths.clear()
         assert eval_point(keys[0], x).lift() == full[x]
-        assert lengths == [x % 12 + 1] * params.tuples_per_row
+        assert lengths == [(x % 12 + 1, x % 12)] * params.tuples_per_row
 
 
 def test_single_share_reveals_nothing_exact(rng):

@@ -212,6 +212,74 @@ def test_sampler_matches_reference_on_random_seeds(prg_pair, q, n, seed):
     assert out.dtype.itemsize >= width and out.tolist() == expected
 
 
+# Words of one to four bytes.  129 accepts just over half of its words but
+# is no prime, so it runs through the sampler alone.
+FIRST_WORD_MODULI = [2, 3, 5, 7, 129, 251, 257, 65521, 65537, 2 ** 24 + 43, 2 ** 31 - 1]
+FIRST_LENGTHS = [1, 2, 9, 300, 1001, 5999]
+
+
+def _firsts(n: int, label: str) -> list[int]:
+    """0, 1, 2, n//2, n-1 and three random indices, all below n."""
+    rnd = random.Random(label)
+    picks = {0, 1, 2, n // 2, n - 1, *(rnd.randrange(n) for _ in range(3))}
+    return sorted(f for f in picks if f < n)
+
+
+@pytest.mark.parametrize("algorithm", [PRG_SHAKE128, PRG_TEST_LCG])
+@pytest.mark.parametrize("q", FIRST_WORD_MODULI)
+@pytest.mark.parametrize("n", FIRST_LENGTHS)
+def test_sampling_from_first_matches_the_sliced_sample(algorithm, q, n):
+    whole = _sample_residues(algorithm, SEED, 0, q, n)
+    for f in _firsts(n, f"{algorithm} {q} {n}"):
+        assert _sample_residues(algorithm, SEED, 0, q, n, f).tolist() == whole[f:].tolist()
+
+
+@pytest.mark.parametrize("algorithm", [PRG_SHAKE128, PRG_TEST_LCG])
+@pytest.mark.parametrize("modulus_text", ["131", "65537", "2*3*5*7", "3*65537*2147483647"])
+@pytest.mark.parametrize("n", FIRST_LENGTHS)
+def test_expand_from_first_matches_the_sliced_expansion(algorithm, modulus_text, n):
+    spec = PrgSpec(algorithm, 128, n, parse_modulus(modulus_text))
+    seed = random.Random(modulus_text).randbytes(16)
+    whole = expand(seed, spec).data
+    for f in _firsts(n, f"{algorithm} {modulus_text} {n}"):
+        part = expand(seed, spec, first=f)
+        assert part.modulus == spec.modulus
+        assert part.data.tolist() == whole[:, f:].tolist()
+
+
+@pytest.mark.parametrize("algorithm,stream_fn,q,first_bytes", [
+    (PRG_SHAKE128, _shake_bytes, 257, 2590),
+    (PRG_TEST_LCG, _lcg_bytes, 257, 2126),
+    (PRG_SHAKE128, _shake_bytes, 5, 133),
+    (PRG_SHAKE128, _shake_bytes, 65537, 1345),
+    (PRG_SHAKE128, _shake_bytes, 2 ** 24 + 43, 743),
+    (PRG_TEST_LCG, _lcg_bytes, 3, 2820),
+    (PRG_TEST_LCG, _lcg_bytes, 65537, 555),
+    (PRG_TEST_LCG, _lcg_bytes, 2 ** 24 + 43, 1895),
+])
+def test_a_doubled_prefix_serves_every_first(stream_calls, algorithm, stream_fn, q, first_bytes):
+    # The seeds of the two shortfall tests above: the first prefix holds
+    # fewer than 1000 accepted words, whatever the first one returned.
+    seed = first_bytes.to_bytes(2, "little") + bytes(range(3, 17))
+    stream = stream_fn(seed, 0, 1 << 15)
+    expected = _reference_residues(lambda n: stream[:n], q, 1000)
+    for f in _firsts(1000, f"{algorithm} {q} {first_bytes}"):
+        stream_calls.clear()
+        assert _sample_residues(algorithm, seed, 0, q, 1000, f).tolist() == expected[f:]
+        assert len(stream_calls) == 2
+
+
+@pytest.mark.parametrize("n,first", [(1000, 40), (1000, 500), (1000, 999), (5999, 5000)])
+def test_passes_beyond_the_estimate_before_first_are_counted(monkeypatch, n, first):
+    # Every word of this stream passes, so for 131, which accepts about half
+    # of the words, the first-th pass comes far earlier than expected.
+    monkeypatch.setattr(prg, "_stream", lambda alg, seed, fi, length: bytes(
+        i % 131 for i in range(length)
+    ))
+    out = _sample_residues(PRG_SHAKE128, SEED, 0, 131, n, first)
+    assert out.tolist() == [i % 131 for i in range(first, n)]
+
+
 def test_expansion_is_prefix_stable():
     modulus = Modulus.from_factors([3, 257])
     short = expand(SEED, PrgSpec(PRG_SHAKE128, 128, 10, modulus))
@@ -249,6 +317,12 @@ class TestSpecValidation:
     def test_rejects_empty_output(self):
         with pytest.raises(ParameterError):
             PrgSpec(PRG_SHAKE128, 128, 0, Modulus.prime(5))
+
+    @pytest.mark.parametrize("first", [-1, 4, 5, 2 ** 40])
+    def test_first_outside_the_output_is_refused(self, first):
+        spec = PrgSpec(PRG_SHAKE128, 128, 4, Modulus.prime(5))
+        with pytest.raises(ParameterError, match="first element"):
+            expand(SEED, spec, first=first)
 
     def test_seed_length_enforced(self):
         spec = PrgSpec(PRG_SHAKE128, 128, 4, Modulus.prime(5))
