@@ -18,7 +18,7 @@ import argparse
 import random
 import sys
 
-from . import baselines, dcf, dpf, keyfile, pir, sizing
+from . import baselines, dpf, keyfile, pir, sizing
 from .algebra import FieldVector, Modulus, parse_modulus
 from .dpf import GRID_AUTO, GRID_SQUARE, PointDescription, SchemeParams
 from .errors import DpfError, FormatError, GuardError, ParameterError
@@ -30,12 +30,7 @@ EXIT_FORMAT = 3
 EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
-_SCHEME_GENERATORS = {
-    "ours": dpf.gen,
-    "boyle15": baselines.boyle_gen,
-    "trivial": baselines.trivial_gen,
-    "dcf": dcf.dcf_gen,
-}
+_SCHEME_GENERATORS = {s.name: s.gen for s in keyfile.SCHEMES.values()}
 
 
 def _make_rng(args) -> random.Random:
@@ -46,14 +41,8 @@ def _make_rng(args) -> random.Random:
     return random.SystemRandom()
 
 
-def _prg_algorithm(args) -> int:
-    return PRG_TEST_LCG if getattr(args, "insecure_test_prg", False) else PRG_SHAKE128
-
-
 def _build_params(args, modulus: Modulus) -> SchemeParams:
-    scheme = getattr(args, "scheme", "ours")
-    algorithm = _prg_algorithm(args)
-    if scheme == "boyle15" and args.grid == GRID_AUTO:
+    if args.scheme == "boyle15" and args.grid == GRID_AUTO:
         baselines.require_prime(modulus)
         baselines.check_guard(modulus.value, args.p)
         grid: str | tuple[int, int] = sizing.choose_grid_boyle(
@@ -68,7 +57,7 @@ def _build_params(args, modulus: Modulus) -> SchemeParams:
         domain_size=args.N,
         lambda_bits=args.lambda_bits,
         grid=grid,
-        prg_algorithm=algorithm,
+        prg_algorithm=PRG_TEST_LCG if args.insecure_test_prg else PRG_SHAKE128,
     )
 
 
@@ -201,8 +190,8 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _add_common_keygen_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--N", type=int, required=True, help="domain size")
+def _add_params_flags(sub: argparse.ArgumentParser) -> None:
+    """The scheme-parameter flags that keygen and pir-demo share."""
     sub.add_argument("--p", type=int, required=True, help="number of parties")
     sub.add_argument("--m", type=int, required=True, help="corruption bound")
     sub.add_argument("--modulus", required=True, help='e.g. "257" or "2*3*5*7"')
@@ -220,11 +209,6 @@ def _add_common_keygen_flags(sub: argparse.ArgumentParser) -> None:
         help="grid strategy (default auto)",
     )
     sub.add_argument("--seed", help="derive all randomness from this string")
-    sub.add_argument(
-        "--insecure-test-prg",
-        action="store_true",
-        help="swap in the deterministic test PRG (requires --seed)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--alpha", type=int, required=True, help="special input index")
     keygen.add_argument("--beta", type=int, required=True, help="output value at alpha")
     keygen.add_argument("--out-dir", required=True, help="directory for key_<i>.dpfk")
-    _add_common_keygen_flags(keygen)
+    keygen.add_argument("--N", type=int, required=True, help="domain size")
+    _add_params_flags(keygen)
+    keygen.add_argument(
+        "--insecure-test-prg",
+        action="store_true",
+        help="swap in the deterministic test PRG (requires --seed)",
+    )
     keygen.set_defaults(run=_cmd_keygen)
 
     ev = commands.add_parser("eval", help="evaluate one key at one input")
@@ -280,13 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = commands.add_parser("pir-demo", help="run one private lookup end to end")
     demo.add_argument("--db", required=True, help="database file")
-    demo.add_argument("--modulus", required=True)
     demo.add_argument("--index", type=int, required=True)
-    demo.add_argument("--p", type=int, required=True)
-    demo.add_argument("--m", type=int, required=True)
-    demo.add_argument("--lambda", dest="lambda_bits", type=int, default=128)
-    demo.add_argument("--grid", choices=(GRID_AUTO, GRID_SQUARE), default=GRID_AUTO)
-    demo.add_argument("--seed")
+    _add_params_flags(demo)
     demo.set_defaults(run=_cmd_pir_demo)
 
     ins = commands.add_parser("inspect", help="print a key file header")

@@ -31,28 +31,20 @@ from .errors import ParameterError
 from .prg import expand  # unused here, but the benchmark wraps `dcf.expand`
 
 
-@dataclass(frozen=True)
-class DcfKey:
+@dataclass(frozen=True, eq=False)
+class DcfKey(dpf.DpfKey):
     """A point-function key plus one output share per grid row."""
 
-    point_key: dpf.DpfKey
     row_outputs: FieldVector
 
     def __post_init__(self) -> None:
-        if len(self.row_outputs) != self.point_key.params.rows:
+        super().__post_init__()
+        if len(self.row_outputs) != self.params.rows:
             raise ParameterError("need exactly one output share per row")
-
-    @property
-    def party(self) -> int:
-        return self.point_key.party
-
-    @property
-    def params(self) -> dpf.SchemeParams:
-        return self.point_key.params
 
     def row(self, r: int) -> dpf.Row:
         """The point key's row, with this row's output share on every column."""
-        seeds, shares, correction, _ = self.point_key.row(r)
+        seeds, shares, correction, _ = super().row(r)
         output = self.row_outputs.data[:, r : r + 1]
         return seeds, shares, correction, np.broadcast_to(output, (len(output), self.params.cols))
 
@@ -60,14 +52,14 @@ class DcfKey:
 def dcf_gen(
     point: dpf.PointDescription, params: dpf.SchemeParams, rng
 ) -> tuple[DcfKey, ...]:
-    keys, target_row = dpf._gen_core(point, params, rng, prefix=True)
+    fields, target_row = dpf._gen_core(point, params, rng, prefix=True)
     modulus = params.modulus
     secrets = np.zeros((len(modulus.factors), params.rows), dtype=np.uint64)
     secrets[:, :target_row] = np.array(point.beta.residues)[:, None]
     row_shares = dpf._deal(secrets, params.parties, modulus, rng)
     return tuple(
-        DcfKey(key, FieldVector._raw(modulus, row_shares[:, :, key.party]))
-        for key in keys
+        DcfKey(**f, row_outputs=FieldVector._raw(modulus, row_shares[:, :, party]))
+        for party, f in enumerate(fields)
     )
 
 

@@ -370,8 +370,8 @@ def _combine_row(
 
 def _gen_core(
     point: PointDescription, params: SchemeParams, rng, prefix: bool
-) -> tuple[tuple[DpfKey, ...], int]:
-    """Deal every party's key; returns the keys and the target row.
+) -> tuple[list[dict], int]:
+    """Deal every party's key; returns each party's `DpfKey` fields and the target row.
 
     Each (row, column) cell gets a seed and an (m+1)-sharing of 1 on the
     target row and 0 elsewhere, split among the column subset's members
@@ -397,12 +397,12 @@ def _gen_core(
         total += expand(seed.tobytes(), params.prg).data
     correction = _correction(total, params.combo_count, point, params, prefix)
 
-    keys = []
+    fields = []
     for party in range(params.parties):
         cols = list(params.member_columns(party))
         slots = [params.combinations[j].index(party) for j in cols]
-        keys.append(
-            DpfKey(
+        fields.append(
+            dict(
                 party=party,
                 params=params,
                 seeds=seeds[:, cols],
@@ -410,12 +410,12 @@ def _gen_core(
                 correction=correction,
             )
         )
-    return tuple(keys), target_row
+    return fields, target_row
 
 
 def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...]:
     """Produce one key per party for the given point function."""
-    return _gen_core(point, params, rng, prefix=False)[0]
+    return tuple(DpfKey(**f) for f in _gen_core(point, params, rng, prefix=False)[0])
 
 
 def eval_point(key, x: int) -> FieldElement:

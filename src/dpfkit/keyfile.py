@@ -33,7 +33,7 @@ lambda/8 bytes.
 
 The all-zero seed value is reserved to mean "absent" and never appears
 in a well-formed file.  `SCHEMES` maps each tag to its CLI name, key
-class and body codec.
+class, generator and body codec.
 """
 
 from __future__ import annotations
@@ -122,10 +122,10 @@ def header_size(modulus: Modulus) -> int:
 
 class _Reader:
     def __init__(self, data: bytes, offset: int):
-        self.data = data
+        self.data = memoryview(data)  # so take() slices without copying
         self.offset = offset
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.offset + n > len(self.data):
             raise FormatError(f"key data truncated at byte {len(self.data)}")
         out = self.data[self.offset : self.offset + n]
@@ -185,7 +185,7 @@ def _encode_dpf(key: dpf.DpfKey) -> bytes:
     return body + encode_vector(key.correction)
 
 
-def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dpf.DpfKey:
+def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     """Read the (seed, share) records of every row, then the correction."""
     rows, width = params.rows, params.tuples_per_row
     seed_len = params.lambda_bits // 8
@@ -196,7 +196,7 @@ def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dpf.Dp
     if not seeds.any(axis=2).all():
         raise FormatError("absent-seed sentinel inside a key body")
     shares = decode_vector(raw[:, :, seed_len:].tobytes(), params.modulus, rows * width)
-    return dpf.DpfKey(
+    return dict(
         party=party,
         params=params,
         seeds=seeds,
@@ -206,12 +206,12 @@ def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dpf.Dp
 
 
 def _encode_dcf(key: dcf.DcfKey) -> bytes:
-    return _encode_dpf(key.point_key) + encode_vector(key.row_outputs)
+    return _encode_dpf(key) + encode_vector(key.row_outputs)
 
 
-def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dcf.DcfKey:
-    point_key = _decode_dpf(reader, params, party)
-    return dcf.DcfKey(point_key, _take_vector(reader, params.modulus, params.rows))
+def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
+    fields = _decode_dpf(reader, params, party)
+    return dict(fields, row_outputs=_take_vector(reader, params.modulus, params.rows))
 
 
 def _encode_boyle(key: baselines.BoyleKey) -> bytes:
@@ -234,9 +234,7 @@ def _encode_boyle(key: baselines.BoyleKey) -> bytes:
     return b"".join(parts) + encode_vector(key.correction)
 
 
-def _decode_boyle(
-    reader: _Reader, params: dpf.SchemeParams, party: int
-) -> baselines.BoyleKey:
+def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     modulus = params.modulus
     try:
         baselines.require_prime(modulus)
@@ -260,7 +258,7 @@ def _decode_boyle(
             raise FormatError("absent-seed sentinel inside a key body")
         shares = decode_vector(raw[:, seed_end:].tobytes(), modulus, count)
         rows.append((columns, seeds, shares.data))
-    return baselines.BoyleKey(
+    return dict(
         party=party,
         params=params,
         rows=tuple(rows),
@@ -272,30 +270,31 @@ def _encode_trivial(key: baselines.TrivialKey) -> bytes:
     return encode_vector(key.table)
 
 
-def _decode_trivial(
-    reader: _Reader, params: dpf.SchemeParams, party: int
-) -> baselines.TrivialKey:
+def _decode_trivial(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     table = _take_vector(reader, params.modulus, params.domain_size)
     # Only the auto and square grids: evaluation pays a Python step per row.
     args = params.domain_size, params.parties, params.corrupted, params.lambda_bits, params.modulus
     grids = [dpf.choose_grid(*args, mode) for mode in (dpf.GRID_AUTO, dpf.GRID_SQUARE)]
     if (params.rows, params.cols) not in grids:
         raise FormatError(f"trivial key grid {params.rows}x{params.cols} is neither of {grids}")
-    return baselines.TrivialKey(party, params, table)
+    return dict(party=party, params=params, table=table)
 
 
 class _Scheme(NamedTuple):
     name: str
     key_class: type
+    gen: Callable[..., tuple]
     encode: Callable[..., bytes]
-    decode: Callable[..., object]
+    decode: Callable[..., dict]  # the key's fields, for key_class
 
 
 SCHEMES = {
-    1: _Scheme("ours", dpf.DpfKey, _encode_dpf, _decode_dpf),
-    2: _Scheme("boyle15", baselines.BoyleKey, _encode_boyle, _decode_boyle),
-    3: _Scheme("trivial", baselines.TrivialKey, _encode_trivial, _decode_trivial),
-    4: _Scheme("dcf", dcf.DcfKey, _encode_dcf, _decode_dcf),
+    1: _Scheme("ours", dpf.DpfKey, dpf.gen, _encode_dpf, _decode_dpf),
+    2: _Scheme("boyle15", baselines.BoyleKey, baselines.boyle_gen, _encode_boyle, _decode_boyle),
+    3: _Scheme(
+        "trivial", baselines.TrivialKey, baselines.trivial_gen, _encode_trivial, _decode_trivial
+    ),
+    4: _Scheme("dcf", dcf.DcfKey, dcf.dcf_gen, _encode_dcf, _decode_dcf),
 }
 
 
@@ -309,9 +308,10 @@ def key_to_bytes(key) -> bytes:
 
 def key_from_bytes(data: bytes):
     """Parse a key of any scheme; the result type follows the scheme tag."""
-    scheme, party, params, offset = parse_header(data)
+    tag, party, params, offset = parse_header(data)
     reader = _Reader(data, offset)
-    key = SCHEMES[scheme].decode(reader, params, party)
+    scheme = SCHEMES[tag]
+    key = scheme.key_class(**scheme.decode(reader, params, party))
     reader.done()
     return key
 

@@ -64,7 +64,7 @@ def read_database(path, modulus: Modulus) -> Database:
     if len(data) < _COUNT.size:
         raise FormatError("database file too short for its length prefix")
     (count,) = _COUNT.unpack_from(data, 0)
-    body = data[_COUNT.size:]
+    body = memoryview(data)[_COUNT.size:]
     expected = count * keyfile.element_width(modulus)
     if len(body) != expected:
         raise FormatError(

@@ -10,7 +10,7 @@ ours      min over R*V >= N of  R*B*(lambda + b) + V*b
           (per row a key holds B seed/share pairs; the correction
           vector has V elements; the grid optimizer in `dpf.choose_grid`
           minimizes exactly this expression)
-dcf       ours + R*b  (one extra output share per row)
+dcf       ours + R*b  (one extra output share per row, on ours' grid)
 trivial   N*b          (an additive share of the whole table)
 boyle15   per prime factor q, min over R*V >= N of
               R * q^(p-1) * (lambda*(1-1/q) + ceil(lg q) + 32) + V*ceil(lg q)
@@ -87,10 +87,9 @@ def size_dcf(
     modulus: Modulus,
     grid: str = GRID_AUTO,
 ) -> int:
-    check_party_counts(parties, corrupted)
-    bits = modulus.residue_bits
-    rows, cols = choose_grid(domain_size, parties, corrupted, lambda_bits, modulus, grid)
-    return rows * (comb(parties - 1, corrupted) * (lambda_bits + bits) + bits) + cols * bits
+    ours = size_ours(domain_size, parties, corrupted, lambda_bits, modulus, grid)
+    rows, _ = choose_grid(domain_size, parties, corrupted, lambda_bits, modulus, grid)
+    return ours + rows * modulus.residue_bits
 
 
 def size_trivial(domain_size: int, modulus: Modulus) -> int:

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import dpfkit
-from dpfkit import baselines, dcf, dpf
+from dpfkit import baselines, cli, dcf, dpf
 from dpfkit.cli import main
 from dpfkit.dpf import DpfKey, PointDescription, SchemeParams, eval_all, eval_point
 from dpfkit.errors import FormatError, GuardError
 from dpfkit.keyfile import (
+    SCHEMES,
     _pack_header,
     element_width,
     key_from_bytes,
@@ -63,6 +64,8 @@ def test_keygen_eval_decode_round_trip(capsys, tmp_path, scheme):
         assert int(party) == i
         assert path.endswith(f"key_{i}.dpfk")
         assert int(size) > 0
+        code, out, _ = run(capsys, "inspect", "--key", path)
+        assert (code, out.splitlines()[0]) == (0, f"scheme={scheme}")
 
     for x in range(4):
         shares = []
@@ -477,6 +480,10 @@ def test_inspect_fields(capsys, tmp_path):
     assert fields["domain"] == "10"
     assert fields["modulus"] == "2*3*5"
     assert int(fields["rows"]) * int(fields["cols"]) >= 10
+
+
+def test_keygen_offers_exactly_the_scheme_table():
+    assert sorted(cli._SCHEME_GENERATORS) == sorted(s.name for s in SCHEMES.values())
 
 
 def test_decode_validation(capsys):

@@ -1,11 +1,14 @@
 """Comparison-function sharing: f(x) = beta when x <= alpha, else 0."""
 
+from dataclasses import replace
+
 import pytest
 
-from dpfkit.algebra import parse_modulus
+from dpfkit.algebra import FieldVector, parse_modulus
 from dpfkit.dcf import DcfKey, dcf_eval, dcf_gen
-from dpfkit.dpf import PointDescription, SchemeParams, decode
+from dpfkit.dpf import DpfKey, PointDescription, SchemeParams, decode
 from dpfkit.errors import HonestMajorityError, ParameterError
+from dpfkit.keyfile import key_from_bytes, key_to_bytes
 from dpfkit.prg import DeterministicRandomSource
 
 
@@ -63,7 +66,7 @@ def test_row_outputs_shape(rng):
     keys = dcf_gen(PointDescription(11, params.modulus.one()), params, rng)
     for key in keys:
         assert isinstance(key, DcfKey)
-        assert key.party == key.point_key.party
+        assert isinstance(key, DpfKey)
         assert len(key.row_outputs) == params.rows
 
 
@@ -103,10 +106,42 @@ def test_eval_range_check(rng):
 
 
 def test_deterministic(rng):
-    from dpfkit.keyfile import key_to_bytes
-
     params = _params(3, 1, "2*7", 10)
     point = PointDescription(6, params.modulus.element(9))
     a = dcf_gen(point, params, DeterministicRandomSource("d"))
     b = dcf_gen(point, params, DeterministicRandomSource("d"))
     assert [key_to_bytes(x) for x in a] == [key_to_bytes(y) for y in b]
+
+
+@pytest.mark.parametrize("field", ["seeds", "correction", "row_outputs"])
+def test_key_checks_its_shapes(rng, field):
+    # The point-key checks run for DCF keys too, then the row-output check.
+    params = _params(3, 1, "2*7", 20, grid=(5, 4))
+    key = dcf_gen(PointDescription(11, params.modulus.element(3)), params, rng)[0]
+    modulus = params.modulus
+    wrong = {
+        "seeds": key.seeds[:, :, :-1],
+        "correction": FieldVector._raw(modulus, key.correction.data[:, :-1]),
+        "row_outputs": FieldVector._raw(modulus, key.row_outputs.data[:, :-1]),
+    }
+    with pytest.raises(ParameterError):
+        replace(key, **{field: wrong[field]})
+
+
+def test_each_key_is_checked_once(rng, monkeypatch):
+    # dcf_gen and the decoder build each key straight from its fields,
+    # not a point key first and the DCF key around it.
+    calls = []
+    check = DpfKey.__post_init__
+
+    def counted(key):
+        calls.append(key)
+        check(key)
+
+    monkeypatch.setattr(DpfKey, "__post_init__", counted)
+    params = _params(3, 1, "2*7", 20, grid=(5, 4))
+    keys = dcf_gen(PointDescription(11, params.modulus.element(3)), params, rng)
+    assert calls == list(keys)
+    calls.clear()
+    decoded = [key_from_bytes(key_to_bytes(key)) for key in keys]
+    assert calls == decoded

@@ -1,6 +1,7 @@
 """Binary key container: round trips, golden bytes, malformed input."""
 
 import hashlib
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -14,6 +15,7 @@ from dpfkit.dcf import dcf_eval, dcf_gen
 from dpfkit.dpf import PointDescription, SchemeParams, eval_point, gen
 from dpfkit.errors import FormatError, GuardError
 from dpfkit.keyfile import (
+    SCHEMES,
     decode_vector,
     encode_vector,
     header_size,
@@ -203,6 +205,24 @@ class TestRoundTrips:
         back = read_key_file(path)
         assert key_to_bytes(back) == key_to_bytes(keys[2])
 
+    def test_file_is_decoded_without_a_copy_of_its_body(self, tmp_path):
+        # A trivial key's body is its whole table: the decoder holds the
+        # file's bytes and the uint64 table, and no second copy of the body.
+        domain = 1 << 16
+        params = _params(3, 1, "2147483647", domain)
+        point = PointDescription(5, params.modulus.element(3))
+        key = trivial_gen(point, params, DeterministicRandomSource("no-copy"))[0]
+        path = tmp_path / "k.dpfk"
+        size = write_key_file(path, key)
+        tracemalloc.start()
+        try:
+            back = read_key_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.table == key.table
+        assert peak < 1.25 * (size + 8 * domain)
+
     @given(
         parties=st.integers(min_value=3, max_value=5),
         alpha=st.integers(min_value=0, max_value=11),
@@ -215,6 +235,18 @@ class TestRoundTrips:
         point = PointDescription(alpha, params.modulus.element(beta))
         for key in gen(point, params, rng):
             _round_trip(key)
+
+
+@pytest.mark.parametrize("tag", sorted(SCHEMES))
+def test_scheme_table_generators_match_class_and_tag(tag):
+    scheme = SCHEMES[tag]
+    params = _params(3, 1, "5", 4)
+    rng = DeterministicRandomSource(f"table-{scheme.name}")
+    keys = scheme.gen(PointDescription(2, params.modulus.element(3)), params, rng)
+    assert len(keys) == 3
+    for key in keys:
+        assert type(key) is scheme.key_class
+        assert parse_header(key_to_bytes(key))[0] == tag
 
 
 class TestVectorCodec:
