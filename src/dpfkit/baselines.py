@@ -14,7 +14,8 @@ keys are evaluated by `dpf`'s evaluators through their `row` methods.
 Both deal on arrays with the helpers `dpf.gen` uses: `boyle_gen` draws
 each row's seeds with `prg.sample_seeds` and builds its correction with
 `dpf._correction`, and `trivial_gen` completes its last table by the
-rule of `dpf._deal`.
+rule of `dpf._deal`.  `boyle_gen` shuffles each row with `shuffle`, so
+the dealer reads its rng through `randbytes` alone.
 """
 
 from __future__ import annotations
@@ -37,25 +38,32 @@ def boyle_column_count(params: SchemeParams) -> int:
     return q ** (params.parties - 1)
 
 
+def boyle_held_count(params: SchemeParams) -> int:
+    """Tuples per row in every key, q^(p-2)(q-1): a share is zero in 1/q of the vectors."""
+    q = params.modulus.value
+    return q ** (params.parties - 2) * (q - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class BoyleKey:
-    """Sparse per-row storage of the columns where this party's share is non-zero.
-
-    Each row is (columns, seeds, shares): uint32 of shape (k,) in ascending
-    order, uint8 of shape (k, lambda/8) and uint64 of shape (1, k).
+    """The columns where this party's share is non-zero, `boyle_held_count`
+    of them in every row: `columns` is uint32 of shape (rows, T), ascending
+    in each row, `seeds` uint8 of shape (rows, T, lambda/8) and `shares`
+    uint64 of shape (1, rows, T).
     """
 
     party: int
     params: SchemeParams
-    rows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    columns: np.ndarray
+    seeds: np.ndarray
+    shares: np.ndarray
     correction: FieldVector
 
     def row(self, r: int) -> Row:
         """The (seeds, shares, correction or None, None) that `dpf._combine_row` takes."""
-        columns, seeds, shares = self.rows[r]
         # Column 0's share also multiplies the public correction vector.
-        holds_first = columns.size > 0 and columns[0] == 0
-        return seeds, shares, self.correction if holds_first else None, None
+        correction = self.correction if self.columns[r, 0] == 0 else None
+        return self.seeds[r], self.shares[:, r], correction, None
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,21 @@ def check_guard(q: int, parties: int) -> None:
             )
 
 
+def shuffle(items: list, rng) -> None:
+    """Fisher-Yates in place, reading only `rng.randbytes`.
+
+    Position i swaps with j, the top k = (i+1).bit_length() bits of
+    `randbytes(ceil(k/8))` read big-endian, redrawn while j > i.  On a
+    `DeterministicRandomSource` those are `random.Random.shuffle`'s reads.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = i + 1
+        while j > i:
+            j = int.from_bytes(rng.randbytes((k + 7) // 8), "big") >> (-k % 8)
+        items[i], items[j] = items[j], items[i]
+
+
 def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[BoyleKey, ...]:
     """Generate full-enumeration keys; any corrupted < parties is allowed."""
     require_prime(params.modulus)
@@ -116,25 +139,29 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     sum_one = sum_zero.copy()
     sum_one[:, 0] = (sum_one[:, 0] + 1) % q
 
-    per_party_rows: list[list[tuple]] = [[] for _ in range(parties)]
+    held = boyle_held_count(params)
+    columns = np.empty((parties, params.rows, held), dtype=np.uint32)
+    seeds = np.empty((parties, params.rows, held, params.lambda_bits // 8), dtype=np.uint8)
+    shares = np.empty((parties, 1, params.rows, held), dtype=np.uint64)
     total = np.zeros((1, params.cols), dtype=np.uint64)
     for row in range(params.rows):
         order = list(range(count))
-        rng.shuffle(order)
-        vectors = (sum_one if row == target_row else sum_zero)[order]
-        seeds = sample_seeds(count, params.lambda_bits, rng)
+        shuffle(order, rng)
+        vectors = (sum_one if row == target_row else sum_zero)[order].T
+        row_seeds = sample_seeds(count, params.lambda_bits, rng)
         if row == target_row:
-            for seed in seeds:
+            for seed in row_seeds:
                 total += expand(seed.tobytes(), params.prg).data
-        for party in range(parties):
-            held = np.flatnonzero(vectors[:, party])
-            shares = vectors[held, party].astype(np.uint64)[None, :]
-            per_party_rows[party].append((held.astype(np.uint32), seeds[held], shares))
+        # Each party's non-zero coordinates: `held` of them, ascending.
+        nonzero = np.nonzero(vectors)[1].reshape(parties, held)
+        columns[:, row] = nonzero
+        seeds[:, row] = row_seeds[nonzero]
+        shares[:, 0, row] = np.take_along_axis(vectors, nonzero, axis=1)
 
     correction = _correction(total, count, point, params, prefix=False)
     return tuple(
-        BoyleKey(party=party, params=params, rows=tuple(rows), correction=correction)
-        for party, rows in enumerate(per_party_rows)
+        BoyleKey(party, params, columns[party], seeds[party], shares[party], correction)
+        for party in range(parties)
     )
 
 

@@ -24,10 +24,10 @@ lambda/8 bytes.
 
     scheme 1: R rows, each C(p-1, m) tuples of (seed, share);
               then the correction vector, cols elements.
-    scheme 2: R rows, each a u32 tuple count then tuples of
-              (column u32, seed, share), ascending column order,
-              only columns with a non-zero share; then the correction
-              vector, cols elements.
+    scheme 2: R rows, each a u32 tuple count, q^(p-2)(q-1) in every
+              row, then tuples of (column u32, seed, share), ascending
+              column order, only columns with a non-zero share; then
+              the correction vector, cols elements.
     scheme 3: the table, N elements.  No rows, no correction.
     scheme 4: the scheme-1 body, then R per-row output shares.
 
@@ -53,7 +53,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBHHHHQII")
 _FACTOR = struct.Struct("<Q")
 _PRG = struct.Struct("<BHI")
-_U32 = struct.Struct("<I")
 
 
 def _factor_widths(modulus: Modulus) -> list[int]:
@@ -177,32 +176,36 @@ def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> FieldVector:
     return decode_vector(reader.take(count * element_width(modulus)), modulus, count)
 
 
-def _encode_dpf(key: dpf.DpfKey) -> bytes:
-    rows, width, _ = key.seeds.shape
+def _records(key) -> np.ndarray:
+    """The key's (seed, share) records, uint8 of shape (rows, tuples, seed + share bytes)."""
+    _, rows, width = key.shares.shape
     flat = FieldVector._raw(key.params.modulus, key.shares.reshape(-1, rows * width))
     shares = np.frombuffer(encode_vector(flat), dtype=np.uint8).reshape(rows, width, -1)
-    body = np.concatenate([key.seeds, shares], axis=2).tobytes()
-    return body + encode_vector(key.correction)
+    return np.concatenate([key.seeds, shares], axis=2)
+
+
+def _read_records(raw: np.ndarray, params: dpf.SchemeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds and shares from `_records`' layout, refusing an absent seed."""
+    rows, width, _ = raw.shape
+    seeds = raw[:, :, : params.lambda_bits // 8]
+    if not seeds.any(axis=2).all():
+        raise FormatError("absent-seed sentinel inside a key body")
+    shares = decode_vector(raw[:, :, seeds.shape[2] :].tobytes(), params.modulus, rows * width)
+    return seeds, shares.data.reshape(-1, rows, width)
+
+
+def _encode_dpf(key: dpf.DpfKey) -> bytes:
+    return _records(key).tobytes() + encode_vector(key.correction)
 
 
 def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     """Read the (seed, share) records of every row, then the correction."""
     rows, width = params.rows, params.tuples_per_row
-    seed_len = params.lambda_bits // 8
-    record = seed_len + element_width(params.modulus)
+    record = params.lambda_bits // 8 + element_width(params.modulus)
     raw = np.frombuffer(reader.take(rows * width * record), dtype=np.uint8)
-    raw = raw.reshape(rows, width, record)
-    seeds = raw[:, :, :seed_len]
-    if not seeds.any(axis=2).all():
-        raise FormatError("absent-seed sentinel inside a key body")
-    shares = decode_vector(raw[:, :, seed_len:].tobytes(), params.modulus, rows * width)
-    return dict(
-        party=party,
-        params=params,
-        seeds=seeds,
-        shares=shares.data.reshape(-1, rows, width),
-        correction=_take_vector(reader, params.modulus, params.cols),
-    )
+    seeds, shares = _read_records(raw.reshape(rows, width, record), params)
+    correction = _take_vector(reader, params.modulus, params.cols)
+    return dict(party=party, params=params, seeds=seeds, shares=shares, correction=correction)
 
 
 def _encode_dcf(key: dcf.DcfKey) -> bytes:
@@ -215,55 +218,38 @@ def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
 
 
 def _encode_boyle(key: baselines.BoyleKey) -> bytes:
-    """Each row as a u32 record count, then its records as one array."""
-    modulus = key.params.modulus
-    width = element_width(modulus)
-    parts = []
-    for columns, seeds, shares in key.rows:
-        count = len(columns)
-        residues = encode_vector(FieldVector._raw(modulus, shares))
-        records = np.concatenate(
-            [
-                columns.astype("<u4").view(np.uint8).reshape(count, 4),
-                seeds,
-                np.frombuffer(residues, np.uint8).reshape(count, width),
-            ],
-            axis=1,
-        )
-        parts += [_U32.pack(count), records.tobytes()]
-    return b"".join(parts) + encode_vector(key.correction)
+    """The body as one array: per row the u32 tuple count, then its
+    (column u32, seed, share) records."""
+    rows, held = key.columns.shape
+    columns = key.columns.astype("<u4").view(np.uint8).reshape(rows, held, 4)
+    records = np.concatenate([columns, _records(key)], axis=2).reshape(rows, -1)
+    counts = np.full((rows, 1), held, dtype="<u4").view(np.uint8)
+    return np.concatenate([counts, records], axis=1).tobytes() + encode_vector(key.correction)
 
 
 def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
+    """The header checks `boyle_gen` makes, then the body in one read: every row
+    holds `boyle_held_count` records, in ascending and in-range column order."""
     modulus = params.modulus
     try:
         baselines.require_prime(modulus)
     except ParameterError as exc:
         raise FormatError(f"invalid boyle15 key: {exc}") from exc
     baselines.check_guard(modulus.value, params.parties)
-    column_count = baselines.boyle_column_count(params)
-    seed_end = 4 + params.lambda_bits // 8
-    record = seed_end + element_width(modulus)
-    rows = []
-    for _ in range(params.rows):
-        (count,) = reader.unpack(_U32)
-        if count > column_count:
-            raise FormatError("tuple count exceeds the column count")
-        raw = np.frombuffer(reader.take(count * record), np.uint8).reshape(count, record)
-        columns = np.frombuffer(raw[:, :4].tobytes(), "<u4").astype(np.uint32)
-        if (columns[1:] <= columns[:-1]).any() or (columns >= column_count).any():
-            raise FormatError("column indexes must be ascending and in range")
-        seeds = raw[:, 4:seed_end]
-        if not seeds.any(axis=1).all():
-            raise FormatError("absent-seed sentinel inside a key body")
-        shares = decode_vector(raw[:, seed_end:].tobytes(), modulus, count)
-        rows.append((columns, seeds, shares.data))
-    return dict(
-        party=party,
-        params=params,
-        rows=tuple(rows),
-        correction=_take_vector(reader, modulus, params.cols),
-    )
+    held = baselines.boyle_held_count(params)
+    record = 4 + params.lambda_bits // 8 + element_width(modulus)
+    raw = np.frombuffer(reader.take(params.rows * (4 + held * record)), np.uint8)
+    raw = raw.reshape(params.rows, -1)
+    if (raw[:, :4].copy().view("<u4") != held).any():
+        raise FormatError(f"a row's tuple count is not q^(p-2)(q-1) = {held}")
+    raw = raw[:, 4:].reshape(params.rows, held, record)
+    columns = raw[:, :, :4].copy().view("<u4")[:, :, 0].astype(np.uint32)
+    last = baselines.boyle_column_count(params) - 1
+    if (columns[:, 1:] <= columns[:, :-1]).any() or (columns[:, -1] > last).any():
+        raise FormatError("column indexes must be ascending and in range")
+    seeds, shares = _read_records(raw[:, :, 4:], params)
+    fields = dict(party=party, params=params, columns=columns, seeds=seeds, shares=shares)
+    return dict(fields, correction=_take_vector(reader, modulus, params.cols))
 
 
 def _encode_trivial(key: baselines.TrivialKey) -> bytes:

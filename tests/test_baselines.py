@@ -10,8 +10,10 @@ from dpfkit.baselines import (
     TrivialKey,
     boyle_column_count,
     boyle_gen,
+    boyle_held_count,
     check_guard,
     require_prime,
+    shuffle,
     trivial_gen,
 )
 from dpfkit.dpf import PointDescription, SchemeParams, decode, eval_point
@@ -43,8 +45,7 @@ def reconstruct_share_vectors(keys, row):
     count = boyle_column_count(params)
     vectors = np.zeros((count, params.parties), dtype=np.int64)
     for key in keys:
-        columns, _seeds, shares = key.rows[row]
-        vectors[columns, key.party] = shares[0]
+        vectors[key.columns[row], key.party] = key.shares[0, row]
     return [tuple(v) for v in vectors.tolist()]
 
 
@@ -90,16 +91,24 @@ class TestBoyle:
         keys = boyle_gen(point, params, DeterministicRandomSource("layout"))
         tails = itertools.product(range(q), repeat=parties - 1)
         expected = [((1 - sum(t)) % q,) + t for t in tails]
-        DeterministicRandomSource("layout").shuffle(expected)
+        shuffle(expected, DeterministicRandomSource("layout"))
         assert reconstruct_share_vectors(keys, 0) == expected
 
-    def test_key_stores_only_nonzero_shares(self, rng):
-        params = _params(3, 1, "2", 4, grid=(1, 4))
+    @pytest.mark.parametrize("q, parties, held", [
+        (2, 2, 1), (2, 3, 2), (3, 3, 6), (5, 3, 20), (2, 5, 8), (3, 4, 18),
+    ])
+    def test_key_stores_only_nonzero_shares(self, q, parties, held, rng):
+        # Every row, the target row included, holds q^(p-2)(q-1) tuples.
+        params = _params(parties, 1, str(q), 4, grid=(2, 2))
         keys = boyle_gen(PointDescription(1, params.modulus.one()), params, rng)
+        assert boyle_held_count(params) == held
         for key in keys:
-            for columns, _, shares in key.rows:
-                assert columns.tolist() == sorted(columns.tolist())
-                assert shares.all()
+            assert key.columns.shape == (2, held)
+            assert key.seeds.shape == (2, held, 16)
+            assert key.shares.shape == (1, 2, held)
+            for columns in key.columns.tolist():
+                assert columns == sorted(set(columns))
+            assert key.shares.all()
 
     def test_column_count(self):
         params = _params(3, 1, "5", 4)
@@ -148,6 +157,21 @@ class TestBoyle:
         keys = boyle_gen(PointDescription(124, params.modulus.one()), params, rng)
         orders = [tuple(reconstruct_share_vectors(keys, row)) for row in range(4)]
         assert len(set(orders)) > 1
+
+
+def test_shuffle_reads_the_stream_as_random_shuffle():
+    # A DeterministicRandomSource's getrandbits(k) is the top k bits of
+    # randbytes(ceil(k/8)), so CPython's shuffle must draw what the dealer's
+    # own walk draws, and leave the stream at the same byte.
+    cases = [(seed, count) for seed in range(300) for count in (1, 2, 3, 5, 8, 9, 17)]
+    cases += [(f"long-{count}", count) for count in (*range(1, 1001, 7), 256, 257, 1000)]
+    for seed, count in cases:
+        ours, theirs = DeterministicRandomSource(seed), DeterministicRandomSource(seed)
+        items, expected = list(range(count)), list(range(count))
+        shuffle(items, ours)
+        theirs.shuffle(expected)
+        assert items == expected, (seed, count)
+        assert ours.randbytes(16) == theirs.randbytes(16), (seed, count)
 
 
 class TestTrivial:

@@ -275,15 +275,16 @@ def test_crafted_boyle_header_refused_before_the_column_count(
     capsys, tmp_path, monkeypatch, factors, error, exit_code
 ):
     # A boyle15 key for p = 65535 with one empty row: boyle_gen refuses
-    # both headers, and q^(p-1) would be a two-million-bit integer.
+    # both headers, and q^(p-1) and q^(p-2) would be two-million-bit integers.
     modulus = Modulus(factors)
     params = SchemeParams(65535, 1, 128, modulus, 1, 1, 1)
     blob = _pack_header(2, 0, params) + bytes(4) + bytes(element_width(modulus))
 
-    def column_count(params):
-        raise AssertionError("q^(p-1) was computed")
+    def power(params):
+        raise AssertionError("q^(p-1) or q^(p-2) was computed")
 
-    monkeypatch.setattr(dpfkit.baselines, "boyle_column_count", column_count)
+    monkeypatch.setattr(dpfkit.baselines, "boyle_column_count", power)
+    monkeypatch.setattr(dpfkit.baselines, "boyle_held_count", power)
     with pytest.raises(error):
         key_from_bytes(blob)
     path = tmp_path / "crafted.dpfk"
@@ -291,6 +292,22 @@ def test_crafted_boyle_header_refused_before_the_column_count(
     code, out, err = run(capsys, "eval", "--key", str(path), "--x", "0")
     assert code == exit_code, err
     assert out == ""
+
+
+def test_hostile_boyle_body_length_is_refused_before_allocation():
+    # 2^32 - 1 rows of 1021 * 1020 records pass the column guard, and
+    # their body would be about 10^17 bytes; the file holds eight.
+    modulus = Modulus((1021,))
+    params = SchemeParams(3, 1, 128, modulus, 1, 2 ** 32 - 1, 1)
+    blob = _pack_header(2, 0, params) + bytes(8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            key_from_bytes(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_format_error_exit_code(capsys, tmp_path):

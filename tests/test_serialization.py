@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfkit import cli
 from dpfkit.algebra import FieldVector, parse_modulus
 from dpfkit.baselines import boyle_gen, check_guard, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
@@ -404,6 +405,33 @@ class TestMalformedInput:
         blob[_BOYLE_BODY : _BOYLE_BODY + 4] = (10).to_bytes(4, "little")
         with pytest.raises(FormatError, match="tuple count"):
             key_from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("count,records,message", [
+        (5, "drop the last", "truncated"),
+        (7, "append column 7", "tuple count"),
+        (5, "keep", "tuple count"),
+        (7, "keep", "tuple count"),
+    ])
+    def test_boyle_row_of_another_tuple_count_exits_3(
+        self, capsys, tmp_path, count, records, message
+    ):
+        # The golden row holds T = q^(p-2)(q-1) = 6 records of 21 bytes, for
+        # columns 0 and 2-6.  A row of T-1 or T+1 otherwise valid records is
+        # refused, and so is a count of T-1 or T+1 in front of the T records.
+        blob = _boyle_blob()
+        end = _BOYLE_BODY + 4 + 6 * 21
+        body = blob[_BOYLE_BODY + 4 : end]
+        if records == "drop the last":
+            body = body[:-21]
+        elif records == "append column 7":
+            body += (7).to_bytes(4, "little") + bytes([1]) * 16 + bytes([1])
+        blob = blob[:_BOYLE_BODY] + count.to_bytes(4, "little") + body + blob[end:]
+        with pytest.raises(FormatError, match=message):
+            key_from_bytes(blob)
+        path = tmp_path / "boyle.dpfk"
+        path.write_bytes(blob)
+        assert cli.main(["eval", "--key", str(path), "--x", "0"]) == 3
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("offset,value", [
         (_PRG_LAMBDA, 256), (_PRG_LAMBDA, 120), (_PRG_LENGTH, 3), (_PRG_LENGTH, 5),

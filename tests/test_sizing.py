@@ -124,6 +124,22 @@ class TestMeasuredAgreement:
         measured = 8 * len(key_to_bytes(key)) - 8 * header_size(modulus) - 32 * params.rows
         assert abs(measured - model) / model < 0.15
 
+    @pytest.mark.parametrize("q, parties, domain", [(2, 3, 40), (5, 3, 100), (3, 4, 30)])
+    def test_boyle_file_size_is_a_closed_form(self, q, parties, domain):
+        # Every row stores T = q^(p-2)(q-1) records of a u32 column, a seed
+        # and a share, after its u32 count; then the correction.
+        modulus = parse_modulus(str(q))
+        grid = choose_grid_boyle(domain, parties, 128, modulus)
+        params = SchemeParams.create(
+            parties=parties, corrupted=1, modulus=modulus, domain_size=domain, grid=grid
+        )
+        rng = DeterministicRandomSource("sz5")
+        keys = boyle_gen(PointDescription(domain - 1, params.modulus.one()), params, rng)
+        held = q ** (parties - 2) * (q - 1)
+        rows, cols = grid
+        expected = header_size(modulus) + rows * (4 + held * (4 + 16 + 1)) + cols
+        assert [len(key_to_bytes(key)) for key in keys] == [expected] * parties
+
     def test_overhead_unknown_scheme(self):
         params = SchemeParams.create(
             parties=3, corrupted=1, modulus=parse_modulus("5"), domain_size=4
