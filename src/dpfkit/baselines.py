@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldVector
-from .dpf import PointDescription, Row, SchemeParams, _correction, check_eval_budget
+from .dpf import DpfKey, PointDescription, Row, SchemeParams, _correction, check_eval_budget
 from .errors import GuardError, ParameterError
 from .prg import expand, sample_seeds
 
@@ -45,25 +45,24 @@ def boyle_held_count(params: SchemeParams) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class BoyleKey:
-    """The columns where this party's share is non-zero, `boyle_held_count`
-    of them in every row: `columns` is uint32 of shape (rows, T), ascending
-    in each row, `seeds` uint8 of shape (rows, T, lambda/8) and `shares`
-    uint64 of shape (1, rows, T).
+class BoyleKey(DpfKey):
+    """A `DpfKey` over the columns where this party's share is non-zero,
+    `boyle_held_count` of them in every row: `columns` is uint32 of shape
+    (rows, T), ascending in each row, and the modulus is prime.
     """
 
-    party: int
-    params: SchemeParams
     columns: np.ndarray
-    seeds: np.ndarray
-    shares: np.ndarray
-    correction: FieldVector
+    held_count = staticmethod(boyle_held_count)
 
-    def row(self, r: int) -> Row:
-        """The (seeds, shares, correction or None, None) that `dpf._combine_row` takes."""
-        # Column 0's share also multiplies the public correction vector.
-        correction = self.correction if self.columns[r, 0] == 0 else None
-        return self.seeds[r], self.shares[:, r], correction, None
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        columns, count = self.columns, boyle_column_count(self.params)
+        fits = columns.shape == self.seeds.shape[:2] and (columns[:, -1] < count).all()
+        if not fits or (columns[:, 1:] <= columns[:, :-1]).any():
+            raise ParameterError("column indexes must be ascending and in range, shape (rows, T)")
+
+    def holds_first(self, r: int) -> bool:
+        return self.columns[r, 0] == 0
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,8 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
 
     correction = _correction(total, count, point, params, prefix=False)
     return tuple(
-        BoyleKey(party, params, columns[party], seeds[party], shares[party], correction)
-        for party in range(parties)
+        BoyleKey(party=i, params=params, seeds=s, shares=v, correction=correction, columns=c)
+        for i, (c, s, v) in enumerate(zip(columns, seeds, shares))
     )
 
 

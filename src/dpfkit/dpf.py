@@ -68,7 +68,7 @@ from .prg import PrgSpec, expand, sample_seeds
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
-EVAL_BUDGET = 1 << 32  # bytes of uint64 residues one full-domain output may take
+EVAL_BUDGET = 1 << 32  # bytes of uint64 words one full-domain output or row's expansions may take
 Row = tuple[np.ndarray, np.ndarray, FieldVector | None, np.ndarray | None]  # see `_combine_row`
 
 
@@ -188,10 +188,10 @@ class PointDescription:
 class DpfKey:
     """One party's key: per-row seeds and shares plus the shared correction.
 
-    `seeds` is uint8 of shape (rows, C(p-1, m), lambda/8) and `shares` is
-    uint64 of shape (factors, rows, C(p-1, m)); both list the party's
-    columns in `params.member_columns(party)` order.  Parties 0..m hold
-    column 0 and so also apply the correction.
+    `seeds` is uint8 of shape (rows, T, lambda/8) and `shares` uint64 of
+    shape (factors, rows, T) for the T = `held_count(params)` columns the
+    party holds in each row: C(p-1, m) of them, in `params.member_columns`
+    order.  Parties 0..m hold column 0 and so also apply the correction.
     """
 
     party: int
@@ -200,11 +200,15 @@ class DpfKey:
     shares: np.ndarray
     correction: FieldVector
 
+    @staticmethod
+    def held_count(params: SchemeParams) -> int:
+        return params.tuples_per_row
+
     def __post_init__(self) -> None:
         params = self.params
         if not 0 <= self.party < params.parties:
             raise ParameterError(f"party {self.party} out of range")
-        width = params.tuples_per_row
+        width = self.held_count(params)
         if self.seeds.shape != (params.rows, width, params.lambda_bits // 8):
             raise ParameterError(f"seeds must have shape (rows, {width}, lambda/8)")
         if self.shares.shape != (len(params.modulus.factors), params.rows, width):
@@ -212,12 +216,13 @@ class DpfKey:
         if len(self.correction) != params.cols:
             raise ParameterError("correction length disagrees with grid")
 
+    def holds_first(self, r: int) -> bool:
+        """Whether row r's column 0, whose share also scales the correction, is held."""
+        return self.party <= self.params.corrupted
+
     def row(self, r: int) -> Row:
         """The (seeds, shares, correction or None, None) `_combine_row` takes."""
-        # Column 0 is the subset {0, ..., m}; its members also multiply that
-        # column's share into the public correction vector.
-        holds_first = self.party <= self.params.corrupted
-        correction = self.correction if holds_first else None
+        correction = self.correction if self.holds_first(r) else None
         return self.seeds[r], self.shares[:, r], correction, None
 
 
@@ -346,6 +351,8 @@ def _combine_row(
     The offset is added before the first reduction, in that value's place.
     """
     qs = spec.modulus._qs_np
+    if 8 * len(seeds) * spec.output_len * len(qs) > EVAL_BUDGET:
+        raise GuardError(f"refusing a row of {len(seeds)} expansions to {spec.output_len} columns")
     q = spec.modulus.factors[-1]
     period = ((1 << 64) - 1 - q) // (q - 1) ** 2
     shares = shares[:, :, None]

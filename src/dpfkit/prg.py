@@ -133,15 +133,12 @@ def _sample_residues(
         candidates = byte_words(raw, width, "<") & mask
         if fast and candidates[:n].max() < bound:
             return candidates[first:n]
-        if skip:
-            passed = candidates < bound
-            before = np.count_nonzero(passed[:skip])
-            if before > first:
-                # The first-th pass lies before `skip`, but never before word `first`.
-                skip, before = first, np.count_nonzero(passed[:first])
-            good = candidates[skip:].compress(passed[skip:])
-        else:
-            before, good = 0, candidates.compress(candidates < bound)
+        passed = candidates < bound
+        before = np.count_nonzero(passed[:skip])
+        if before > first:
+            # The first-th pass lies before `skip`, but never before word `first`.
+            skip, before = first, np.count_nonzero(passed[:first])
+        good = candidates[skip:].compress(passed[skip:])
         if before + good.size >= n:
             return good[first - before : n - before]
         if words > cap:

@@ -1,6 +1,7 @@
 """Full-enumeration and truth-table reference schemes."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dpfkit.baselines import (
     shuffle,
     trivial_gen,
 )
-from dpfkit.dpf import PointDescription, SchemeParams, decode, eval_point
+from dpfkit.dpf import DpfKey, PointDescription, SchemeParams, decode, eval_point
 from dpfkit.errors import GuardError, ParameterError
 from dpfkit.keyfile import key_to_bytes
 from dpfkit.prg import DeterministicRandomSource
@@ -109,6 +110,38 @@ class TestBoyle:
             for columns in key.columns.tolist():
                 assert columns == sorted(set(columns))
             assert key.shares.all()
+
+    def test_dealt_key_is_a_dpf_key(self, rng):
+        params = _params(3, 1, "3", 4, grid=(1, 4))
+        for key in boyle_gen(PointDescription(1, params.modulus.one()), params, rng):
+            assert isinstance(key, DpfKey)
+            assert key.held_count(params) == boyle_held_count(params) == 6
+
+    def test_key_with_another_tuple_count_is_refused(self, rng):
+        # Every row holds T = 6 tuples here.  A key of 5 would be written by
+        # key_to_bytes as a file that key_from_bytes refuses.
+        params = _params(3, 1, "3", 4, grid=(1, 4))
+        key = boyle_gen(PointDescription(1, params.modulus.one()), params, rng)[0]
+        cut = dict(columns=key.columns[:, :5], seeds=key.seeds[:, :5], shares=key.shares[:, :, :5])
+        with pytest.raises(ParameterError, match="seeds must have shape"):
+            replace(key, **cut)
+        with pytest.raises(ParameterError, match="column indexes"):
+            replace(key, columns=key.columns[:, :5])
+
+    @pytest.mark.parametrize("edit", ["swap", "repeat", "out of range"])
+    def test_key_with_bad_columns_is_refused(self, rng, edit):
+        params = _params(3, 1, "3", 4, grid=(2, 2))
+        key = boyle_gen(PointDescription(1, params.modulus.one()), params, rng)[0]
+        columns = key.columns.copy()
+        if edit == "swap":
+            columns[1, [0, 1]] = columns[1, [1, 0]]
+        elif edit == "repeat":
+            columns[1, 1] = columns[1, 0]
+        else:
+            columns[1, -1] = boyle_column_count(params)
+        with pytest.raises(ParameterError, match="column indexes"):
+            replace(key, columns=columns)
+        replace(key, columns=key.columns.copy())  # the dealt columns pass
 
     def test_column_count(self):
         params = _params(3, 1, "5", 4)

@@ -24,7 +24,13 @@ from dpfkit.keyfile import (
     key_to_bytes,
     write_key_file,
 )
-from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource, expand
+from dpfkit.prg import (
+    PRG_SHAKE128,
+    PRG_TEST_LCG,
+    DeterministicRandomSource,
+    expand,
+    expansion_count,
+)
 from dpfkit.pir import Database, write_database
 from dpfkit.algebra import FieldVector, Modulus, parse_modulus
 
@@ -181,6 +187,40 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 4, err
     assert out == ""
     assert "exceeds the budget" in err
+
+
+def test_row_over_the_budget_is_refused_before_expanding(capsys, tmp_path, monkeypatch):
+    # A 0.3 MB one-row key for p = 16385, m = 1 holds C(16384, 1) seeds, and
+    # a point in column V-1 = 32768 expands each to 32769 words: 8 * 16384 *
+    # 32769 bytes is just over dpf.EVAL_BUDGET.  Unbounded, that one point
+    # would squeeze 16384 expansions of 32769 words.
+    cols, held = 32769, 16384
+    modulus = parse_modulus("2")
+    params = SchemeParams(held + 1, 1, 128, modulus, cols, 1, cols)
+    key = DpfKey(
+        party=held,
+        params=params,
+        seeds=np.ones((1, held, 16), dtype=np.uint8),
+        shares=np.ones((1, 1, held), dtype=np.uint64),
+        correction=FieldVector(modulus, np.zeros((1, cols))),
+    )
+    path = tmp_path / "wide-row.dpfk"
+    write_key_file(path, key)
+    before = expansion_count()
+    for argv in (["eval", "--x", str(cols - 1)], ["eval-all"]):
+        code, out, err = run(capsys, *argv, "--key", str(path))
+        assert code == 4, err
+        assert out == ""
+        assert "refusing a row" in err
+    assert expansion_count() == before
+
+    # One column less is exactly at the budget, and the row is expanded.
+    def expanded(*args):
+        raise RuntimeError("expanded")
+
+    monkeypatch.setattr(dpfkit.dpf, "expand", expanded)
+    with pytest.raises(RuntimeError, match="expanded"):
+        eval_point(key, cols - 2)
 
 
 def test_trivial_keygen_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):

@@ -31,6 +31,7 @@ OUTSIDE_USERS = {
     "FigureDataset": ("emit_figure",),
     "PirTranscript": ("pir_demo",),
     "check_seed_coverage": ("tests/test_privacy.py",),
+    "boyle_column_count": ("tests/test_baselines.py",),
     "crossover_report": ("tests/test_sizing.py",),
     "dcf_eval": ("perfbench/workloads.py",),
     "eval_all": ("perfbench/run.py", "README.md"),

@@ -1,5 +1,6 @@
 """Binary key container: round trips, golden bytes, malformed input."""
 
+import contextlib
 import hashlib
 import tracemalloc
 from functools import cache
@@ -13,7 +14,7 @@ from dpfkit import cli
 from dpfkit.algebra import FieldVector, parse_modulus
 from dpfkit.baselines import boyle_gen, check_guard, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
-from dpfkit.dpf import PointDescription, SchemeParams, eval_point, gen
+from dpfkit.dpf import PointDescription, SchemeParams, eval_all, eval_point, gen
 from dpfkit.errors import FormatError, GuardError
 from dpfkit.keyfile import (
     SCHEMES,
@@ -484,3 +485,10 @@ def test_mutated_golden_blobs_parse_or_raise_format_error(blob):
             check_guard(params.modulus.value, params.parties)
         return
     assert key_to_bytes(key) == blob
+    # What parses evaluates, or is refused by a work bound.
+    n = key.params.domain_size
+    with contextlib.suppress(GuardError):
+        eval_point(key, 0)
+        eval_point(key, n - 1)
+        if n <= 1 << 16:
+            eval_all(key)
