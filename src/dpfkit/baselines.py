@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldVector
-from .dpf import DpfKey, PointDescription, Row, SchemeParams, _correction, check_eval_budget
+from .dpf import DpfKey, PointDescription, Row, SchemeParams, _correction
+from .dpf import check_eval_budget, check_row_budget
 from .errors import GuardError, ParameterError
 from .prg import expand, sample_seeds
 
@@ -65,24 +66,26 @@ class BoyleKey(DpfKey):
         return self.columns[r, 0] == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrivialKey:
-    """One additive share of the whole truth table, shape (factors, N)."""
+    """One additive share of the whole truth table: `table` is uint64 of shape (factors, N)."""
 
     party: int
     params: SchemeParams
-    table: FieldVector
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         params = self.params
-        if self.table.data.shape != (len(params.modulus.factors), params.domain_size):
+        if not 0 <= self.party < params.parties:
+            raise ParameterError(f"party {self.party} out of range")
+        if self.table.shape != (len(params.modulus.factors), params.domain_size):
             raise ParameterError("table must have shape (factors, domain size)")
 
     def row(self, r: int) -> Row:
         """No seeds: the row's slice of the table is its whole share."""
         cols, factors = self.params.cols, len(self.params.modulus.factors)
         no_seeds = np.empty((0, 0), dtype=np.uint8), np.empty((factors, 0), dtype=np.uint64)
-        return *no_seeds, None, self.table.data[:, r * cols : (r + 1) * cols]
+        return *no_seeds, None, self.table[:, r * cols : (r + 1) * cols]
 
 
 def require_prime(modulus) -> None:
@@ -125,6 +128,8 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     require_prime(params.modulus)
     check_guard(params.modulus.value, params.parties)
     point.validate(params)
+    held = boyle_held_count(params)
+    check_row_budget(held, params.cols, 1)
     q = params.modulus.value
     parties = params.parties
     target_row = point.alpha // params.cols
@@ -138,7 +143,6 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     sum_one = sum_zero.copy()
     sum_one[:, 0] = (sum_one[:, 0] + 1) % q
 
-    held = boyle_held_count(params)
     columns = np.empty((parties, params.rows, held), dtype=np.uint32)
     seeds = np.empty((parties, params.rows, held, params.lambda_bits // 8), dtype=np.uint8)
     shares = np.empty((parties, 1, params.rows, held), dtype=np.uint64)
@@ -178,7 +182,4 @@ def trivial_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Tri
     truth = np.zeros((len(qs), params.domain_size), dtype=np.uint64)
     truth[:, point.alpha] = point.beta.residues
     tables.append((truth + (params.parties - 1) * qs - sum(tables)) % qs)
-    return tuple(
-        TrivialKey(party=i, params=params, table=FieldVector._raw(modulus, t))
-        for i, t in enumerate(tables)
-    )
+    return tuple(TrivialKey(party=i, params=params, table=t) for i, t in enumerate(tables))

@@ -89,12 +89,13 @@ def _cmd_eval_all(args) -> int:
     key = keyfile.read_key_file(args.key)
     params = key.params
     dpf.check_eval_budget(params)
-    blocks = (FieldVector._raw(params.modulus, shares) for _, shares in dpf.eval_rows(key))
+    rows = (shares for _, shares in dpf.eval_rows(key))
     if args.out is None:
-        for block in blocks:
-            sys.stdout.write("\n".join(map(str, block.lift_all())) + "\n")
+        for shares in rows:
+            values = FieldVector._raw(params.modulus, shares).lift_all()
+            sys.stdout.write("\n".join(map(str, values)) + "\n")
         return EXIT_OK
-    pir.write_blocks(args.out, params.domain_size, blocks)
+    pir.write_blocks(args.out, params.domain_size, rows, params.modulus)
     print(args.out)
     return EXIT_OK
 

@@ -26,26 +26,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dpf
-from .algebra import FieldElement, FieldVector
+from .algebra import FieldElement
 from .errors import ParameterError
 from .prg import expand  # unused here, but the benchmark wraps `dcf.expand`
 
 
 @dataclass(frozen=True, eq=False)
 class DcfKey(dpf.DpfKey):
-    """A point-function key plus one output share per grid row."""
+    """A point-function key plus one output share per grid row, `row_outputs` (factors, rows)."""
 
-    row_outputs: FieldVector
+    row_outputs: np.ndarray
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.row_outputs) != self.params.rows:
-            raise ParameterError("need exactly one output share per row")
+        if self.row_outputs.shape != (len(self.params.modulus.factors), self.params.rows):
+            raise ParameterError("row_outputs must have shape (factors, rows)")
 
     def row(self, r: int) -> dpf.Row:
         """The point key's row, with this row's output share on every column."""
         seeds, shares, correction, _ = super().row(r)
-        output = self.row_outputs.data[:, r : r + 1]
+        output = self.row_outputs[:, r : r + 1]
         return seeds, shares, correction, np.broadcast_to(output, (len(output), self.params.cols))
 
 
@@ -53,14 +53,10 @@ def dcf_gen(
     point: dpf.PointDescription, params: dpf.SchemeParams, rng
 ) -> tuple[DcfKey, ...]:
     fields, target_row = dpf._gen_core(point, params, rng, prefix=True)
-    modulus = params.modulus
-    secrets = np.zeros((len(modulus.factors), params.rows), dtype=np.uint64)
+    secrets = np.zeros((len(params.modulus.factors), params.rows), dtype=np.uint64)
     secrets[:, :target_row] = np.array(point.beta.residues)[:, None]
-    row_shares = dpf._deal(secrets, params.parties, modulus, rng)
-    return tuple(
-        DcfKey(**f, row_outputs=FieldVector._raw(modulus, row_shares[:, :, party]))
-        for party, f in enumerate(fields)
-    )
+    row_shares = dpf._deal(secrets, params.parties, params.modulus, rng)
+    return tuple(DcfKey(**f, row_outputs=row_shares[:, :, i]) for i, f in enumerate(fields))
 
 
 def dcf_eval(key: DcfKey, x: int) -> FieldElement:

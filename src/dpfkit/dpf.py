@@ -69,7 +69,7 @@ from .prg import PrgSpec, expand, sample_seeds
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
 EVAL_BUDGET = 1 << 32  # bytes of uint64 words one full-domain output or row's expansions may take
-Row = tuple[np.ndarray, np.ndarray, FieldVector | None, np.ndarray | None]  # see `_combine_row`
+Row = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]  # see `_combine_row`
 
 
 def check_party_counts(parties: int, corrupted: int) -> None:
@@ -191,14 +191,15 @@ class DpfKey:
     `seeds` is uint8 of shape (rows, T, lambda/8) and `shares` uint64 of
     shape (factors, rows, T) for the T = `held_count(params)` columns the
     party holds in each row: C(p-1, m) of them, in `params.member_columns`
-    order.  Parties 0..m hold column 0 and so also apply the correction.
+    order.  `correction` is uint64 of shape (factors, cols) over
+    `params.modulus`; parties 0..m hold column 0 and so also apply it.
     """
 
     party: int
     params: SchemeParams
     seeds: np.ndarray
     shares: np.ndarray
-    correction: FieldVector
+    correction: np.ndarray
 
     @staticmethod
     def held_count(params: SchemeParams) -> int:
@@ -208,13 +209,13 @@ class DpfKey:
         params = self.params
         if not 0 <= self.party < params.parties:
             raise ParameterError(f"party {self.party} out of range")
-        width = self.held_count(params)
+        width, factors = self.held_count(params), len(params.modulus.factors)
         if self.seeds.shape != (params.rows, width, params.lambda_bits // 8):
             raise ParameterError(f"seeds must have shape (rows, {width}, lambda/8)")
-        if self.shares.shape != (len(params.modulus.factors), params.rows, width):
+        if self.shares.shape != (factors, params.rows, width):
             raise ParameterError(f"shares must have shape (factors, rows, {width})")
-        if len(self.correction) != params.cols:
-            raise ParameterError("correction length disagrees with grid")
+        if self.correction.shape != (factors, params.cols):
+            raise ParameterError("correction must have shape (factors, cols)")
 
     def holds_first(self, r: int) -> bool:
         """Whether row r's column 0, whose share also scales the correction, is held."""
@@ -307,7 +308,7 @@ def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
 
 def _correction(
     total: np.ndarray, count: int, point: PointDescription, params: SchemeParams, prefix: bool
-) -> FieldVector:
+) -> np.ndarray:
     """Beta on the target row's columns up to the target column (only at
     it unless `prefix`) minus `total`, the unreduced sum of the target
     row's `count` expansions.  Residues are below 2**31, so that sum
@@ -320,7 +321,7 @@ def _correction(
     out = count * qs - total
     out[:, first : target_col + 1] += np.array(point.beta.residues, dtype=np.uint64)[:, None]
     _reduce(out, qs, np.empty_like(out))
-    return FieldVector._raw(params.modulus, out)
+    return out
 
 
 def _reduce(values: np.ndarray, qs: np.ndarray, scratch: np.ndarray) -> None:
@@ -335,7 +336,7 @@ def _combine_row(
     spec: PrgSpec,
     seeds: np.ndarray,
     shares: np.ndarray,
-    correction: FieldVector | None = None,
+    correction: np.ndarray | None = None,
     offset: np.ndarray | None = None,
     first: int = 0,
 ) -> np.ndarray:
@@ -351,8 +352,7 @@ def _combine_row(
     The offset is added before the first reduction, in that value's place.
     """
     qs = spec.modulus._qs_np
-    if 8 * len(seeds) * spec.output_len * len(qs) > EVAL_BUDGET:
-        raise GuardError(f"refusing a row of {len(seeds)} expansions to {spec.output_len} columns")
+    check_row_budget(len(seeds), spec.output_len, len(qs))
     q = spec.modulus.factors[-1]
     period = ((1 << 64) - 1 - q) // (q - 1) ** 2
     shares = shares[:, :, None]
@@ -360,7 +360,7 @@ def _combine_row(
     term = np.empty_like(acc)
     pending = 0
     if correction is not None:
-        np.multiply(correction.data[:, first : spec.output_len], shares[:, 0], out=acc)
+        np.multiply(correction[:, first : spec.output_len], shares[:, 0], out=acc)
         pending = 1
     if offset is not None:
         acc += offset[:, first : spec.output_len]
@@ -391,6 +391,7 @@ def _gen_core(
     point.validate(params)
     modulus = params.modulus
     factors = len(modulus.factors)
+    check_row_budget(DpfKey.held_count(params), params.cols, factors)
     target_row = point.alpha // params.cols
     seeds = _distinct_seeds(params, rng)
     secrets = np.zeros((factors, params.rows, params.combo_count), dtype=np.uint64)
@@ -493,6 +494,12 @@ def check_eval_budget(params: SchemeParams) -> None:
         )
 
 
+def check_row_budget(seeds: int, width: int, factors: int) -> None:
+    """Refuse a row of `seeds` expansions to `width` columns past EVAL_BUDGET bytes."""
+    if 8 * seeds * width * factors > EVAL_BUDGET:
+        raise GuardError(f"refusing a row of {seeds} expansions to {width} columns")
+
+
 def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) -> bool:
     """True when some column's subset avoids the coalition entirely.
 
@@ -529,14 +536,11 @@ def simulate_coalition_view(
         raise ParameterError(
             f"coalition of {len(members)} exceeds corruption bound {params.corrupted}"
         )
-    for member in members:
-        if not 0 <= member < params.parties:
-            raise ParameterError(f"coalition member {member} out of range")
 
-    correction = FieldVector.random(params.modulus, params.cols, rng)
-    visible = sorted(
+    visible = sorted(  # member_columns refuses a member out of range
         {j for member in members for j in params.member_columns(member)}
     )
+    correction = FieldVector.random(params.modulus, params.cols, rng).data
     seed_len = params.lambda_bits // 8
     seeds = np.zeros((params.rows, params.combo_count, seed_len), dtype=np.uint8)
     drawn = sample_seeds(params.rows * len(visible), params.lambda_bits, rng)

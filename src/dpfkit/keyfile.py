@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, dcf, dpf
-from .algebra import FieldVector, Modulus
+from .algebra import Modulus
 from .errors import FormatError, ParameterError
 
 MAGIC = b"DPFK"
@@ -69,18 +69,18 @@ def _byte_columns(modulus: Modulus) -> list[tuple[int, int]]:
     return [(fi, k) for fi, w in enumerate(_factor_widths(modulus)) for k in range(w)]
 
 
-def encode_vector(vec: FieldVector) -> bytes:
-    """Each element's residues as the low bytes of their little-endian words."""
-    columns = _byte_columns(vec.modulus)
-    words = np.ascontiguousarray(vec.data, dtype="<u8")
-    octets = words.view(np.uint8).reshape(len(words), len(vec), 8)
-    out = np.empty((len(vec), len(columns)), dtype=np.uint8)
+def encode_vector(data: np.ndarray, modulus: Modulus) -> bytes:
+    """Each column of a (factors, n) residue array as the low bytes of its words."""
+    columns = _byte_columns(modulus)
+    words = np.ascontiguousarray(data, dtype="<u8")
+    octets = words.view(np.uint8).reshape(*words.shape, 8)
+    out = np.empty((words.shape[1], len(columns)), dtype=np.uint8)
     for i, (fi, k) in enumerate(columns):
         out[:, i] = octets[fi, :, k]
     return out.tobytes()
 
 
-def decode_vector(data: bytes, modulus: Modulus, count: int) -> FieldVector:
+def decode_vector(data: bytes, modulus: Modulus, count: int) -> np.ndarray:
     columns = _byte_columns(modulus)
     total = len(columns)
     if len(data) != count * total:
@@ -94,7 +94,7 @@ def decode_vector(data: bytes, modulus: Modulus, count: int) -> FieldVector:
         octets[fi, :, k] = mat[:, i]
     if arr.size and not (arr < modulus._qs_np).all():
         raise FormatError("element residue out of range for its factor")
-    return FieldVector._raw(modulus, arr)
+    return arr
 
 
 def _pack_header(scheme: int, party: int, params: dpf.SchemeParams) -> bytes:
@@ -172,15 +172,15 @@ def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
     return scheme, party, params, reader.offset
 
 
-def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> FieldVector:
+def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> np.ndarray:
     return decode_vector(reader.take(count * element_width(modulus)), modulus, count)
 
 
 def _records(key) -> np.ndarray:
     """The key's (seed, share) records, uint8 of shape (rows, tuples, seed + share bytes)."""
     _, rows, width = key.shares.shape
-    flat = FieldVector._raw(key.params.modulus, key.shares.reshape(-1, rows * width))
-    shares = np.frombuffer(encode_vector(flat), dtype=np.uint8).reshape(rows, width, -1)
+    flat = encode_vector(key.shares.reshape(-1, rows * width), key.params.modulus)
+    shares = np.frombuffer(flat, dtype=np.uint8).reshape(rows, width, -1)
     return np.concatenate([key.seeds, shares], axis=2)
 
 
@@ -191,11 +191,11 @@ def _read_records(raw: np.ndarray, params: dpf.SchemeParams) -> tuple[np.ndarray
     if not seeds.any(axis=2).all():
         raise FormatError("absent-seed sentinel inside a key body")
     shares = decode_vector(raw[:, :, seeds.shape[2] :].tobytes(), params.modulus, rows * width)
-    return seeds, shares.data.reshape(-1, rows, width)
+    return seeds, shares.reshape(-1, rows, width)
 
 
 def _encode_dpf(key: dpf.DpfKey) -> bytes:
-    return _records(key).tobytes() + encode_vector(key.correction)
+    return _records(key).tobytes() + encode_vector(key.correction, key.params.modulus)
 
 
 def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
@@ -209,7 +209,7 @@ def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
 
 
 def _encode_dcf(key: dcf.DcfKey) -> bytes:
-    return _encode_dpf(key) + encode_vector(key.row_outputs)
+    return _encode_dpf(key) + encode_vector(key.row_outputs, key.params.modulus)
 
 
 def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
@@ -224,7 +224,8 @@ def _encode_boyle(key: baselines.BoyleKey) -> bytes:
     columns = key.columns.astype("<u4").view(np.uint8).reshape(rows, held, 4)
     records = np.concatenate([columns, _records(key)], axis=2).reshape(rows, -1)
     counts = np.full((rows, 1), held, dtype="<u4").view(np.uint8)
-    return np.concatenate([counts, records], axis=1).tobytes() + encode_vector(key.correction)
+    body = np.concatenate([counts, records], axis=1).tobytes()
+    return body + encode_vector(key.correction, key.params.modulus)
 
 
 def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
@@ -247,7 +248,7 @@ def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict
 
 
 def _encode_trivial(key: baselines.TrivialKey) -> bytes:
-    return encode_vector(key.table)
+    return encode_vector(key.table, key.params.modulus)
 
 
 def _decode_trivial(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:

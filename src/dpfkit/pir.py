@@ -46,16 +46,16 @@ class Database:
         return len(self.entries)
 
 
-def write_blocks(path, count: int, blocks: Iterable[FieldVector]) -> None:
-    """Write `count` entries, given in `blocks`; a failing block leaves a short file."""
+def write_blocks(path, count: int, blocks: Iterable[np.ndarray], modulus: Modulus) -> None:
+    """Write `count` entries in (factors, n) `blocks`; a failing block leaves a short file."""
     with open(path, "wb") as fh:
         fh.write(_COUNT.pack(count))
         for block in blocks:
-            fh.write(keyfile.encode_vector(block))
+            fh.write(keyfile.encode_vector(block, modulus))
 
 
 def write_database(path, db: Database) -> None:
-    write_blocks(path, len(db), [db.entries])
+    write_blocks(path, len(db), [db.entries.data], db.modulus)
 
 
 def read_database(path, modulus: Modulus) -> Database:
@@ -64,13 +64,8 @@ def read_database(path, modulus: Modulus) -> Database:
     if len(data) < _COUNT.size:
         raise FormatError("database file too short for its length prefix")
     (count,) = _COUNT.unpack_from(data, 0)
-    body = memoryview(data)[_COUNT.size:]
-    expected = count * keyfile.element_width(modulus)
-    if len(body) != expected:
-        raise FormatError(
-            f"database body is {len(body)} bytes, expected {expected} for {count} entries"
-        )
-    return Database(modulus, keyfile.decode_vector(body, modulus, count))
+    entries = keyfile.decode_vector(memoryview(data)[_COUNT.size :], modulus, count)
+    return Database(modulus, FieldVector._raw(modulus, entries))
 
 
 def pir_query(

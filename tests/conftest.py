@@ -18,3 +18,14 @@ settings.load_profile("default")
 def rng():
     """Deterministic plain RNG for tests that only need reproducibility."""
     return random.Random(0xDF11)
+
+
+class _RefusingSource:
+    def randbytes(self, n):
+        raise AssertionError(f"read {n} random bytes")
+
+
+@pytest.fixture
+def refusing_rng():
+    """An RNG whose every read fails, for calls that must refuse before drawing."""
+    return _RefusingSource()

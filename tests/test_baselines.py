@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpfkit.algebra import FieldVector, Modulus, parse_modulus
+from dpfkit.algebra import Modulus, parse_modulus
 from dpfkit.baselines import (
     TrivialKey,
     boyle_column_count,
@@ -221,7 +221,7 @@ class TestTrivial:
         params = _params(4, 1, "5", 7)
         keys = trivial_gen(PointDescription(0, params.modulus.one()), params, rng)
         for key in keys:
-            assert len(key.table) == 7
+            assert key.table.shape == (1, 7)
 
     @pytest.mark.parametrize("length", [6, 8])
     def test_table_of_another_length_is_refused(self, rng, length):
@@ -229,15 +229,23 @@ class TestTrivial:
         # otherwise read as zeros past its end.
         params = _params(3, 1, "5", 7)
         key = trivial_gen(PointDescription(0, params.modulus.one()), params, rng)[0]
-        table = np.resize(key.table.data, (1, length))
+        table = np.resize(key.table, (1, length))
         with pytest.raises(ParameterError, match="table must have shape"):
-            TrivialKey(key.party, params, FieldVector._raw(params.modulus, table))
+            TrivialKey(key.party, params, table)
+
+    @pytest.mark.parametrize("party", [-1, 3])
+    def test_party_out_of_range_is_refused(self, rng, party):
+        # Such a key would encode to a header that `parse_header` refuses.
+        params = _params(3, 1, "5", 7)
+        key = trivial_gen(PointDescription(0, params.modulus.one()), params, rng)[0]
+        with pytest.raises(ParameterError, match=f"party {party} out of range"):
+            replace(key, party=party)
 
     def test_single_table_is_not_the_function(self, rng):
         params = _params(3, 1, "257", 16)
         keys = trivial_gen(PointDescription(3, params.modulus.element(200)), params, rng)
         truth = [200 if x == 3 else 0 for x in range(16)]
-        assert keys[0].table.lift_all() != truth
+        assert keys[0].table[0].tolist() != truth
 
     def test_range_check(self, rng):
         params = _params(3, 1, "5", 4)

@@ -174,7 +174,7 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
         params=params,
         seeds=np.ones((side, 2, 16), dtype=np.uint8),
         shares=np.zeros((1, side, 2), dtype=np.uint64),
-        correction=FieldVector(modulus, np.zeros((1, side))),
+        correction=np.zeros((1, side), dtype=np.uint64),
     )
     path = tmp_path / "huge.dpfk"
     write_key_file(path, key)
@@ -202,7 +202,7 @@ def test_row_over_the_budget_is_refused_before_expanding(capsys, tmp_path, monke
         params=params,
         seeds=np.ones((1, held, 16), dtype=np.uint8),
         shares=np.ones((1, 1, held), dtype=np.uint64),
-        correction=FieldVector(modulus, np.zeros((1, cols))),
+        correction=np.zeros((1, cols), dtype=np.uint64),
     )
     path = tmp_path / "wide-row.dpfk"
     write_key_file(path, key)
@@ -221,6 +221,38 @@ def test_row_over_the_budget_is_refused_before_expanding(capsys, tmp_path, monke
     monkeypatch.setattr(dpfkit.dpf, "expand", expanded)
     with pytest.raises(RuntimeError, match="expanded"):
         eval_point(key, cols - 2)
+
+
+@pytest.mark.parametrize(
+    "scheme, parties, corrupted, modulus",
+    [
+        ("ours", 16, 6, "2147483647"),
+        ("ours", 16, 7, "2147483647"),
+        ("ours", 14, 5, "2*3*5*7"),
+        ("ours", 14, 6, "2*3*5*7"),
+        ("dcf", 16, 7, "2147483647"),
+        ("dcf", 14, 6, "2*3*5*7"),
+        ("boyle15", 5, 1, "7"),
+        ("boyle15", 6, 1, "5"),
+        ("boyle15", 9, 1, "3"),
+        ("boyle15", 13, 1, "2"),
+    ],
+)
+def test_keygen_refuses_rows_that_evaluation_refuses(
+    capsys, tmp_path, monkeypatch, refusing_rng, scheme, parties, corrupted, modulus
+):
+    # On the auto grid at N = 10**6 a row of these keys is over dpf.EVAL_BUDGET,
+    # so eval-all would exit 4 on them: keygen exits 4 before drawing anything.
+    monkeypatch.setattr(cli, "_make_rng", lambda args: refusing_rng)
+    code, out, err = run(
+        capsys,
+        "keygen", "--scheme", scheme, "--N", str(10 ** 6), "--modulus", modulus,
+        "--p", str(parties), "--m", str(corrupted), "--alpha", "0", "--beta", "1",
+        "--seed", "x", "--out-dir", str(tmp_path / "k"),
+    )
+    assert (code, out) == (4, ""), err
+    assert "refusing a row" in err
+    assert not (tmp_path / "k").exists()
 
 
 def test_trivial_keygen_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
@@ -286,7 +318,7 @@ def test_evaluation_does_not_list_the_column_subsets(capsys, tmp_path):
     rng = np.random.default_rng(5)
     seeds = rng.integers(1, 256, size=(1, 8000, 1), dtype=np.uint8)
     shares = rng.integers(0, 2, size=(1, 1, 8000), dtype=np.uint64)
-    key = DpfKey(0, params, seeds, shares, FieldVector(modulus, [[1]]))
+    key = DpfKey(0, params, seeds, shares, np.ones((1, 1), dtype=np.uint64))
     blob = key_to_bytes(key)
     assert len(blob) == 16047
     key = key_from_bytes(blob)

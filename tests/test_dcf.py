@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from dpfkit.algebra import FieldVector, parse_modulus
+from dpfkit.algebra import parse_modulus
 from dpfkit.dcf import DcfKey, dcf_eval, dcf_gen
 from dpfkit.dpf import DpfKey, PointDescription, SchemeParams, decode
 from dpfkit.errors import HonestMajorityError, ParameterError
@@ -67,7 +67,7 @@ def test_row_outputs_shape(rng):
     for key in keys:
         assert isinstance(key, DcfKey)
         assert isinstance(key, DpfKey)
-        assert len(key.row_outputs) == params.rows
+        assert key.row_outputs.shape == (1, params.rows)
 
 
 def test_row_outputs_reconstruct_row_prefix(rng):
@@ -76,7 +76,7 @@ def test_row_outputs_reconstruct_row_prefix(rng):
     keys = dcf_gen(PointDescription(11, params.modulus.element(6)), params, rng)
     target_row = 11 // params.cols
     for row in range(params.rows):
-        total = decode([k.row_outputs[row] for k in keys]).lift()
+        total = sum(int(k.row_outputs[0, row]) for k in keys) % params.modulus.value
         assert total == (6 if row < target_row else 0)
 
 
@@ -118,11 +118,10 @@ def test_key_checks_its_shapes(rng, field):
     # The point-key checks run for DCF keys too, then the row-output check.
     params = _params(3, 1, "2*7", 20, grid=(5, 4))
     key = dcf_gen(PointDescription(11, params.modulus.element(3)), params, rng)[0]
-    modulus = params.modulus
     wrong = {
         "seeds": key.seeds[:, :, :-1],
-        "correction": FieldVector._raw(modulus, key.correction.data[:, :-1]),
-        "row_outputs": FieldVector._raw(modulus, key.row_outputs.data[:, :-1]),
+        "correction": key.correction[:, :-1],
+        "row_outputs": key.row_outputs[:, :-1],
     }
     with pytest.raises(ParameterError):
         replace(key, **{field: wrong[field]})

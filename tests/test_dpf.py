@@ -1,6 +1,7 @@
 """Key generation, evaluation, and decoding of the compact point scheme."""
 
 import random
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -31,6 +32,7 @@ from dpfkit.dpf import (
 from dpfkit.errors import GuardError, HonestMajorityError, ParameterError
 from dpfkit.keyfile import key_to_bytes
 from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource, PrgSpec
+from dpfkit.sizing import choose_grid_boyle
 
 
 def _make(parties, corrupted, modulus_text, domain, **kw):
@@ -300,7 +302,7 @@ def test_combine_row_matches_per_term_reduction_at_the_largest_residues(
 
     monkeypatch.setattr(dpf, "expand", largest_residues)
     spec = PrgSpec(PRG_SHAKE128, 128, 3, modulus)
-    correction = largest_residues(None, spec) if with_correction else None
+    correction = largest_residues(None, spec).data if with_correction else None
     offset = largest_residues(None, spec).data if with_offset else None
     seeds = np.ones((seed_count, 16), dtype=np.uint8)
     shares = np.repeat(top, seed_count, axis=1)
@@ -395,6 +397,37 @@ def test_full_domain_output_over_the_budget_is_refused(monkeypatch, rng, scheme)
         eval_all_fn(key)
 
 
+# On the auto grid at N = 10**6, one key's row of C(p-1, m) held seeds (for
+# boyle15, q^(p-2)(q-1)) expanded to V columns first exceeds dpf.EVAL_BUDGET
+# at these parameters, so evaluation would refuse every key dealt for them.
+ROWS_OVER_THE_BUDGET = [
+    (gen, 16, 6, "2147483647"),
+    (gen, 16, 7, "2147483647"),
+    (gen, 14, 5, "2*3*5*7"),
+    (gen, 14, 6, "2*3*5*7"),
+    (dcf_gen, 16, 6, "2147483647"),
+    (dcf_gen, 14, 5, "2*3*5*7"),
+    (boyle_gen, 5, 1, "7"),
+    (boyle_gen, 6, 1, "5"),
+    (boyle_gen, 9, 1, "3"),
+    (boyle_gen, 13, 1, "2"),
+]
+
+
+@pytest.mark.parametrize("dealer, parties, corrupted, modulus_text", ROWS_OVER_THE_BUDGET)
+def test_dealer_refuses_rows_that_evaluation_refuses(
+    refusing_rng, dealer, parties, corrupted, modulus_text
+):
+    modulus = parse_modulus(modulus_text)
+    if dealer is boyle_gen:
+        grid = choose_grid_boyle(10 ** 6, parties, 128, modulus)
+    else:
+        grid = choose_grid(10 ** 6, parties, corrupted, 128, modulus)
+    params = SchemeParams.create(parties, corrupted, modulus, 10 ** 6, grid=grid)
+    with pytest.raises(GuardError, match="refusing a row"):
+        dealer(PointDescription(0, modulus.one()), params, refusing_rng)
+
+
 def test_eval_point_expands_only_the_prefix_it_reads(monkeypatch, rng):
     params = _make(5, 2, "2*3*5*7", 60, grid=(5, 12))
     keys = gen(PointDescription(29, params.modulus.element(23)), params, rng)
@@ -465,7 +498,30 @@ def test_key_structure(rng):
         assert key.seeds.dtype == np.uint8
         assert key.shares.shape == (1, 5, params.tuples_per_row)
         assert (key.shares < 7).all()
-        assert len(key.correction) == params.cols
+        assert key.correction.shape == (1, params.cols)
+
+
+KEY_VECTORS = [(gen, "correction"), (dcf_gen, "correction"), (dcf_gen, "row_outputs"),
+               (trivial_gen, "table")]
+
+
+@pytest.mark.parametrize("dealer, field", KEY_VECTORS + [(boyle_gen, "correction")])
+def test_key_vector_cut_by_a_column_is_refused(rng, dealer, field):
+    params = _make(3, 1, "3", 12, grid=(3, 4))
+    key = dealer(PointDescription(5, params.modulus.one()), params, rng)[0]
+    with pytest.raises(ParameterError, match="must have shape"):
+        replace(key, **{field: getattr(key, field)[:, :-1]})
+
+
+@pytest.mark.parametrize("dealer, field", KEY_VECTORS)
+def test_key_vector_of_another_factor_count_is_refused(rng, dealer, field):
+    # A key over 2*3*5*7 whose vector holds only the residues mod 2: such a
+    # vector over another modulus evaluated to wrong shares, and encoded to a
+    # file that the decoder refused.
+    params = _make(3, 1, "2*3*5*7", 100)
+    key = dealer(PointDescription(5, params.modulus.one()), params, rng)[0]
+    with pytest.raises(ParameterError, match="must have shape"):
+        replace(key, **{field: getattr(key, field)[:1]})
 
 
 def test_parties_share_column_seeds(rng):

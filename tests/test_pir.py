@@ -71,7 +71,7 @@ _FUZZ_MODULUS = parse_modulus("3*257*2147483647")
 _FUZZ_DB = Database(
     _FUZZ_MODULUS, FieldVector.random(_FUZZ_MODULUS, 6, DeterministicRandomSource("fuzz-db"))
 )
-_FUZZ_BLOB = (6).to_bytes(8, "little") + encode_vector(_FUZZ_DB.entries)
+_FUZZ_BLOB = (6).to_bytes(8, "little") + encode_vector(_FUZZ_DB.entries.data, _FUZZ_MODULUS)
 _U64_VALUES = st.sampled_from([0, 1, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
 
 

@@ -180,7 +180,7 @@ class TestRoundTrips:
         keys = trivial_gen(PointDescription(6, params.modulus.element(99)), params, rng)
         for key in keys:
             back = _round_trip(key)
-            assert back.table == key.table
+            assert np.array_equal(back.table, key.table)
 
     def test_lcg_prg_with_long_seeds_and_a_wide_row(self):
         params = _params(3, 1, "30", 1000, grid=(1, 1000), lambda_bits=256,
@@ -222,7 +222,7 @@ class TestRoundTrips:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert back.table == key.table
+        assert np.array_equal(back.table, key.table)
         assert peak < 1.25 * (size + 8 * domain)
 
     @given(
@@ -255,9 +255,9 @@ class TestVectorCodec:
     def test_round_trip(self, rng):
         m = parse_modulus("2*3*257")
         vec = FieldVector.random(m, 9, rng)
-        raw = encode_vector(vec)
+        raw = encode_vector(vec.data, m)
         assert len(raw) == 9 * (1 + 1 + 2)
-        assert decode_vector(raw, m, 9) == vec
+        assert np.array_equal(decode_vector(raw, m, 9), vec.data)
 
     def test_rejects_out_of_range_residue(self):
         m = parse_modulus("5")
@@ -317,12 +317,12 @@ def test_codec_matches_the_byte_loop_reference(modulus_text, count, residues):
         draws = np.random.default_rng(count)
         data = np.stack([draws.integers(0, q, count, dtype=np.uint64) for q in modulus.factors])
     vec = FieldVector._raw(modulus, data)
-    raw = encode_vector(vec)
+    raw = encode_vector(data, modulus)
     assert raw == _reference_encode(vec)
     decoded = decode_vector(raw, modulus, count)
-    assert decoded.data.dtype == np.uint64
-    assert decoded.data.tolist() == _reference_decode(raw, modulus, count).tolist()
-    assert decoded == vec
+    assert decoded.dtype == np.uint64
+    assert decoded.tolist() == _reference_decode(raw, modulus, count).tolist()
+    assert np.array_equal(decoded, data)
 
 
 @pytest.mark.parametrize("modulus_text", CODEC_MODULI)
@@ -330,7 +330,7 @@ def test_codec_rejects_the_last_residue_out_of_range(modulus_text):
     modulus = parse_modulus(modulus_text)
     q = modulus.factors[-1]
     width = ((q - 1).bit_length() + 7) // 8
-    raw = encode_vector(FieldVector(modulus, np.zeros((len(modulus.factors), 7))))
+    raw = encode_vector(np.zeros((len(modulus.factors), 7), dtype=np.uint64), modulus)
     bad = raw[:-width] + q.to_bytes(width, "little")
     with pytest.raises(FormatError, match="out of range"):
         decode_vector(bad, modulus, 7)
