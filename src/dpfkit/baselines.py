@@ -34,15 +34,15 @@ COLUMN_GUARD = 1 << 20
 
 
 def boyle_column_count(params: SchemeParams) -> int:
-    """Columns per row: q^(p-1) over the (prime) modulus value."""
-    q = params.modulus.value
-    return q ** (params.parties - 1)
+    """Columns per row, q^(p-1), once the modulus is prime and the count within the guard."""
+    require_prime(params.modulus)
+    return check_guard(params.modulus.value, params.parties)
 
 
 def boyle_held_count(params: SchemeParams) -> int:
     """Tuples per row in every key, q^(p-2)(q-1): a share is zero in 1/q of the vectors."""
     q = params.modulus.value
-    return q ** (params.parties - 2) * (q - 1)
+    return boyle_column_count(params) // q * (q - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +96,8 @@ def require_prime(modulus) -> None:
         )
 
 
-def check_guard(q: int, parties: int) -> None:
-    """Refuse q^(p-1) > COLUMN_GUARD, multiplying no further than the guard."""
+def check_guard(q: int, parties: int) -> int:
+    """q^(p-1), refused past COLUMN_GUARD, multiplying no further than the guard."""
     count = 1
     for _ in range(parties - 1):
         count *= q
@@ -106,6 +106,7 @@ def check_guard(q: int, parties: int) -> None:
                 f"refusing exponential blow-up: q^(p-1) = {q}^{parties - 1} "
                 f"columns per row exceeds the guard of {COLUMN_GUARD}"
             )
+    return count
 
 
 def shuffle(items: list, rng) -> None:
@@ -125,10 +126,8 @@ def shuffle(items: list, rng) -> None:
 
 def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[BoyleKey, ...]:
     """Generate full-enumeration keys; any corrupted < parties is allowed."""
-    require_prime(params.modulus)
-    check_guard(params.modulus.value, params.parties)
-    point.validate(params)
     held = boyle_held_count(params)
+    point.validate(params)
     check_row_budget(held, params.cols, 1)
     q = params.modulus.value
     parties = params.parties

@@ -255,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(run=_cmd_decode)
 
     bench = commands.add_parser("bench-size", help="emit a key-size dataset as CSV")
-    bench.add_argument(
-        "--figure", choices=("modulus", "primorial", "domain", "parties"), required=True
-    )
+    bench.add_argument("--figure", choices=tuple(sizing.FIGURES), required=True)
     bench.add_argument("--csv", help="output path (stdout when omitted)")
     bench.add_argument("--N", type=int, default=10 ** 6)
     bench.add_argument("--p", type=int, default=7)

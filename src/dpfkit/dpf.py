@@ -211,9 +211,9 @@ class DpfKey:
             raise ParameterError(f"party {self.party} out of range")
         width, factors = self.held_count(params), len(params.modulus.factors)
         if self.seeds.shape != (params.rows, width, params.lambda_bits // 8):
-            raise ParameterError(f"seeds must have shape (rows, {width}, lambda/8)")
+            raise ParameterError("seeds must have shape (rows, held columns, lambda/8)")
         if self.shares.shape != (factors, params.rows, width):
-            raise ParameterError(f"shares must have shape (factors, rows, {width})")
+            raise ParameterError("shares must have shape (factors, rows, held columns)")
         if self.correction.shape != (factors, params.cols):
             raise ParameterError("correction must have shape (factors, cols)")
 
@@ -497,7 +497,7 @@ def check_eval_budget(params: SchemeParams) -> None:
 def check_row_budget(seeds: int, width: int, factors: int) -> None:
     """Refuse a row of `seeds` expansions to `width` columns past EVAL_BUDGET bytes."""
     if 8 * seeds * width * factors > EVAL_BUDGET:
-        raise GuardError(f"refusing a row of {seeds} expansions to {width} columns")
+        raise GuardError(f"refusing a row whose expansions exceed {EVAL_BUDGET} bytes")
 
 
 def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) -> bool:

@@ -229,12 +229,10 @@ def _encode_boyle(key: baselines.BoyleKey) -> bytes:
 
 
 def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
-    """The header checks `boyle_gen` makes, then the body in one read: every row
-    holds `boyle_held_count` records, whose columns `BoyleKey` checks."""
-    modulus = params.modulus
-    baselines.require_prime(modulus)
-    baselines.check_guard(modulus.value, params.parties)
+    """`boyle_held_count`, which refuses what `boyle_gen` refuses, then the body in
+    one read: that many records a row, whose columns `BoyleKey` checks."""
     held = baselines.boyle_held_count(params)
+    modulus = params.modulus
     record = 4 + params.lambda_bits // 8 + element_width(modulus)
     raw = np.frombuffer(reader.take(params.rows * (4 + held * record)), np.uint8)
     raw = raw.reshape(params.rows, -1)

@@ -57,7 +57,8 @@ MODULUS_SWEEP_PRIMES = (
 )
 PRIMORIAL_SWEEP_COUNT = 7  # 2, 6, 30, 210, 2310, 30030, 510510
 
-_FIGURES = {
+# Figure name -> dataset name; `bench-size --figure` offers the names in this order.
+FIGURES = {
     "modulus": "modulus-sweep",
     "primorial": "primorial-sweep",
     "domain": "domain-sweep",
@@ -393,9 +394,9 @@ def emit_figure(
     composites.  domain-sweep and party-sweep track the compact schemes
     only, over a fixed modulus (default q = 2**31 - 1).
     """
-    if figure not in _FIGURES:
+    if figure not in FIGURES:
         raise ParameterError(
-            f"unknown figure {figure!r}; pick one of {sorted(_FIGURES)}"
+            f"unknown figure {figure!r}; pick one of {sorted(FIGURES)}"
         )
     sweeps_modulus = figure in ("modulus", "primorial")
     primorials = [primorial(i).value for i in range(1, PRIMORIAL_SWEEP_COUNT + 1)]
@@ -429,7 +430,7 @@ def emit_figure(
 
     # (scheme, x) pairs are unique, so sorting never compares the sizes
     rows = sorted((scheme, x, float(bits)) for scheme, x, bits in rows)
-    return FigureDataset(figure=_FIGURES[figure], rows=tuple(rows))
+    return FigureDataset(figure=FIGURES[figure], rows=tuple(rows))
 
 
 @_in_float_range

@@ -103,6 +103,13 @@ class TestModulus:
         with pytest.raises(ParameterError):
             Modulus.from_factors([3, 3])
 
+    @pytest.mark.parametrize("factors, match", [
+        ((), "at least one prime factor"), ((2, 3.0), "3.0 is not an integer"),
+    ])
+    def test_rejects_empty_or_non_integer_factors(self, factors, match):
+        with pytest.raises(ParameterError, match=match):
+            Modulus(factors)
+
     def test_rejects_oversized_product(self):
         with pytest.raises(ParameterError):
             Modulus.from_factors([3, 2147483629, 2147483647])
@@ -168,6 +175,15 @@ class TestFieldElement:
         with pytest.raises(ParameterError):
             a + b
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda m: m.element(1.5), "expected an integer, got 1.5"),
+        (lambda m: FieldElement(m, (1,)), "expected 2 residues, got 1"),
+        (lambda m: m.one() + 1, "cannot combine FieldElement with 1"),
+    ], ids=["non-integer", "residue count", "non-element"])
+    def test_malformed_input_is_refused(self, build, match):
+        with pytest.raises(ParameterError, match=match):
+            build(Modulus.from_int(6))
+
     def test_random_element_in_range(self, rng):
         m = Modulus.from_int(30)
         for _ in range(50):
@@ -202,6 +218,16 @@ class TestFieldVector:
         b = FieldVector.random(m, 4, rng)
         with pytest.raises(ParameterError):
             a + b
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda m: FieldVector(m, np.array([1, 2])), r"expected shape \(2, n\), got \(2,\)"),
+        (lambda m: FieldVector(m, np.zeros((2, 3)))[3], "index 3 out of range"),
+        (lambda m: FieldVector(m, np.zeros((2, 3)))[-1], "index -1 out of range"),
+        (lambda m: FieldVector(m, np.zeros((2, 3))) + 1, "cannot combine FieldVector with 1"),
+    ], ids=["1-D", "index past the end", "negative index", "non-vector"])
+    def test_malformed_input_is_refused(self, build, match):
+        with pytest.raises(ParameterError, match=match):
+            build(Modulus.from_int(6))
 
     def test_equality(self, rng):
         m = Modulus.from_int(21)

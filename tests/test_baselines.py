@@ -1,6 +1,7 @@
 """Full-enumeration and truth-table reference schemes."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from dpfkit.algebra import Modulus, parse_modulus
 from dpfkit.baselines import (
+    BoyleKey,
     TrivialKey,
     boyle_column_count,
     boyle_gen,
@@ -153,7 +155,7 @@ class TestBoyle:
             boyle_gen(PointDescription(0, params.modulus.one()), params, rng)
 
     def test_guard_boundary(self):
-        check_guard(2, 21)  # 2^20 columns: exactly at the limit
+        assert check_guard(2, 21) == 1 << 20  # 2^20 columns: exactly at the limit
         with pytest.raises(GuardError):
             check_guard(2, 22)
 
@@ -169,6 +171,28 @@ class TestBoyle:
         with pytest.raises(GuardError):
             check_guard(CountedFactor(2 ** 31 - 1), 65535)
         assert CountedFactor.products == 1
+
+    @pytest.mark.parametrize("factors, parties, error, match", [
+        ((2, 3), 3, ParameterError, "per factor"),
+        ((2 ** 31 - 1,), 65535, GuardError, "exponential"),
+    ])
+    def test_hand_built_key_is_refused_when_built(self, factors, parties, error, match):
+        # Refused before q^(p-1), a two-million-bit integer at p = 65535, is taken.
+        params = SchemeParams(parties, 1, 128, Modulus(factors), 1, 1, 1)
+        f = len(factors)  # one row of one held column
+        fields = dict(
+            party=0, params=params, seeds=np.ones((1, 1, 16), dtype=np.uint8),
+            shares=np.ones((f, 1, 1), dtype=np.uint64), correction=np.zeros((f, 1), dtype=np.uint64),
+            columns=np.ones((1, 1), dtype=np.uint32),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=match):
+                BoyleKey(**fields)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_composite_modulus_rejected(self, rng):
         params = _params(3, 1, "2*3", 4)

@@ -255,6 +255,30 @@ def test_keygen_refuses_rows_that_evaluation_refuses(
     assert not (tmp_path / "k").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["keygen", "--scheme", "ours"], ["keygen", "--scheme", "dcf"], ["pir-demo"],
+], ids=["keygen-ours", "keygen-dcf", "pir-demo"])
+def test_row_refusal_does_not_print_the_held_seed_count(
+    capsys, tmp_path, monkeypatch, refusing_rng, command
+):
+    # C(65534, 32767) held seeds per row has 19,726 digits, past Python's
+    # 4300-digit limit on int-to-str conversion.
+    monkeypatch.setattr(cli, "_make_rng", lambda args: refusing_rng)
+    m = parse_modulus("7")
+    write_database(tmp_path / "db", Database(m, FieldVector(m, [[1] * 100])))
+    flags = {"keygen": ["--N", "100", "--alpha", "1", "--beta", "1", "--out-dir",
+                        str(tmp_path / "k")],
+             "pir-demo": ["--db", str(tmp_path / "db"), "--index", "1"]}[command[0]]
+    code, out, err = run(
+        capsys, *command, *flags, "--p", "65535", "--m", "32767", "--modulus", "7",
+        "--seed", "x",
+    )
+    assert (code, out) == (4, ""), err
+    assert err.startswith("error: refusing a row") and err.count("\n") == 1
+    assert len(err) < 300
+    assert not (tmp_path / "k").exists()
+
+
 def test_trivial_keygen_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
     # Each table of N = 2**30 residues would take 8 GiB, twice the budget.
     def drawn(*args, **kwargs):
@@ -344,21 +368,22 @@ def test_evaluation_does_not_list_the_column_subsets(capsys, tmp_path):
     ((2147483647,), GuardError, 4),  # q^(p-1) columns over COLUMN_GUARD
 ])
 def test_crafted_boyle_header_refused_before_the_column_count(
-    capsys, tmp_path, monkeypatch, factors, error, exit_code
+    capsys, tmp_path, factors, error, exit_code
 ):
     # A boyle15 key for p = 65535 with one empty row: boyle_gen refuses
-    # both headers, and q^(p-1) and q^(p-2) would be two-million-bit integers.
+    # both headers, and q^(p-1) alone is a two-million-bit integer whose
+    # power peaks at about 1.2 MB, against a few KB for the refusal.
     modulus = Modulus(factors)
     params = SchemeParams(65535, 1, 128, modulus, 1, 1, 1)
     blob = _pack_header(2, 0, params) + bytes(4) + bytes(element_width(modulus))
-
-    def power(params):
-        raise AssertionError("q^(p-1) or q^(p-2) was computed")
-
-    monkeypatch.setattr(dpfkit.baselines, "boyle_column_count", power)
-    monkeypatch.setattr(dpfkit.baselines, "boyle_held_count", power)
-    with pytest.raises(error):
-        key_from_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            key_from_bytes(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
     path = tmp_path / "crafted.dpfk"
     path.write_bytes(blob)
     code, out, err = run(capsys, "eval", "--key", str(path), "--x", "0")

@@ -87,6 +87,9 @@ class TestParams:
         with pytest.raises(ParameterError):
             _make(3, 1, "5", 0)
         _make(3, 1, "5", 1)
+        for domain in (0, 2 ** 64):
+            with pytest.raises(ParameterError, match=f"domain size {domain} out of range"):
+                SchemeParams(3, 1, 128, parse_modulus("5"), domain, 1, 1)
 
     def test_dishonest_majority_params_constructible(self):
         # the type allows m >= p/2 so reference schemes can use it;
@@ -411,6 +414,10 @@ ROWS_OVER_THE_BUDGET = [
     (boyle_gen, 6, 1, "5"),
     (boyle_gen, 9, 1, "3"),
     (boyle_gen, 13, 1, "2"),
+    # C(65534, 32767) held seeds has 19,726 digits, past Python's 4300-digit
+    # limit on int-to-str conversion, so the refusal must not print it.
+    (gen, 65535, 32767, "7"),
+    (dcf_gen, 65535, 32767, "7"),
 ]
 
 
@@ -426,6 +433,14 @@ def test_dealer_refuses_rows_that_evaluation_refuses(
     params = SchemeParams.create(parties, corrupted, modulus, 10 ** 6, grid=grid)
     with pytest.raises(GuardError, match="refusing a row"):
         dealer(PointDescription(0, modulus.one()), params, refusing_rng)
+
+
+def test_key_shape_refusal_does_not_print_the_seed_count():
+    # T = C(65534, 32767); formatting it would raise ValueError instead.
+    params = SchemeParams(65535, 32767, 128, Modulus.prime(7), 1, 1, 1)
+    seeds, vector = np.ones((1, 1, 16), dtype=np.uint8), np.ones((1, 1), dtype=np.uint64)
+    with pytest.raises(ParameterError, match="seeds must have shape"):
+        DpfKey(0, params, seeds, vector[:, None], vector)
 
 
 def test_eval_point_expands_only_the_prefix_it_reads(monkeypatch, rng):
@@ -522,6 +537,17 @@ def test_key_vector_of_another_factor_count_is_refused(rng, dealer, field):
     key = dealer(PointDescription(5, params.modulus.one()), params, rng)[0]
     with pytest.raises(ParameterError, match="must have shape"):
         replace(key, **{field: getattr(key, field)[:1]})
+
+
+@pytest.mark.parametrize("dealer", [gen, dcf_gen, boyle_gen])
+def test_key_with_bad_party_or_shares_is_refused(rng, dealer):
+    params = _make(3, 1, "3", 12, grid=(3, 4))
+    key = dealer(PointDescription(5, params.modulus.one()), params, rng)[0]
+    for party in (-1, 3):
+        with pytest.raises(ParameterError, match=f"party {party} out of range"):
+            replace(key, party=party)
+    with pytest.raises(ParameterError, match="shares must have shape"):
+        replace(key, shares=key.shares[:, :, :-1])
 
 
 def test_parties_share_column_seeds(rng):

@@ -527,6 +527,18 @@ class TestDeterministicRandomSource:
         for _ in range(20):
             assert 0 <= r.getrandbits(k) < (1 << k)
 
+    @pytest.mark.parametrize("seed, match", [(-1, "non-negative"), (1.5, "unsupported seed 1.5")])
+    def test_rejects_bad_seeds(self, seed, match):
+        with pytest.raises(ParameterError, match=match):
+            DeterministicRandomSource(seed)
+
+    def test_getrandbits_of_no_bits_reads_nothing(self):
+        r = DeterministicRandomSource("edges")
+        with pytest.raises(ValueError, match="non-negative"):
+            r.getrandbits(-1)
+        assert r.getrandbits(0) == 0
+        assert r.randbytes(4) == DeterministicRandomSource("edges").randbytes(4)
+
     def test_random_unit_interval(self):
         r = DeterministicRandomSource("u")
         values = [r.random() for _ in range(500)]

@@ -15,7 +15,7 @@ from dpfkit.algebra import FieldVector, parse_modulus
 from dpfkit.baselines import boyle_gen, check_guard, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
 from dpfkit.dpf import PointDescription, SchemeParams, eval_all, eval_point, gen
-from dpfkit.errors import FormatError, GuardError
+from dpfkit.errors import FormatError, GuardError, ParameterError
 from dpfkit.keyfile import (
     SCHEMES,
     decode_vector,
@@ -249,6 +249,11 @@ def test_scheme_table_generators_match_class_and_tag(tag):
     for key in keys:
         assert type(key) is scheme.key_class
         assert parse_header(key_to_bytes(key))[0] == tag
+
+
+def test_only_the_scheme_table_key_classes_serialize():
+    with pytest.raises(ParameterError, match="cannot serialize object"):
+        key_to_bytes(object())
 
 
 class TestVectorCodec:
