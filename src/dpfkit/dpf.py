@@ -35,9 +35,12 @@ invariant `check_seed_coverage` checks; m < p/2 gives m <= p-m-1, so
 every coalition of at most m parties passes it.
 
 Dealing is on arrays.  `_gen_core` deals `gen` and `dcf_gen` keys with
-`_distinct_seeds`, `_deal` and `_correction`.  The baselines reuse
-`_correction` and `_deal`'s rule, and they and `simulate_coalition_view`
-draw seeds with `prg.sample_seeds`.
+`_distinct_seeds`, `_deal` and `_correction`, and hands each party its
+columns through `SchemeParams.layout`: two (p, C(p-1, m)) integer arrays
+of each party's column ranks and its place in each column's subset.
+Before its first draw it refuses a target row or tables past
+`EVAL_BUDGET`.  The baselines reuse `_correction` and `_deal`'s rule, and
+they and `simulate_coalition_view` draw seeds with `prg.sample_seeds`.
 
 One evaluator serves every scheme: each key's `row(r)` gives the row's
 seeds, shares, correction (for column 0's holders) and an offset (a DCF
@@ -70,6 +73,8 @@ GRID_AUTO = "auto"
 GRID_SQUARE = "square"
 EVAL_BUDGET = 1 << 32  # bytes of uint64 words one full-domain output or row's expansions may take
 Row = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]  # see `_combine_row`
+# Bytes of `_distinct_seeds`' dict per dealt cell (tracemalloc: 201-206 at p = 3 and p = 61).
+_SEED_ENTRY_BYTES = 200
 
 
 def check_party_counts(parties: int, corrupted: int) -> None:
@@ -153,15 +158,17 @@ class SchemeParams:
         return 2 * self.corrupted < self.parties
 
     @cached_property
-    def combinations(self) -> tuple[tuple[int, ...], ...]:
-        """All (m+1)-subsets of the parties in rank order, one per column."""
-        return tuple(itertools.combinations(range(self.parties), self.corrupted + 1))
-
-    def member_columns(self, party: int) -> tuple[int, ...]:
-        """Ranks of the columns whose subset contains `party`, ascending."""
-        if not 0 <= party < self.parties:
-            raise ParameterError(f"party {party} out of range for p={self.parties}")
-        return tuple(j for j, s in enumerate(self.combinations) if party in s)
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, slots) of shape (parties, C(parties-1, corrupted)): columns[i]
+        ranks, ascending, the columns whose subset holds party i, and slots[i]
+        is i's place in each.  Column j is the j-th (m+1)-subset in
+        lexicographic order; the subsets are only laid out flat, as uint16."""
+        width = self.corrupted + 1
+        flat = itertools.chain.from_iterable(itertools.combinations(range(self.parties), width))
+        order = np.argsort(np.fromiter(flat, np.uint16, self.combo_count * width), kind="stable")
+        slots = (order % width).astype(np.uint16)
+        order //= width
+        return order.reshape(self.parties, -1), slots.reshape(self.parties, -1)
 
     def used_rows(self) -> int:
         """Rows that actually contain domain points (the last may be partial)."""
@@ -190,7 +197,7 @@ class DpfKey:
 
     `seeds` is uint8 of shape (rows, T, lambda/8) and `shares` uint64 of
     shape (factors, rows, T) for the T = `held_count(params)` columns the
-    party holds in each row: C(p-1, m) of them, in `params.member_columns`
+    party holds in each row: C(p-1, m) of them, in `params.layout[0][party]`
     order.  `correction` is uint64 of shape (factors, cols) over
     `params.modulus`; parties 0..m hold column 0 and so also apply it.
     """
@@ -391,7 +398,11 @@ def _gen_core(
     point.validate(params)
     modulus = params.modulus
     factors = len(modulus.factors)
-    check_row_budget(DpfKey.held_count(params), params.cols, factors)
+    # The target row expands all C(p, m+1) seeds, more than any key's row holds.
+    check_row_budget(params.combo_count, params.cols, factors)
+    cell = params.lambda_bits // 8 + 8 * (params.corrupted + 1) * factors + _SEED_ENTRY_BYTES
+    if params.rows * params.combo_count * cell > EVAL_BUDGET:
+        raise GuardError(f"refusing to deal tables past {EVAL_BUDGET} bytes")
     target_row = point.alpha // params.cols
     seeds = _distinct_seeds(params, rng)
     secrets = np.zeros((factors, params.rows, params.combo_count), dtype=np.uint64)
@@ -405,19 +416,16 @@ def _gen_core(
         total += expand(seed.tobytes(), params.prg).data
     correction = _correction(total, params.combo_count, point, params, prefix)
 
-    fields = []
-    for party in range(params.parties):
-        cols = list(params.member_columns(party))
-        slots = [params.combinations[j].index(party) for j in cols]
-        fields.append(
-            dict(
-                party=party,
-                params=params,
-                seeds=seeds[:, cols],
-                shares=dealt[:, :, cols, slots],
-                correction=correction,
-            )
+    fields = [
+        dict(
+            party=party,
+            params=params,
+            seeds=seeds[:, cols],
+            shares=dealt[:, :, cols, slots],
+            correction=correction,
         )
+        for party, (cols, slots) in enumerate(zip(*params.layout))
+    ]
     return fields, target_row
 
 
@@ -536,10 +544,12 @@ def simulate_coalition_view(
         raise ParameterError(
             f"coalition of {len(members)} exceeds corruption bound {params.corrupted}"
         )
+    for member in members:
+        if not 0 <= member < params.parties:
+            raise ParameterError(f"coalition member {member} out of range")
 
-    visible = sorted(  # member_columns refuses a member out of range
-        {j for member in members for j in params.member_columns(member)}
-    )
+    columns = params.layout[0]
+    visible = np.unique(columns[list(members)])
     correction = FieldVector.random(params.modulus, params.cols, rng).data
     seed_len = params.lambda_bits // 8
     seeds = np.zeros((params.rows, params.combo_count, seed_len), dtype=np.uint8)
@@ -554,7 +564,7 @@ def simulate_coalition_view(
             DpfKey(
                 party=member,
                 params=params,
-                seeds=seeds[:, list(params.member_columns(member))],
+                seeds=seeds[:, columns[member]],
                 shares=shares.reshape(-1, params.rows, params.tuples_per_row),
                 correction=correction,
             )

@@ -75,16 +75,21 @@ class PrgSpec:
     def __post_init__(self) -> None:
         if self.algorithm not in (PRG_SHAKE128, PRG_TEST_LCG):
             raise ParameterError(f"unknown prg algorithm tag {self.algorithm}")
-        if self.lambda_bits % 8 != 0 or not 8 <= self.lambda_bits <= 65535:
-            raise ParameterError(
-                f"seed length {self.lambda_bits} must be a multiple of 8 bits"
-            )
+        seed_size(self.lambda_bits)
         if not 1 <= self.output_len < 2 ** 32:
             raise ParameterError(f"bad output length {self.output_len}")
 
     @property
     def seed_bytes(self) -> int:
         return self.lambda_bits // 8
+
+
+def seed_size(lambda_bits: int) -> int:
+    """Bytes per seed, lambda_bits/8; lambda_bits must be a multiple of 8
+    in [8, 65535], the range of the key header's u16 field."""
+    if lambda_bits % 8 != 0 or not 8 <= lambda_bits <= 65535:
+        raise ParameterError(f"seed length {lambda_bits} must be a multiple of 8 in [8, 65535]")
+    return lambda_bits // 8
 
 
 @lru_cache(maxsize=256)
@@ -183,9 +188,7 @@ def sample_seeds(count: int, lambda_bits: int, rng) -> np.ndarray:
     Reads the stream as one `rng.randbytes(lambda_bits/8)` call per
     candidate would: each read asks for exactly the seeds still owed.
     """
-    if lambda_bits % 8 != 0 or lambda_bits < 8:
-        raise ParameterError(f"bad seed length {lambda_bits}")
-    size = lambda_bits // 8
+    size = seed_size(lambda_bits)
     out = [np.zeros((0, size), dtype=np.uint8)]
     need = count
     while need:

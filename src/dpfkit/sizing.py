@@ -47,6 +47,7 @@ from . import keyfile
 from .algebra import Modulus, minimize_grid, primorial
 from .dpf import GRID_AUTO, SchemeParams, check_party_counts, choose_grid
 from .errors import ParameterError
+from .prg import seed_size
 
 MERSENNE31 = 2147483647
 
@@ -75,6 +76,7 @@ def size_ours(
     grid: str = GRID_AUTO,
 ) -> int:
     check_party_counts(parties, corrupted)
+    seed_size(lambda_bits)
     bits = modulus.residue_bits
     rows, cols = choose_grid(domain_size, parties, corrupted, lambda_bits, modulus, grid)
     return rows * comb(parties - 1, corrupted) * (lambda_bits + bits) + cols * bits
@@ -107,6 +109,7 @@ def _grid_boyle(domain_size, parties, lambda_bits, modulus) -> tuple[int, int, i
     """(rows, cols, expected bits) of the model-optimal prime-modulus instance."""
     if len(modulus.factors) != 1:
         raise ParameterError("prime moduli only; use size_boyle_crt for composites")
+    seed_size(lambda_bits)
     q = modulus.value
     return minimize_grid(
         domain_size, _boyle_row_cost(q, parties, lambda_bits), (q - 1).bit_length()
@@ -254,6 +257,7 @@ def size_bunn_prg(
     The formula sees N, p, m, q (the modulus value), lam and
     C = binom(p, m+1).
     """
+    seed_size(lambda_bits)
     return eval_formula(
         formula,
         N=domain_size,

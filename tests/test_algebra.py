@@ -237,36 +237,26 @@ class TestFieldVector:
         assert a != FieldVector(m, np.zeros((2, 8)))
 
 
-class TestCombinations:
-    @staticmethod
-    def _params(p, m):
-        return SchemeParams(p, m, 8, Modulus.prime(2), 1, 1, 1)
-
-    @pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (7, 4), (6, 6)])
-    def test_rank_matches_lexicographic_order(self, p, k):
-        combos = list(itertools.combinations(range(p), k))
-        assert self._params(p, k - 1).combinations == tuple(combos)
-
-    def test_member_columns(self):
-        p, k = 5, 3
-        params = self._params(p, k - 1)
-        for party in range(p):
-            cols = params.member_columns(party)
-            assert cols == tuple(
-                j for j, s in enumerate(params.combinations) if party in s
-            )
-            assert len(cols) == comb(p - 1, k - 1)
-        for party in (-1, p):
-            with pytest.raises(ParameterError):
-                params.member_columns(party)
-
-    def test_column_zero_is_held_by_parties_up_to_m(self):
-        # DpfKey.row relies on this closed form instead of listing subsets
-        for p in range(2, 12):
-            for m in range(1, p):
-                params = self._params(p, m)
-                for party in range(p):
-                    assert (party <= m) == (0 in params.member_columns(party))
+class TestColumnLayout:
+    # p = 60, m = 2 lays out 102,660 subset entries, past uint16 positions
+    # and in groups of 3, which does not divide 2**16.
+    @pytest.mark.parametrize(
+        "p, m", [(p, m) for p in range(2, 12) for m in range(1, p)] + [(60, 2)]
+    )
+    def test_matches_the_subset_reference(self, p, m):
+        columns, slots = SchemeParams(p, m, 8, Modulus.prime(2), 1, 1, 1).layout
+        subsets = np.array(list(itertools.combinations(range(p), m + 1)))
+        assert columns.shape == slots.shape == (p, comb(p - 1, m))
+        assert (np.diff(columns, axis=1) > 0).all()
+        assert (subsets[columns, slots] == np.arange(p)[:, None]).all()
+        # each column is held by exactly its subset, in party order
+        holders = [[] for _ in subsets]
+        for party, held in enumerate(columns.tolist()):
+            for j in held:
+                holders[j].append(party)
+        assert holders == subsets.tolist()
+        # DpfKey.row relies on this closed form instead of the layout
+        assert ((columns[:, 0] == 0) == (np.arange(p) <= m)).all()
 
 
 class TestMinimizeGrid:

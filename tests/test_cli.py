@@ -279,6 +279,21 @@ def test_row_refusal_does_not_print_the_held_seed_count(
     assert not (tmp_path / "k").exists()
 
 
+def test_keygen_refuses_a_target_row_past_the_budget(capsys, tmp_path, monkeypatch, refusing_rng):
+    # Each key's row holds 65534 seeds, but the dealer's target row would
+    # hold C(65535, 2) = 2,147,385,345; this keygen used to start drawing
+    # them all and end in MemoryError (exit 5).
+    monkeypatch.setattr(cli, "_make_rng", lambda args: refusing_rng)
+    code, out, err = run(
+        capsys,
+        "keygen", "--N", "100", "--p", "65535", "--m", "1", "--modulus", "7",
+        "--alpha", "1", "--beta", "1", "--seed", "x", "--out-dir", str(tmp_path / "k"),
+    )
+    assert (code, out) == (4, ""), err
+    assert err.startswith("error: refusing a row")
+    assert not (tmp_path / "k").exists()
+
+
 def test_trivial_keygen_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
     # Each table of N = 2**30 residues would take 8 GiB, twice the budget.
     def drawn(*args, **kwargs):
@@ -354,7 +369,7 @@ def test_evaluation_does_not_list_the_column_subsets(capsys, tmp_path):
     for seed, share in zip(seeds[0], shares[0, 0]):
         total += int(share) * int(expand(seed.tobytes(), params.prg).data[0, 0])
     assert value == total % 2
-    assert "combinations" not in key.params.__dict__
+    assert "layout" not in key.params.__dict__
 
     path = tmp_path / "wide.dpfk"
     path.write_bytes(blob)
@@ -680,6 +695,9 @@ def test_bench_size_bad_x_values(capsys):
     # sizes past the float range: C(2000, 1000) columns, and q^39 at q = 2^31-1
     ("--figure", "parties", "--x-values", "3,2000"),
     ("--figure", "modulus", "--p", "40"),
+    # seed lengths that keygen refuses
+    ("--figure", "domain", "--lambda", "12"),
+    ("--figure", "domain", "--lambda", "0"),
 ])
 def test_bench_size_bad_parameters(capsys, argv):
     code, out, err = run(capsys, "bench-size", *argv)

@@ -1,5 +1,6 @@
 """Key generation, evaluation, and decoding of the compact point scheme."""
 
+import itertools
 import random
 from dataclasses import replace
 from math import comb
@@ -101,17 +102,6 @@ class TestParams:
         params = _make(3, 1, "5", 10, grid=(5, 4))
         assert params.used_rows() == 3
 
-    def test_member_columns_partition(self):
-        params = _make(5, 2, "7", 9)
-        seen = []
-        for party in range(5):
-            cols = params.member_columns(party)
-            assert len(cols) == params.tuples_per_row
-            seen.extend(cols)
-        # every column has exactly m+1 members
-        for j in range(params.combo_count):
-            assert seen.count(j) == 3
-
 
 class TestSharing:
     def test_deal_sums_to_secret_on_member_columns(self, rng):
@@ -130,12 +120,11 @@ class TestSharing:
         keys = gen(PointDescription(4, params.modulus.one()), params, rng)
         expected = np.zeros((2, params.rows), dtype=np.uint64)
         expected[:, 1] = 1
-        for j, subset in enumerate(params.combinations):
-            holders = [k for k in keys if j in params.member_columns(k.party)]
+        columns = params.layout[0].tolist()
+        for j, subset in enumerate(itertools.combinations(range(5), 3)):
+            holders = [k for k in keys if j in columns[k.party]]
             assert tuple(k.party for k in holders) == subset
-            total = sum(
-                k.shares[:, :, params.member_columns(k.party).index(j)] for k in holders
-            )
+            total = sum(k.shares[:, :, columns[k.party].index(j)] for k in holders)
             assert np.array_equal(total % params.modulus._qs_np, expected)
 
 
@@ -435,6 +424,25 @@ def test_dealer_refuses_rows_that_evaluation_refuses(
         dealer(PointDescription(0, modulus.one()), params, refusing_rng)
 
 
+@pytest.mark.parametrize("dealer", [gen, dcf_gen])
+def test_dealer_refuses_its_own_row_and_tables_past_the_budget(refusing_rng, dealer):
+    # At N = 100 over 7 with p = 65535 and m = 1, a key's row holds 65534
+    # seeds, within the budget, but the dealer's target row holds all
+    # C(65535, 2) = 2,147,385,345: it used to draw them all.
+    modulus = Modulus.prime(7)
+    point = PointDescription(0, modulus.one())
+    params = SchemeParams.create(65535, 1, modulus, 100)
+    dpf.check_row_budget(params.tuples_per_row, params.cols, 1)
+    with pytest.raises(GuardError, match="refusing a row"):
+        dealer(point, params, refusing_rng)
+    # A 3-column row is small, but each cell takes 16 + 2 * 8 + 200 bytes of
+    # tables: 6170930 rows of them fit the budget, and one more does not.
+    with pytest.raises(GuardError, match="refusing to deal tables"):
+        dealer(point, SchemeParams(3, 1, 128, modulus, 6170931, 6170931, 1), refusing_rng)
+    with pytest.raises(AssertionError, match="random bytes"):
+        dealer(point, SchemeParams(3, 1, 128, modulus, 6170930, 6170930, 1), refusing_rng)
+
+
 def test_key_shape_refusal_does_not_print_the_seed_count():
     # T = C(65534, 32767); formatting it would raise ValueError instead.
     params = SchemeParams(65535, 32767, 128, Modulus.prime(7), 1, 1, 1)
@@ -554,13 +562,12 @@ def test_parties_share_column_seeds(rng):
     # members of the same column subset must hold the same seed
     params = _make(4, 1, "5", 8, grid=(2, 4))
     keys = gen(PointDescription(3, params.modulus.one()), params, rng)
-    combos = params.combinations
+    columns = params.layout[0].tolist()
     for row in range(params.rows):
-        for j, subset in enumerate(combos):
+        for j, subset in enumerate(itertools.combinations(range(4), 2)):
             seeds = set()
             for party in subset:
-                cols = params.member_columns(party)
-                seeds.add(keys[party].seeds[row, cols.index(j)].tobytes())
+                seeds.add(keys[party].seeds[row, columns[party].index(j)].tobytes())
             assert len(seeds) == 1
 
 

@@ -360,8 +360,8 @@ class TestSampleSeeds:
             assert skipped > 0  # all-zero candidates came up and were skipped
 
     def test_rejects_bad_lambda(self, rng):
-        for bits in (0, 12):
-            with pytest.raises(ParameterError):
+        for bits in (0, 12, 65536):
+            with pytest.raises(ParameterError, match="seed length"):
                 sample_seeds(1, bits, rng)
 
 

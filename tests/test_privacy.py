@@ -88,8 +88,10 @@ class TestSimulatedView:
         rng = DeterministicRandomSource("sim")
         with pytest.raises(ParameterError):
             simulate_coalition_view(params, (0, 1, 2), rng)
-        with pytest.raises(ParameterError):
-            simulate_coalition_view(params, (0, 9), rng)
+        # a negative member would otherwise take party p-1's columns
+        for coalition in ((0, 9), (-1,)):
+            with pytest.raises(ParameterError, match=f"member {coalition[-1]} out of range"):
+                simulate_coalition_view(params, coalition, rng)
 
     def test_byte_lengths_match_real_keys(self):
         params = _params(5, 2, "2*3*5", 30)
@@ -105,14 +107,13 @@ class TestSimulatedView:
         rng = DeterministicRandomSource("sim3")
         view = simulate_coalition_view(params, (0, 2), rng)
         key_by_party = {k.party: k for k in view.keys}
-        shared = set(params.member_columns(0)) & set(params.member_columns(2))
+        columns = params.layout[0].tolist()
+        shared = set(columns[0]) & set(columns[2])
         assert shared
         for row in range(params.rows):
             for j in shared:
                 seeds = {
-                    key_by_party[party]
-                    .seeds[row, params.member_columns(party).index(j)]
-                    .tobytes()
+                    key_by_party[party].seeds[row, columns[party].index(j)].tobytes()
                     for party in (0, 2)
                 }
                 assert len(seeds) == 1

@@ -73,6 +73,21 @@ class TestAnalytic:
         )
         assert size_boyle_crt(50, 3, 128, m) == expected
 
+    @pytest.mark.parametrize("bits", [0, 12, 65536])
+    def test_seed_lengths_that_keygen_refuses_are_refused(self, bits):
+        m = parse_modulus("2*3")
+        for size in (
+            lambda: size_ours(100, 3, 1, bits, m),
+            lambda: size_dcf(100, 3, 1, bits, m),
+            lambda: size_boyle(100, 3, bits, parse_modulus("3")),
+            lambda: size_boyle_crt(100, 3, bits, m),
+            lambda: choose_grid_boyle(100, 3, bits, parse_modulus("3")),
+            lambda: size_bunn_prg("lam", 100, 3, 1, m, bits),
+            lambda: compression_info(lambda_bits=bits),
+        ):
+            with pytest.raises(ParameterError, match="seed length"):
+                size()
+
     def test_compression_info_reference(self):
         assert compression_info() == pytest.approx(1085000 / 627982)
 
