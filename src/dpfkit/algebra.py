@@ -395,14 +395,14 @@ def primorial(n: int) -> Modulus:
 def minimize_grid(domain_size: int, row_cost: int, col_cost: int) -> tuple[int, int, int]:
     """Minimize rows*row_cost + cols*col_cost subject to rows*cols >= domain_size.
 
-    Costs are positive integers.  Only rows r or ceil(N/v) with r, v <=
-    ceil(sqrt(N)) can be optimal, with cols ceil(N/rows).  A row count's
-    cost is at least g(r) = r*row_cost + N*col_cost/r, least at
+    N < 2**64; costs are positive integers.  Only rows r or ceil(N/v) with
+    r, v <= ceil(sqrt(N)) can be optimal, with cols ceil(N/rows).  A row
+    count's cost is at least g(r) = r*row_cost + N*col_cost/r, least at
     r* = sqrt(N*col_cost/row_cost), so only those in [lo, hi], where g is
     at most the cost next to r*, are scanned.  Ties prefer fewer rows.
     """
-    if domain_size < 1:
-        raise ParameterError(f"domain size must be >= 1, got {domain_size}")
+    if not 1 <= domain_size < 2 ** 64:
+        raise ParameterError("domain size must be in [1, 2**64)")
     if row_cost < 1 or col_cost < 1:
         raise ParameterError(f"grid costs must be positive, got {row_cost}, {col_cost}")
     n = domain_size

@@ -30,17 +30,18 @@ the (m+1)-subset S.  At p = 2m+1 those subsets are exactly the
 complements of the m-subsets, which is CNF sharing for threshold m.  A
 coalition learns the seed of column S exactly when it meets S, so W
 stays masked as long as some (m+1)-subset avoids the coalition, that is,
-as long as the coalition has at most p-m-1 members.  This is the
-invariant `check_seed_coverage` checks; m < p/2 gives m <= p-m-1, so
-every coalition of at most m parties passes it.
+as long as a coalition of k parties has k <= p-m-1.  `check_seed_coverage`
+is that closed form, and `honest_majority` (m < p/2) is its k = m case.
 
 Dealing is on arrays.  `_gen_core` deals `gen` and `dcf_gen` keys with
 `_distinct_seeds`, `_deal` and `_correction`, and hands each party its
 columns through `SchemeParams.layout`: two (p, C(p-1, m)) integer arrays
 of each party's column ranks and its place in each column's subset.
-Before its first draw it refuses a target row or tables past
-`EVAL_BUDGET`.  The baselines reuse `_correction` and `_deal`'s rule, and
-they and `simulate_coalition_view` draw seeds with `prg.sample_seeds`.
+Building the layout first refuses a target row or tables past
+`EVAL_BUDGET`, so the dealer reads it before its first draw, and the
+simulator and a direct read meet the same bound.  The baselines reuse
+`_correction` and `_deal`'s rule, and they and `simulate_coalition_view`
+draw seeds with `prg.sample_seeds`.
 
 One evaluator serves every scheme: each key's `row(r)` gives the row's
 seeds, shares, correction (for column 0's holders) and an offset (a DCF
@@ -162,7 +163,14 @@ class SchemeParams:
         """(columns, slots) of shape (parties, C(parties-1, corrupted)): columns[i]
         ranks, ascending, the columns whose subset holds party i, and slots[i]
         is i's place in each.  Column j is the j-th (m+1)-subset in
-        lexicographic order; the subsets are only laid out flat, as uint16."""
+        lexicographic order; the subsets are only laid out flat, as uint16.
+        First it refuses a deal past EVAL_BUDGET: the dealer's target row
+        of C(parties, corrupted+1) expansions, then its tables."""
+        factors = len(self.modulus.factors)
+        check_row_budget(self.combo_count, self.cols, factors)
+        cell = self.lambda_bits // 8 + 8 * (self.corrupted + 1) * factors + _SEED_ENTRY_BYTES
+        if self.rows * self.combo_count * cell > EVAL_BUDGET:
+            raise GuardError(f"refusing to deal tables past {EVAL_BUDGET} bytes")
         width = self.corrupted + 1
         flat = itertools.chain.from_iterable(itertools.combinations(range(self.parties), width))
         order = np.argsort(np.fromiter(flat, np.uint16, self.combo_count * width), kind="stable")
@@ -396,13 +404,9 @@ def _gen_core(
             f"m must satisfy m < p/2 (got m={params.corrupted}, p={params.parties})"
         )
     point.validate(params)
+    layout = params.layout  # refuses a deal past the budget before any draw
     modulus = params.modulus
     factors = len(modulus.factors)
-    # The target row expands all C(p, m+1) seeds, more than any key's row holds.
-    check_row_budget(params.combo_count, params.cols, factors)
-    cell = params.lambda_bits // 8 + 8 * (params.corrupted + 1) * factors + _SEED_ENTRY_BYTES
-    if params.rows * params.combo_count * cell > EVAL_BUDGET:
-        raise GuardError(f"refusing to deal tables past {EVAL_BUDGET} bytes")
     target_row = point.alpha // params.cols
     seeds = _distinct_seeds(params, rng)
     secrets = np.zeros((factors, params.rows, params.combo_count), dtype=np.uint64)
@@ -424,7 +428,7 @@ def _gen_core(
             shares=dealt[:, :, cols, slots],
             correction=correction,
         )
-        for party, (cols, slots) in enumerate(zip(*params.layout))
+        for party, (cols, slots) in enumerate(zip(*layout))
     ]
     return fields, target_row
 
@@ -512,19 +516,16 @@ def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) 
     """True when some column's subset avoids the coalition entirely.
 
     That column's seed is unknown to every coalition member and is what
-    keeps the correction vector masked.  With an honest majority this
-    holds for every coalition of size `corrupted`; once the coalition
-    reaches p - m members (always true at size ceil(p/2) when m >= p/2),
-    every column is covered and the argument collapses.
+    keeps the correction vector masked.  The p - k parties outside a
+    coalition of k hold an (m+1)-subset exactly when k <= p - m - 1, which
+    with an honest majority holds at k = m.  From k = p - m on (at
+    ceil(p/2) when m >= p/2), every column is covered.
     """
     members = frozenset(coalition)
     for member in members:
         if not 0 <= member < parties:
             raise ParameterError(f"coalition member {member} out of range")
-    return any(
-        not members.intersection(subset)
-        for subset in itertools.combinations(range(parties), corrupted + 1)
-    )
+    return len(members) <= parties - corrupted - 1
 
 
 def simulate_coalition_view(
@@ -551,10 +552,8 @@ def simulate_coalition_view(
     columns = params.layout[0]
     visible = np.unique(columns[list(members)])
     correction = FieldVector.random(params.modulus, params.cols, rng).data
-    seed_len = params.lambda_bits // 8
-    seeds = np.zeros((params.rows, params.combo_count, seed_len), dtype=np.uint8)
-    drawn = sample_seeds(params.rows * len(visible), params.lambda_bits, rng)
-    seeds[:, visible] = drawn.reshape(params.rows, len(visible), seed_len)
+    seeds = sample_seeds(params.rows * len(visible), params.lambda_bits, rng)
+    seeds = seeds.reshape(params.rows, len(visible), params.lambda_bits // 8)
 
     keys = []
     cells = params.rows * params.tuples_per_row
@@ -564,7 +563,7 @@ def simulate_coalition_view(
             DpfKey(
                 party=member,
                 params=params,
-                seeds=seeds[:, columns[member]],
+                seeds=seeds[:, np.searchsorted(visible, columns[member])],
                 shares=shares.reshape(-1, params.rows, params.tuples_per_row),
                 correction=correction,
             )

@@ -707,6 +707,33 @@ def test_bench_size_bad_parameters(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_bench_size_refuses_domains_that_keygen_refuses(capped_python, tmp_path):
+    # The grid search's candidates grow with sqrt(N), so past N = 2**64 an
+    # unrefused call would take seconds or run out of memory: run capped.
+    child = capped_python(f"""
+        import contextlib, io, time
+        from dpfkit.cli import main
+        for argv in (
+            ["bench-size", "--figure", "domain", "--x-values", str(2 ** 64)],
+            ["bench-size", "--figure", "domain", "--x-values", str(10 ** 40)],
+            ["bench-size", "--figure", "parties", "--N", str(10 ** 30),
+             "--lambda", "8", "--modulus", "2"],
+            ["keygen", "--N", str(2 ** 64), "--p", "3", "--m", "1", "--modulus", "5",
+             "--alpha", "0", "--beta", "1", "--out-dir", {str(tmp_path / "k")!r}],
+        ):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            print(code, len(out.getvalue()), time.perf_counter() - start)
+    """)
+    assert child.returncode == 0, child.stderr
+    results = [line.split() for line in child.stdout.splitlines()]
+    assert [(code, printed) for code, printed, _ in results] == [("2", "0")] * 4, child.stdout
+    assert all(float(seconds) < 1 for _, _, seconds in results), child.stdout
+    assert child.stderr.count("error: domain size") == 4, child.stderr
+    assert not (tmp_path / "k").exists()
+
+
 @pytest.mark.parametrize("figure,low,high", [
     ("domain", "100", "1000"), ("parties", "3", "5"),
     ("modulus", "6", "7"), ("primorial", "6", "30"),

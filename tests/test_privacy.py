@@ -2,11 +2,12 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from dpfkit.algebra import parse_modulus
+from dpfkit.algebra import Modulus, parse_modulus
 from dpfkit.dpf import (
     PointDescription,
     SchemeParams,
@@ -14,7 +15,7 @@ from dpfkit.dpf import (
     gen,
     simulate_coalition_view,
 )
-from dpfkit.errors import ParameterError
+from dpfkit.errors import GuardError, ParameterError
 from dpfkit.keyfile import key_to_bytes
 from dpfkit.prg import PRG_SHAKE128, PRG_TEST_LCG, DeterministicRandomSource
 
@@ -29,7 +30,45 @@ def _params(parties, corrupted, modulus_text, domain, **kw):
     )
 
 
+def _coverage_reference(parties, corrupted, coalition):
+    """Whether some (m+1)-subset avoids the coalition, by enumerating the
+    subsets: the reference for `check_seed_coverage`'s closed form."""
+    members = set(coalition)
+    return any(
+        not members.intersection(subset)
+        for subset in itertools.combinations(range(parties), corrupted + 1)
+    )
+
+
 class TestSeedCoverage:
+    def test_closed_form_matches_the_enumeration(self):
+        for p in range(2, 10):
+            coalitions = [
+                c for k in range(p + 1) for c in itertools.combinations(range(p), k)
+            ]
+            for m in range(1, p):
+                for coalition in coalitions:
+                    expected = _coverage_reference(p, m, coalition)
+                    assert check_seed_coverage(p, m, coalition) == expected, (p, m, coalition)
+                    # a repeated member counts once
+                    repeated = coalition + coalition[:1]
+                    assert check_seed_coverage(p, m, repeated) == expected, (p, m, repeated)
+
+    def test_many_parties_return_at_once(self, capped_python):
+        # An enumeration of the subsets would take minutes from p = 31 on,
+        # so the calls run in a child that the timeout ends.
+        child = capped_python("""
+            import time
+            from dpfkit.dpf import check_seed_coverage
+            for p, m in ((31, 15), (65535, 32767)):
+                start = time.perf_counter()
+                assert check_seed_coverage(p, m, range(m))
+                assert not check_seed_coverage(p, m, range(p - m))
+                print(time.perf_counter() - start)
+        """, timeout=10)
+        assert child.returncode == 0, child.stderr
+        assert [float(t) < 1 for t in child.stdout.split()] == [True, True], child.stdout
+
     def test_every_honest_coalition_misses_a_column(self):
         for p in range(3, 8):
             for m in range(1, (p + 1) // 2):
@@ -92,6 +131,66 @@ class TestSimulatedView:
         for coalition in ((0, 9), (-1,)):
             with pytest.raises(ParameterError, match=f"member {coalition[-1]} out of range"):
                 simulate_coalition_view(params, coalition, rng)
+
+    def test_refused_where_the_dealer_is_refused(self, refusing_rng):
+        # the dealer's tables bound: 6170930 rows at p = 3 fit, one more does not
+        modulus = Modulus.prime(7)
+        params = SchemeParams(3, 1, 128, modulus, 6170931, 6170931, 1)
+        with pytest.raises(GuardError, match="refusing to deal tables"):
+            simulate_coalition_view(params, (0,), refusing_rng)
+        params = SchemeParams(3, 1, 128, modulus, 6170930, 6170930, 1)
+        with pytest.raises(AssertionError, match="random bytes"):
+            simulate_coalition_view(params, (0,), refusing_rng)
+
+    def test_hostile_parameters_are_refused_under_a_memory_limit(self, capped_python):
+        # At p = 65535, m = 1 the layout alone would take 8 GiB, and a full
+        # seed table on 6170931 rows would take 296 MB.
+        child = capped_python("""
+            import time
+            from dpfkit.algebra import Modulus
+            from dpfkit.dpf import SchemeParams, simulate_coalition_view
+
+            class Refusing:
+                def randbytes(self, n):
+                    raise AssertionError(f"read {n} random bytes")
+
+            wide = SchemeParams.create(65535, 1, Modulus.prime(7), 100)
+            tall = SchemeParams(3, 1, 128, Modulus.prime(7), 6170931, 6170931, 1)
+            calls = {
+                "simulator at p = 65535": lambda: simulate_coalition_view(wide, (0,), Refusing()),
+                "layout at p = 65535": lambda: wide.layout,
+                "simulator on 6170931 rows": lambda: simulate_coalition_view(tall, (0,), Refusing()),
+            }
+            for name, call in calls.items():
+                start = time.perf_counter()
+                try:
+                    call()
+                    outcome = "returned"
+                except Exception as exc:
+                    outcome = type(exc).__name__
+                print(f"{name}: {outcome} {time.perf_counter() - start:.3f}")
+        """)
+        assert child.returncode == 0, child.stderr
+        lines = child.stdout.splitlines()
+        assert len(lines) == 3, child.stdout
+        for line in lines:
+            name, outcome = line.split(": ")
+            error, seconds = outcome.split()
+            assert error == "GuardError" and float(seconds) < 1, line
+
+    def test_draws_only_the_seeds_its_coalition_sees(self):
+        # A full seed table for these params takes 20000 * 35 * 16 bytes,
+        # 11.2 MB; the empty coalition sees none of it.
+        params = _params(7, 3, "7", 20000, grid=(20000, 1))
+        params.layout  # cached before tracing: its arrays are not seeds
+        tracemalloc.start()
+        try:
+            view = simulate_coalition_view(params, (), DeterministicRandomSource("empty"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert view.keys == ()
+        assert peak < 1 << 20
 
     def test_byte_lengths_match_real_keys(self):
         params = _params(5, 2, "2*3*5", 30)
