@@ -18,10 +18,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import GuardError, ParameterError
 
 MAX_FACTOR = 2 ** 31
 MAX_VALUE = 2 ** 63
+EVAL_BUDGET = 1 << 32  # bytes that one output, row of expansions or deal may take
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10**24, which
 # comfortably covers the 63-bit modulus cap; is_prime also trial-divides
@@ -215,9 +216,12 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     is one byte the accepted bytes are kept whole and shifted in one NumPy
     pass at the end; otherwise each accepted word is shifted as it comes,
     and a partial attempt at the end of a read is carried into the next.
+    Refuses an output past EVAL_BUDGET bytes before the first read.
     """
     factors = modulus.factors
     nf = len(factors)
+    if 8 * nf * count > EVAL_BUDGET:
+        raise GuardError(f"refusing residues past {EVAL_BUDGET} bytes")
     widths = [(q.bit_length() + 7) // 8 for q in factors]
     shifts = [8 * w - q.bit_length() for q, w in zip(factors, widths)]
     bounds = [q << s for q, s in zip(factors, shifts)]
@@ -337,7 +341,9 @@ class FieldVector:
 
     @classmethod
     def random(cls, modulus: Modulus, length: int, rng) -> "FieldVector":
-        """Uniform entries, drawn factor by factor."""
+        """Uniform entries, drawn factor by factor, refused past EVAL_BUDGET bytes."""
+        if 8 * len(modulus.factors) * length > EVAL_BUDGET:
+            raise GuardError(f"refusing a vector past {EVAL_BUDGET} bytes")
         rows = [random_residues(Modulus.prime(q), length, rng) for q in modulus.factors]
         return cls._raw(modulus, np.concatenate(rows))
 

@@ -12,10 +12,12 @@ scheme exists here to be measured, not used.
 keys are evaluated by `dpf`'s evaluators through their `row` methods.
 
 Both deal on arrays with the helpers `dpf.gen` uses: `boyle_gen` draws
-each row's seeds with `prg.sample_seeds` and builds its correction with
-`dpf._correction`, and `trivial_gen` completes its last table by the
-rule of `dpf._deal`.  `boyle_gen` shuffles each row with `shuffle`, so
-the dealer reads its rng through `randbytes` alone.
+each row's seeds distinct and non-zero with `prg.sample_seeds`, and
+refuses a row of more columns than such seeds before its first draw; it
+builds its correction with `dpf._correction`, and `trivial_gen`
+completes its last table by the rule of `dpf._deal`.  `boyle_gen`
+shuffles each row with `shuffle`, so the dealer reads its rng through
+`randbytes` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .algebra import FieldVector
 from .dpf import DpfKey, PointDescription, Row, SchemeParams, _correction
 from .dpf import check_eval_budget, check_row_budget
 from .errors import GuardError, ParameterError
-from .prg import expand, sample_seeds
+from .prg import _check_seed_space, expand, sample_seeds
 
 COLUMN_GUARD = 1 << 20
 
@@ -133,6 +135,7 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     parties = params.parties
     target_row = point.alpha // params.cols
     count = boyle_column_count(params)
+    _check_seed_space(count, params.lambda_bits)  # each row's seeds, before any draw
 
     # Every length-p vector summing to 0: row i is (head, tail) for the
     # i-th tail in itertools.product order.  The target row's vectors sum

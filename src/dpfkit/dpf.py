@@ -34,14 +34,15 @@ as long as a coalition of k parties has k <= p-m-1.  `check_seed_coverage`
 is that closed form, and `honest_majority` (m < p/2) is its k = m case.
 
 Dealing is on arrays.  `_gen_core` deals `gen` and `dcf_gen` keys with
-`_distinct_seeds`, `_deal` and `_correction`, and hands each party its
+`prg.sample_seeds`, `_deal` and `_correction`, and hands each party its
 columns through `SchemeParams.layout`: two (p, C(p-1, m)) integer arrays
 of each party's column ranks and its place in each column's subset.
-Building the layout first refuses a target row or tables past
-`EVAL_BUDGET`, so the dealer reads it before its first draw, and the
-simulator and a direct read meet the same bound.  The baselines reuse
-`_correction` and `_deal`'s rule, and they and `simulate_coalition_view`
-draw seeds with `prg.sample_seeds`.
+Building the layout first refuses a target row, or tables and layout,
+past `EVAL_BUDGET`, and more cells than distinct non-zero seeds, so the
+dealer reads it before its first draw, and the simulator and a direct
+read are refused where `gen` is.  The baselines reuse `_correction` and
+`_deal`'s rule, and every dealer and `simulate_coalition_view` draw their
+seeds distinct and non-zero with `prg.sample_seeds`.
 
 One evaluator serves every scheme: each key's `row(r)` gives the row's
 seeds, shares, correction (for column 0's holders) and an offset (a DCF
@@ -61,6 +62,7 @@ import numpy as np
 
 from . import prg
 from .algebra import (
+    EVAL_BUDGET,
     FieldElement,
     FieldVector,
     Modulus,
@@ -72,10 +74,10 @@ from .prg import PrgSpec, expand, sample_seeds
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
-EVAL_BUDGET = 1 << 32  # bytes of uint64 words one full-domain output or row's expansions may take
 Row = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]  # see `_combine_row`
-# Bytes of `_distinct_seeds`' dict per dealt cell (tracemalloc: 201-206 at p = 3 and p = 61).
-_SEED_ENTRY_BYTES = 200
+# Peak bytes of `SchemeParams.layout` per entry of one of its two arrays
+# (tracemalloc: 18.0 from p = 61, m = 2 to p = 201, m = 2).
+_LAYOUT_ENTRY_BYTES = 18
 
 
 def check_party_counts(parties: int, corrupted: int) -> None:
@@ -165,13 +167,15 @@ class SchemeParams:
         is i's place in each.  Column j is the j-th (m+1)-subset in
         lexicographic order; the subsets are only laid out flat, as uint16.
         First it refuses a deal past EVAL_BUDGET: the dealer's target row
-        of C(parties, corrupted+1) expansions, then its tables."""
-        factors = len(self.modulus.factors)
+        of C(parties, corrupted+1) expansions, then its tables and these
+        arrays; then a deal with fewer distinct non-zero seeds than cells."""
+        factors, width = len(self.modulus.factors), self.corrupted + 1
         check_row_budget(self.combo_count, self.cols, factors)
-        cell = self.lambda_bits // 8 + 8 * (self.corrupted + 1) * factors + _SEED_ENTRY_BYTES
-        if self.rows * self.combo_count * cell > EVAL_BUDGET:
+        cell = self.lambda_bits // 8 + 8 * width * factors + prg._SEED_ENTRY_BYTES
+        tables = self.rows * cell + width * _LAYOUT_ENTRY_BYTES
+        if self.combo_count * tables > EVAL_BUDGET:
             raise GuardError(f"refusing to deal tables past {EVAL_BUDGET} bytes")
-        width = self.corrupted + 1
+        prg._check_seed_space(self.rows * self.combo_count, self.lambda_bits)
         flat = itertools.chain.from_iterable(itertools.combinations(range(self.parties), width))
         order = np.argsort(np.fromiter(flat, np.uint16, self.combo_count * width), kind="stable")
         slots = (order % width).astype(np.uint16)
@@ -281,29 +285,6 @@ def choose_grid(
     return rows, cols
 
 
-def _distinct_seeds(params: SchemeParams, rng) -> np.ndarray:
-    """A distinct non-zero seed for every (row, column) cell.
-
-    Returns uint8 of shape (rows, columns, lambda/8).  Reads the stream as
-    `prg.sample_seeds` does: each read asks for exactly the seeds still
-    missing, and a candidate that is all zero or already taken is skipped.
-    A read is split into seeds in one NumPy pass, and an insertion-ordered
-    dict keeps each seed where it first came up; the all-zero seed is then
-    dropped from it.
-    """
-    size = params.lambda_bits // 8
-    want = params.rows * params.combo_count
-    if want >= 256 ** size:
-        raise ParameterError(f"{want} cells exceed the {256 ** size - 1} {size}-byte seeds")
-    taken: dict[bytes, None] = {}
-    while len(taken) < want:
-        blob = rng.randbytes(size * (want - len(taken)))
-        taken.update(dict.fromkeys(np.frombuffer(blob, dtype=f"V{size}").tolist()))
-        taken.pop(bytes(size), None)
-    table = np.frombuffer(b"".join(taken), dtype=np.uint8)
-    return table.reshape(params.rows, params.combo_count, size)
-
-
 def _deal(secrets: np.ndarray, count: int, modulus: Modulus, rng) -> np.ndarray:
     """Additive `count`-sharings of every column of `secrets`.
 
@@ -408,7 +389,8 @@ def _gen_core(
     modulus = params.modulus
     factors = len(modulus.factors)
     target_row = point.alpha // params.cols
-    seeds = _distinct_seeds(params, rng)
+    seeds = sample_seeds(params.rows * params.combo_count, params.lambda_bits, rng)
+    seeds = seeds.reshape(params.rows, params.combo_count, -1)
     secrets = np.zeros((factors, params.rows, params.combo_count), dtype=np.uint64)
     secrets[:, target_row] = 1
     count = params.corrupted + 1
@@ -533,11 +515,11 @@ def simulate_coalition_view(
 ) -> CoalitionView:
     """Sample a coalition's keys from scratch, without any point function.
 
-    Seeds are uniform (one per row/column pair the coalition can see,
-    shared between members of the same column), shares are uniform and
-    independent, and the correction vector is uniform.  For any coalition
-    within the corruption bound this matches the distribution of real
-    keys, which is the whole privacy argument; the byte layout is
+    Seeds are distinct, non-zero and uniform as `gen` deals them, one per
+    row/column pair the coalition can see and shared between the members
+    of its column; shares and the correction vector are uniform.  For any
+    coalition within the corruption bound this matches the distribution
+    of real keys, which is the whole privacy argument; the byte layout is
     identical to real keys by construction.
     """
     members = tuple(sorted(set(coalition)))

@@ -41,8 +41,8 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from .algebra import FieldVector, Modulus, byte_words
-from .errors import InternalError, ParameterError
+from .algebra import EVAL_BUDGET, FieldVector, Modulus, byte_words
+from .errors import GuardError, InternalError, ParameterError
 
 PRG_SHAKE128 = 0
 PRG_TEST_LCG = 255
@@ -53,6 +53,9 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _SEED_MIX = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
+# Peak bytes of `sample_seeds` per seed beside the seed itself (tracemalloc: 194-205
+# for 16-byte seeds; a longer seed adds about twice its length more).
+_SEED_ENTRY_BYTES = 200
 
 # Monotone count of expand() calls, for instrumentation in benchmarks and
 # tests.  Read it through expansion_count(); it is never reset.
@@ -78,10 +81,6 @@ class PrgSpec:
         seed_size(self.lambda_bits)
         if not 1 <= self.output_len < 2 ** 32:
             raise ParameterError(f"bad output length {self.output_len}")
-
-    @property
-    def seed_bytes(self) -> int:
-        return self.lambda_bits // 8
 
 
 def seed_size(lambda_bits: int) -> int:
@@ -159,18 +158,19 @@ def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
 
     Pure function of (seed, spec, first): repeated calls return identical
     vectors, `first` only drops the leading elements, and streams for
-    distinct prime factors never overlap.
+    distinct prime factors never overlap.  An output past EVAL_BUDGET
+    bytes is refused.
     """
     if not isinstance(seed, (bytes, bytearray)):
         raise ParameterError(f"seed must be bytes, got {type(seed).__name__}")
-    if len(seed) != spec.seed_bytes:
-        raise ParameterError(
-            f"seed is {len(seed)} bytes, spec wants {spec.seed_bytes}"
-        )
+    if len(seed) != spec.lambda_bits // 8:
+        raise ParameterError(f"seed is {len(seed)} bytes, spec wants {spec.lambda_bits // 8}")
     if not 0 <= first < spec.output_len:
         raise ParameterError(f"first element {first} outside [0, {spec.output_len})")
-    seed = bytes(seed)
     factors = spec.modulus.factors
+    if 8 * len(factors) * (spec.output_len - first) > EVAL_BUDGET:
+        raise GuardError(f"refusing an expansion past {EVAL_BUDGET} bytes")
+    seed = bytes(seed)
     arr = np.empty((len(factors), spec.output_len - first), dtype=np.uint64)
     for fi, q in enumerate(factors):
         arr[fi] = _sample_residues(spec.algorithm, seed, fi, q, spec.output_len, first)
@@ -179,23 +179,31 @@ def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
     return FieldVector._raw(spec.modulus, arr)
 
 
-def sample_seeds(count: int, lambda_bits: int, rng) -> np.ndarray:
-    """`count` uniform non-zero seeds of lambda_bits/8 bytes, as uint8 of
-    shape (count, lambda_bits/8).
-
-    The all-zero string is reserved as the "absent seed" sentinel in
-    serialized keys and is skipped on the (negligible) chance it comes up.
-    Reads the stream as one `rng.randbytes(lambda_bits/8)` call per
-    candidate would: each read asks for exactly the seeds still owed.
-    """
+def _check_seed_space(count: int, lambda_bits: int) -> int:
+    """The seed size, once `count` distinct non-zero seeds are known to
+    exist and to fit EVAL_BUDGET bytes with their dict entries."""
     size = seed_size(lambda_bits)
-    out = [np.zeros((0, size), dtype=np.uint8)]
-    need = count
-    while need:
-        drawn = np.frombuffer(rng.randbytes(need * size), dtype=np.uint8).reshape(need, size)
-        out.append(drawn[drawn.any(axis=1)])
-        need -= len(out[-1])
-    return np.concatenate(out)
+    if count * (size + _SEED_ENTRY_BYTES) > EVAL_BUDGET:
+        raise GuardError(f"refusing seeds past {EVAL_BUDGET} bytes")
+    if count >= 256 ** size:
+        raise ParameterError(f"{count} cells exceed the {256 ** size - 1} {size}-byte seeds")
+    return size
+
+
+def sample_seeds(count: int, lambda_bits: int, rng) -> np.ndarray:
+    """`count` distinct non-zero uniform seeds of lambda_bits/8 bytes, as
+    uint8 of shape (count, lambda_bits/8); all-zero marks an absent seed in
+    key files.  Each read asks for exactly the seeds still missing, and an
+    insertion-ordered dict keeps each where it first came up, so the stream
+    is read as one `rng.randbytes(lambda_bits/8)` per candidate would be.
+    """
+    size = _check_seed_space(count, lambda_bits)
+    taken: dict[bytes, None] = {}
+    while len(taken) < count:
+        blob = rng.randbytes(size * (count - len(taken)))
+        taken.update(dict.fromkeys(np.frombuffer(blob, dtype=f"V{size}").tolist()))
+        taken.pop(bytes(size), None)
+    return np.frombuffer(b"".join(taken), dtype=np.uint8).reshape(count, size)
 
 
 class DeterministicRandomSource(random.Random):

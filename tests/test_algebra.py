@@ -239,12 +239,13 @@ class TestFieldVector:
 
 class TestColumnLayout:
     # p = 60, m = 2 lays out 102,660 subset entries, past uint16 positions
-    # and in groups of 3, which does not divide 2**16.
+    # and in groups of 3, which does not divide 2**16.  The seeds are 16
+    # bytes, since the layout refuses more cells than distinct seeds.
     @pytest.mark.parametrize(
         "p, m", [(p, m) for p in range(2, 12) for m in range(1, p)] + [(60, 2)]
     )
     def test_matches_the_subset_reference(self, p, m):
-        columns, slots = SchemeParams(p, m, 8, Modulus.prime(2), 1, 1, 1).layout
+        columns, slots = SchemeParams(p, m, 128, Modulus.prime(2), 1, 1, 1).layout
         subsets = np.array(list(itertools.combinations(range(p), m + 1)))
         assert columns.shape == slots.shape == (p, comb(p - 1, m))
         assert (np.diff(columns, axis=1) > 0).all()

@@ -150,6 +150,20 @@ def test_too_few_distinct_seeds_exit_code(capsys, tmp_path):
     assert "351 cells exceed the 255 1-byte seeds" in err
 
 
+def test_boyle15_keys_get_distinct_seeds_or_none(capsys, tmp_path):
+    # A boyle15 row over 257 has 257 columns; drawn with replacement, a row
+    # of 256 one-byte seeds held only about 158 distinct ones.
+    code, _, err = run(
+        capsys,
+        "keygen", "--scheme", "boyle15", "--N", "50", "--p", "2", "--m", "1",
+        "--modulus", "257", "--lambda", "8", "--alpha", "5", "--beta", "1",
+        "--seed", "x", "--out-dir", str(tmp_path / "k"),
+    )
+    assert code == 2
+    assert "257 cells exceed the 255 1-byte seeds" in err
+    assert not (tmp_path / "k").exists()
+
+
 def test_guard_exit_code(capsys, tmp_path):
     # q^(p-1) for p = 20000 has more digits than Python will print.
     for p, modulus in (("7", "257"), ("20000", "2147483647")):

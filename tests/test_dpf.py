@@ -21,7 +21,6 @@ from dpfkit.dpf import (
     SchemeParams,
     _combine_row,
     _deal,
-    _distinct_seeds,
     _reduce,
     choose_grid,
     decode,
@@ -436,11 +435,16 @@ def test_dealer_refuses_its_own_row_and_tables_past_the_budget(refusing_rng, dea
     with pytest.raises(GuardError, match="refusing a row"):
         dealer(point, params, refusing_rng)
     # A 3-column row is small, but each cell takes 16 + 2 * 8 + 200 bytes of
-    # tables: 6170930 rows of them fit the budget, and one more does not.
+    # tables, and the layout 3 * 2 * 18 bytes in all: 6170929 rows fit the
+    # budget, and one more does not.
     with pytest.raises(GuardError, match="refusing to deal tables"):
-        dealer(point, SchemeParams(3, 1, 128, modulus, 6170931, 6170931, 1), refusing_rng)
-    with pytest.raises(AssertionError, match="random bytes"):
         dealer(point, SchemeParams(3, 1, 128, modulus, 6170930, 6170930, 1), refusing_rng)
+    with pytest.raises(AssertionError, match="random bytes"):
+        dealer(point, SchemeParams(3, 1, 128, modulus, 6170929, 6170929, 1), refusing_rng)
+    # At p = 26, m = 12 one row's C(26, 13) cells take 3.33 GB of tables,
+    # within the budget, and the layout's 135,207,800 entries 2.43 GB more.
+    with pytest.raises(GuardError, match="refusing to deal tables"):
+        dealer(point, SchemeParams(26, 12, 128, modulus, 50, 1, 50), refusing_rng)
 
 
 def test_key_shape_refusal_does_not_print_the_seed_count():
@@ -580,37 +584,6 @@ def test_deterministic_generation_is_byte_stable():
         keys = gen(point, params, rng)
         blobs.append(tuple(key_to_bytes(k) for k in keys))
     assert blobs[0] == blobs[1]
-
-
-def _seed_by_seed(params, rng):
-    """`_distinct_seeds` as a loop over every candidate, its reference."""
-    size = params.lambda_bits // 8
-    want = params.rows * params.combo_count
-    seen, flat = set(), []
-    while len(flat) < want:
-        blob = rng.randbytes(size * (want - len(flat)))
-        for i in range(0, len(blob), size):
-            s = blob[i : i + size]
-            if any(s) and s not in seen:
-                seen.add(s)
-                flat.append(s)
-    table = np.frombuffer(b"".join(flat), dtype=np.uint8)
-    return table.reshape(params.rows, params.combo_count, size)
-
-
-@pytest.mark.parametrize(
-    "lambda_bits,grid", [(8, (40, 2)), (8, (80, 3)), (16, (30, 10)), (128, (181, 30))]
-)
-def test_distinct_seeds_match_the_seed_by_seed_loop(lambda_bits, grid):
-    # At 8 bits zero and repeated seeds come up in every draw, so the seeds
-    # are gathered over several reads; at 128 bits the first read suffices.
-    params = _make(3, 1, "7", grid[0] * grid[1], grid=grid, lambda_bits=lambda_bits)
-    for label in range(25):
-        ref = DeterministicRandomSource(f"seeds/{lambda_bits}/{label}")
-        got = DeterministicRandomSource(f"seeds/{lambda_bits}/{label}")
-        want = _seed_by_seed(params, ref)
-        assert np.array_equal(_distinct_seeds(params, got), want)
-        assert got.randbytes(16) == ref.randbytes(16)  # same next read
 
 
 def test_more_cells_than_distinct_seeds_is_refused():

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpfkit import prg
-from dpfkit.algebra import Modulus, parse_modulus, random_residues
-from dpfkit.errors import ParameterError
+from dpfkit.algebra import FieldVector, Modulus, parse_modulus, random_residues
+from dpfkit.errors import GuardError, ParameterError
 from dpfkit.prg import (
     PRG_SHAKE128,
     PRG_TEST_LCG,
@@ -332,32 +332,46 @@ class TestSpecValidation:
             expand("not bytes", spec)
 
 
-def _seed_loop(count: int, lambda_bits: int, rng) -> tuple[list[bytes], int]:
-    """Reference: one read per candidate seed, all-zero candidates skipped.
-    Returns the seeds and the number skipped."""
-    seeds, skipped = [], 0
-    while len(seeds) < count:
+def _seed_by_seed(count: int, lambda_bits: int, rng) -> tuple[list[bytes], int]:
+    """`sample_seeds` as a loop over every candidate, one read each, its
+    reference: all-zero and repeated candidates are skipped.  Returns the
+    seeds and the number skipped."""
+    seen: dict[bytes, None] = {}
+    skipped = 0
+    while len(seen) < count:
         seed = rng.randbytes(lambda_bits // 8)
-        if any(seed):
-            seeds.append(seed)
+        if any(seed) and seed not in seen:
+            seen[seed] = None
         else:
             skipped += 1
-    return seeds, skipped
+    return list(seen), skipped
 
 
 class TestSampleSeeds:
-    @pytest.mark.parametrize("bits", [8, 16, 128])
-    @pytest.mark.parametrize("count", [0, 1, 3000])
+    @pytest.mark.parametrize(
+        "bits,count",
+        [(8, 0), (8, 1), (8, 80), (8, 255), (16, 1), (16, 3000), (128, 0), (128, 1), (128, 3000)],
+    )
     def test_reads_the_stream_like_one_read_per_seed(self, bits, count):
-        ref = DeterministicRandomSource(f"seeds/{bits}/{count}")
-        got = DeterministicRandomSource(f"seeds/{bits}/{count}")
-        want, skipped = _seed_loop(count, bits, ref)
-        out = sample_seeds(count, bits, got)
-        assert out.dtype == np.uint8 and out.shape == (count, bits // 8)
-        assert [seed.tobytes() for seed in out] == want
-        assert got.randbytes(32) == ref.randbytes(32)  # same bytes consumed
-        if bits == 8 and count == 3000:
-            assert skipped > 0  # all-zero candidates came up and were skipped
+        # At 8 and 16 bits zero and repeated candidates come up, so the
+        # seeds are gathered over several reads; at 128 bits one suffices.
+        skipped = 0
+        for label in range(10):
+            ref = DeterministicRandomSource(f"seeds/{bits}/{count}/{label}")
+            got = DeterministicRandomSource(f"seeds/{bits}/{count}/{label}")
+            want, skips = _seed_by_seed(count, bits, ref)
+            out = sample_seeds(count, bits, got)
+            assert out.dtype == np.uint8 and out.shape == (count, bits // 8)
+            assert [seed.tobytes() for seed in out] == want
+            assert got.randbytes(32) == ref.randbytes(32)  # same bytes consumed
+            skipped += skips
+        assert (skipped > 0) == (bits < 128 and count >= 80)
+
+    def test_more_seeds_than_exist_are_refused_before_a_read(self, refusing_rng):
+        with pytest.raises(ParameterError, match="3000 cells exceed the 255 1-byte seeds"):
+            sample_seeds(3000, 8, refusing_rng)
+        with pytest.raises(ParameterError, match="256 cells exceed the 255 1-byte seeds"):
+            sample_seeds(256, 8, refusing_rng)
 
     def test_rejects_bad_lambda(self, rng):
         for bits in (0, 12, 65536):
@@ -426,6 +440,26 @@ class TestRandomResidues:
         out = random_residues(m, 2000, rng)
         assert (out < m._qs_np).all()
         assert all(len(set(row)) == q for row, q in zip(out.tolist(), m.factors[:2]))
+
+
+def test_sized_primitives_refuse_past_the_budget_before_a_read(refusing_rng):
+    # 2**32 bytes of output fit the budget (and so reach the rng); a word or
+    # seed more does not.  A seed costs 16 bytes and 200 of the sampler's.
+    seven, small = Modulus.prime(7), Modulus((2, 3, 5, 7))
+    calls = [
+        (lambda n: random_residues(small, n, refusing_rng), 2 ** 27),
+        (lambda n: FieldVector.random(seven, n, refusing_rng), 2 ** 29),
+        (lambda n: sample_seeds(n, 128, refusing_rng), 2 ** 32 // 216),
+    ]
+    for call, most in calls:
+        with pytest.raises(AssertionError, match="random bytes"):
+            call(most)
+        with pytest.raises(GuardError, match="refusing"):
+            call(most + 1)
+    with pytest.raises(GuardError, match="refusing an expansion"):
+        expand(SEED, PrgSpec(PRG_SHAKE128, 128, 2 ** 29 + 1, seven))
+    with pytest.raises(GuardError, match="refusing an expansion"):
+        expand(SEED, PrgSpec(PRG_SHAKE128, 128, 2 ** 32 - 1, small), first=2 ** 30)
 
 
 class _RecordingSource(DeterministicRandomSource):

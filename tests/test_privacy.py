@@ -92,14 +92,16 @@ class TestSeedCoverage:
 
 
 # sha256 over the key bytes of every view in SIMULATED_VIEW_SWEEP, captured
-# while the simulator still drew its seeds with one read per seed.
-SIMULATED_VIEW_DIGEST = "d5a4bc25e3fcbdc965f6acfde5bc0c0f7528c8fe1b244d0528b128d642363e1f"
+# when the simulator began to draw distinct seeds.  The 128-bit views kept
+# the bytes they had when it drew with replacement; some 16-bit view drew a
+# repeated seed then, so those bytes changed too.
+SIMULATED_VIEW_DIGEST = "689895f3e89bc182a903cca9fee9a21bca41c97a6bc607cc04f4b06e455b2c6a"
 
 SIMULATED_VIEW_SWEEP = [
     # parties, corrupted, modulus, grid, lambda bits, PRG tag; at 8 bits
-    # two of the three one-member views draw all-zero candidates among
-    # their 400 seeds, which the simulator skips.
-    (3, 1, "5", (200, 2), 8, PRG_SHAKE128),
+    # each one-member view draws 234-260 candidates for its 160 seeds, so
+    # it skips repeats, and two of the three skip an all-zero candidate.
+    (3, 1, "5", (80, 2), 8, PRG_SHAKE128),
     (5, 2, "2*3*5*7", (6, 7), 16, PRG_TEST_LCG),
     (7, 3, "2147483647", (3, 10), 128, PRG_SHAKE128),
 ]
@@ -133,33 +135,63 @@ class TestSimulatedView:
                 simulate_coalition_view(params, coalition, rng)
 
     def test_refused_where_the_dealer_is_refused(self, refusing_rng):
-        # the dealer's tables bound: 6170930 rows at p = 3 fit, one more does not
+        # the dealer's tables bound: 6170929 rows at p = 3 fit, one more does not
         modulus = Modulus.prime(7)
-        params = SchemeParams(3, 1, 128, modulus, 6170931, 6170931, 1)
+        params = SchemeParams(3, 1, 128, modulus, 6170930, 6170930, 1)
         with pytest.raises(GuardError, match="refusing to deal tables"):
             simulate_coalition_view(params, (0,), refusing_rng)
-        params = SchemeParams(3, 1, 128, modulus, 6170930, 6170930, 1)
+        params = SchemeParams(3, 1, 128, modulus, 6170929, 6170929, 1)
         with pytest.raises(AssertionError, match="random bytes"):
             simulate_coalition_view(params, (0,), refusing_rng)
 
+    def test_refused_where_the_dealer_runs_out_of_seeds(self, refusing_rng):
+        # 200 x 3 cells need distinct non-zero one-byte seeds, of which 255
+        # exist.  The layout refuses the deal before any read, so the
+        # simulator is refused with it, before drawing a view's 400 cells.
+        params = _params(3, 1, "5", 400, grid=(200, 2), lambda_bits=8)
+        point = PointDescription(0, params.modulus.one())
+        with pytest.raises(ParameterError, match="600 cells exceed the 255 1-byte seeds"):
+            gen(point, params, refusing_rng)
+        with pytest.raises(ParameterError, match="600 cells exceed the 255 1-byte seeds"):
+            simulate_coalition_view(params, (0,), refusing_rng)
+
+    def test_views_repeat_no_seed(self):
+        # Drawn with replacement, 170 of these 300 views of 20 one-byte seeds
+        # repeated one; no real key does.
+        params = _params(3, 1, "7", 30, grid=(10, 3), lambda_bits=8)
+        rng = DeterministicRandomSource("repeats")
+        for _ in range(300):
+            (key,) = simulate_coalition_view(params, (0,), rng).keys
+            seeds = key.seeds.ravel().tolist()
+            assert len(set(seeds)) == len(seeds) == 20
+
     def test_hostile_parameters_are_refused_under_a_memory_limit(self, capped_python):
         # At p = 65535, m = 1 the layout alone would take 8 GiB, and a full
-        # seed table on 6170931 rows would take 296 MB.
+        # seed table on 6170930 rows would take 296 MB.  At p = 26, m = 12
+        # the layout would take 2.43 GB beside 3.33 GB of tables, and the
+        # sized primitives would each allocate far past the budget.
         child = capped_python("""
             import time
-            from dpfkit.algebra import Modulus
+            from dpfkit.algebra import FieldVector, Modulus, random_residues
             from dpfkit.dpf import SchemeParams, simulate_coalition_view
+            from dpfkit.prg import PrgSpec, expand, sample_seeds
 
             class Refusing:
                 def randbytes(self, n):
                     raise AssertionError(f"read {n} random bytes")
 
             wide = SchemeParams.create(65535, 1, Modulus.prime(7), 100)
-            tall = SchemeParams(3, 1, 128, Modulus.prime(7), 6170931, 6170931, 1)
+            tall = SchemeParams(3, 1, 128, Modulus.prime(7), 6170930, 6170930, 1)
+            deep = SchemeParams(26, 12, 128, Modulus.prime(7), 50, 1, 50)
             calls = {
                 "simulator at p = 65535": lambda: simulate_coalition_view(wide, (0,), Refusing()),
                 "layout at p = 65535": lambda: wide.layout,
-                "simulator on 6170931 rows": lambda: simulate_coalition_view(tall, (0,), Refusing()),
+                "simulator on 6170930 rows": lambda: simulate_coalition_view(tall, (0,), Refusing()),
+                "layout at p = 26, m = 12": lambda: deep.layout,
+                "sample_seeds": lambda: sample_seeds(2 ** 36, 128, Refusing()),
+                "FieldVector.random": lambda: FieldVector.random(Modulus.prime(7), 2 ** 36, Refusing()),
+                "random_residues": lambda: random_residues(Modulus((2, 3, 5, 7)), 2 ** 36, Refusing()),
+                "expand": lambda: expand(bytes(16), PrgSpec(0, 128, 2 ** 32 - 1, Modulus.prime(7))),
             }
             for name, call in calls.items():
                 start = time.perf_counter()
@@ -172,7 +204,7 @@ class TestSimulatedView:
         """)
         assert child.returncode == 0, child.stderr
         lines = child.stdout.splitlines()
-        assert len(lines) == 3, child.stdout
+        assert len(lines) == 8, child.stdout
         for line in lines:
             name, outcome = line.split(": ")
             error, seconds = outcome.split()
