@@ -23,6 +23,24 @@ from .errors import GuardError, ParameterError
 MAX_FACTOR = 2 ** 31
 MAX_VALUE = 2 ** 63
 EVAL_BUDGET = 1 << 32  # bytes that one output, row of expansions or deal may take
+# Bytes charged per element against EVAL_BUDGET: each sized operation's
+# tracemalloc peak per element, rounded up (tests/test_algebra.py holds
+# every charge to its measured peak).  A row is charged its words, a
+# bound on its work: it holds one expansion at a time.
+WORD_BYTES = 8  # a row's expanded words, and a full-domain output's residues
+RESIDUE_PEAK = 24  # random_residues and FieldVector.random, per residue drawn
+EXPANSION_PEAK = 40  # prg.expand, per word of the squeezed prefix, one retry included
+SEED_PEAK = 192  # prg.sample_seeds, per seed, beside three times its length
+LAYOUT_PEAK = 19  # SchemeParams.layout, per entry of either array
+BOYLE_PEAK = 36  # baselines.boyle_gen, per entry of its keys' tables and a row's, beside the seed
+
+
+def check_budget(elements: int, bytes_per_element: int, what: str) -> None:
+    """Refuse `what` past EVAL_BUDGET; the message never prints `elements`,
+    which may have thousands of digits."""
+    if elements * bytes_per_element > EVAL_BUDGET:
+        raise GuardError(f"refusing {what}: it exceeds the budget of {EVAL_BUDGET} bytes")
+
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10**24, which
 # comfortably covers the 63-bit modulus cap; is_prime also trial-divides
@@ -212,20 +230,18 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
     word is below f << (8*ceil(k/8) - k), so only accepted words are
     shifted.  With one factor every read is a whole number of attempts and
     a round is one `compress` over the read's words.  With several, each
-    attempt costs one compare against its factor's bound.  When every word
-    is one byte the accepted bytes are kept whole and shifted in one NumPy
-    pass at the end; otherwise each accepted word is shifted as it comes,
-    and a partial attempt at the end of a read is carried into the next.
-    Refuses an output past EVAL_BUDGET bytes before the first read.
+    attempt costs one compare against its factor's bound, and the accepted
+    words are kept as bytes, in order, and shifted per factor at the end.
+    When every word is one byte each is compared as an int; otherwise as
+    big-endian bytes, and a partial attempt at the end of a read is
+    carried into the next.  Refuses past EVAL_BUDGET before the first read.
     """
     factors = modulus.factors
-    nf = len(factors)
-    if 8 * nf * count > EVAL_BUDGET:
-        raise GuardError(f"refusing residues past {EVAL_BUDGET} bytes")
+    check_budget(len(factors) * count, RESIDUE_PEAK, "residues")
     widths = [(q.bit_length() + 7) // 8 for q in factors]
     shifts = [8 * w - q.bit_length() for q, w in zip(factors, widths)]
     bounds = [q << s for q, s in zip(factors, shifts)]
-    if nf == 1:
+    if len(factors) == 1:
         (width,), (shift,), (bound,) = widths, shifts, bounds
         out = [np.zeros(0, dtype=np.uint64)]
         need = count
@@ -234,9 +250,11 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
             out.append(words.compress(words < bound) >> shift)
             need -= len(out[-1])
         return np.concatenate(out)[None, :]
-    total = count * nf
+    # Each accepted word is kept whole, so the bytes still owed are exact.
+    span = sum(widths)
+    total = count * span
+    kept = bytearray()
     if max(widths) == 1:
-        kept = bytearray()
         keep = kept.append
         limits = cycle(bounds)
         bound = next(limits)
@@ -245,26 +263,27 @@ def random_residues(modulus: Modulus, count: int, rng) -> np.ndarray:
                 if b < bound:
                     keep(b)
                     bound = next(limits)
-        words = np.frombuffer(kept, dtype=np.uint8).reshape(count, nf)
-        return (words >> np.array(shifts, dtype=np.uint8)).T.astype(np.uint64)
-    drawn: list[int] = []
-    append = drawn.append
-    specs = cycle(zip(widths, bounds, shifts))
-    width, bound, shift = next(specs)
-    carry = b""
-    while len(drawn) < total:
-        cycles, extra = divmod(total - len(drawn), nf)
-        owed = cycles * sum(widths) + sum(widths[(len(drawn) + j) % nf] for j in range(extra))
-        blob = carry + rng.randbytes(owed - len(carry))
-        pos, size = 0, len(blob)
-        while pos + width <= size:
-            word = blob[pos] if width == 1 else int.from_bytes(blob[pos : pos + width], "big")
-            pos += width
-            if word < bound:
-                append(word >> shift)
-                width, bound, shift = next(specs)
-        carry = blob[pos:]
-    return np.array(drawn, dtype=np.uint64).reshape(count, nf).T
+    else:
+        specs = cycle((w, b.to_bytes(w, "big")) for w, b in zip(widths, bounds))
+        width, bound = next(specs)
+        carry = b""
+        while len(kept) < total:
+            blob = carry + rng.randbytes(total - len(kept) - len(carry))
+            pos = 0
+            while pos + width <= len(blob):
+                word = blob[pos : pos + width]
+                pos += width
+                if word < bound:
+                    kept += word
+                    width, bound = next(specs)
+            carry = blob[pos:]
+    rounds = np.frombuffer(kept, dtype=np.uint8).reshape(count, span)
+    out = np.empty((len(factors), count), dtype=np.uint64)
+    start = 0
+    for row, width, shift in zip(out, widths, shifts):
+        row[:] = byte_words(rounds[:, start : start + width].tobytes(), width, ">") >> shift
+        start += width
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,9 +360,8 @@ class FieldVector:
 
     @classmethod
     def random(cls, modulus: Modulus, length: int, rng) -> "FieldVector":
-        """Uniform entries, drawn factor by factor, refused past EVAL_BUDGET bytes."""
-        if 8 * len(modulus.factors) * length > EVAL_BUDGET:
-            raise GuardError(f"refusing a vector past {EVAL_BUDGET} bytes")
+        """Uniform entries, drawn factor by factor, refused past EVAL_BUDGET."""
+        check_budget(len(modulus.factors) * length, RESIDUE_PEAK, "a vector")
         rows = [random_residues(Modulus.prime(q), length, rng) for q in modulus.factors]
         return cls._raw(modulus, np.concatenate(rows))
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FieldVector
+from .algebra import BOYLE_PEAK, WORD_BYTES, FieldVector, check_budget
 from .dpf import DpfKey, PointDescription, Row, SchemeParams, _correction
-from .dpf import check_eval_budget, check_row_budget
 from .errors import GuardError, ParameterError
 from .prg import _check_seed_space, expand, sample_seeds
 
@@ -130,12 +129,14 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     """Generate full-enumeration keys; any corrupted < parties is allowed."""
     held = boyle_held_count(params)
     point.validate(params)
-    check_row_budget(held, params.cols, 1)
+    check_budget(held * params.cols, WORD_BYTES, "a row of expansions")
     q = params.modulus.value
     parties = params.parties
     target_row = point.alpha // params.cols
     count = boyle_column_count(params)
-    _check_seed_space(count, params.lambda_bits)  # each row's seeds, before any draw
+    size = _check_seed_space(count, params.lambda_bits)  # each row's seeds, before any draw
+    # Every key's held columns in all rows, and one row's q^(p-1) vectors.
+    check_budget(parties * (params.rows * held + count), size + BOYLE_PEAK, "to deal tables")
 
     # Every length-p vector summing to 0: row i is (head, tail) for the
     # i-th tail in itertools.product order.  The target row's vectors sum
@@ -146,7 +147,7 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
     sum_one[:, 0] = (sum_one[:, 0] + 1) % q
 
     columns = np.empty((parties, params.rows, held), dtype=np.uint32)
-    seeds = np.empty((parties, params.rows, held, params.lambda_bits // 8), dtype=np.uint8)
+    seeds = np.empty((parties, params.rows, held, size), dtype=np.uint8)
     shares = np.empty((parties, 1, params.rows, held), dtype=np.uint64)
     total = np.zeros((1, params.cols), dtype=np.uint64)
     for row in range(params.rows):
@@ -171,12 +172,13 @@ def boyle_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[Boyle
 
 
 def trivial_gen(point: PointDescription, params: SchemeParams, rng) -> tuple[TrivialKey, ...]:
-    """Additive sharing of the full truth table, refused past `dpf.EVAL_BUDGET`:
-    parties 0..p-2 get uniform tables, the last the truth minus their sum."""
+    """Additive sharing of the full truth table, refused past EVAL_BUDGET:
+    parties 0..p-2 get uniform tables, the last the truth minus their sum.
+    The peak holds p + 3 tables' words: the p - 1 drawn and 4 for the last."""
     point.validate(params)
-    check_eval_budget(params)
     modulus = params.modulus
     qs = modulus._qs_np
+    check_budget((params.parties + 3) * len(qs) * params.domain_size, WORD_BYTES, "truth tables")
     tables = [
         FieldVector.random(modulus, params.domain_size, rng).data
         for _ in range(params.parties - 1)

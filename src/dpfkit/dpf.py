@@ -37,10 +37,10 @@ Dealing is on arrays.  `_gen_core` deals `gen` and `dcf_gen` keys with
 `prg.sample_seeds`, `_deal` and `_correction`, and hands each party its
 columns through `SchemeParams.layout`: two (p, C(p-1, m)) integer arrays
 of each party's column ranks and its place in each column's subset.
-Building the layout first refuses a target row, or tables and layout,
-past `EVAL_BUDGET`, and more cells than distinct non-zero seeds, so the
-dealer reads it before its first draw, and the simulator and a direct
-read are refused where `gen` is.  The baselines reuse `_correction` and
+Building the layout first refuses a target row, or a deal charged past
+`EVAL_BUDGET` by `algebra`'s table, and more cells than distinct
+non-zero seeds, so the dealer reads it before its first draw, and the
+simulator and a direct read are refused where `gen` is.  The baselines reuse `_correction` and
 `_deal`'s rule, and every dealer and `simulate_coalition_view` draw their
 seeds distinct and non-zero with `prg.sample_seeds`.
 
@@ -61,23 +61,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import prg
-from .algebra import (
-    EVAL_BUDGET,
-    FieldElement,
-    FieldVector,
-    Modulus,
-    minimize_grid,
-    random_residues,
-)
-from .errors import GuardError, HonestMajorityError, ParameterError
+from .algebra import EXPANSION_PEAK, LAYOUT_PEAK, RESIDUE_PEAK, SEED_PEAK, WORD_BYTES, check_budget
+from .algebra import FieldElement, FieldVector, Modulus, minimize_grid, random_residues
+from .errors import HonestMajorityError, ParameterError
 from .prg import PrgSpec, expand, sample_seeds
 
 GRID_AUTO = "auto"
 GRID_SQUARE = "square"
 Row = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]  # see `_combine_row`
-# Peak bytes of `SchemeParams.layout` per entry of one of its two arrays
-# (tracemalloc: 18.0 from p = 61, m = 2 to p = 201, m = 2).
-_LAYOUT_ENTRY_BYTES = 18
 
 
 def check_party_counts(parties: int, corrupted: int) -> None:
@@ -167,14 +158,16 @@ class SchemeParams:
         is i's place in each.  Column j is the j-th (m+1)-subset in
         lexicographic order; the subsets are only laid out flat, as uint16.
         First it refuses a deal past EVAL_BUDGET: the dealer's target row
-        of C(parties, corrupted+1) expansions, then its tables and these
-        arrays; then a deal with fewer distinct non-zero seeds than cells."""
-        factors, width = len(self.modulus.factors), self.corrupted + 1
-        check_row_budget(self.combo_count, self.cols, factors)
-        cell = self.lambda_bits // 8 + 8 * width * factors + prg._SEED_ENTRY_BYTES
-        tables = self.rows * cell + width * _LAYOUT_ENTRY_BYTES
-        if self.combo_count * tables > EVAL_BUDGET:
-            raise GuardError(f"refusing to deal tables past {EVAL_BUDGET} bytes")
+        of C(parties, corrupted+1) expansions, then the deal's peak, which
+        is these arrays, the target row's sum and one expansion, and per
+        cell the larger of `sample_seeds`' peak and the shares'; then a
+        deal with fewer distinct non-zero seeds than cells."""
+        factors, width, size = len(self.modulus.factors), self.corrupted + 1, self.lambda_bits // 8
+        row = self.cols * factors
+        check_budget(self.combo_count * row, WORD_BYTES, "a row of expansions")
+        cell = max(3 * size + SEED_PEAK, (width + 1) * (size + RESIDUE_PEAK * factors))
+        peak = self.combo_count * (self.rows * cell + width * LAYOUT_PEAK)
+        check_budget(peak + row * (EXPANSION_PEAK + WORD_BYTES), 1, "to deal tables")
         prg._check_seed_space(self.rows * self.combo_count, self.lambda_bits)
         flat = itertools.chain.from_iterable(itertools.combinations(range(self.parties), width))
         order = np.argsort(np.fromiter(flat, np.uint16, self.combo_count * width), kind="stable")
@@ -348,7 +341,7 @@ def _combine_row(
     The offset is added before the first reduction, in that value's place.
     """
     qs = spec.modulus._qs_np
-    check_row_budget(len(seeds), spec.output_len, len(qs))
+    check_budget(len(seeds) * spec.output_len * len(qs), WORD_BYTES, "a row of expansions")
     q = spec.modulus.factors[-1]
     period = ((1 << 64) - 1 - q) // (q - 1) ** 2
     shares = shares[:, :, None]
@@ -475,23 +468,10 @@ def decode(shares: Sequence[FieldElement], expected_count: int | None = None) ->
 
 
 def check_eval_budget(params: SchemeParams) -> None:
-    """Refuse a full-domain vector of more than EVAL_BUDGET bytes.
-
-    A key header may declare N up to rows * cols, about the square of the
-    key's size, so this is checked before anything of size N is allocated.
-    """
-    size = 8 * len(params.modulus.factors) * params.domain_size
-    if size > EVAL_BUDGET:
-        raise GuardError(
-            f"refusing a full-domain vector: {size} bytes of output "
-            f"exceeds the budget of {EVAL_BUDGET}"
-        )
-
-
-def check_row_budget(seeds: int, width: int, factors: int) -> None:
-    """Refuse a row of `seeds` expansions to `width` columns past EVAL_BUDGET bytes."""
-    if 8 * seeds * width * factors > EVAL_BUDGET:
-        raise GuardError(f"refusing a row whose expansions exceed {EVAL_BUDGET} bytes")
+    """Refuse a full-domain vector past EVAL_BUDGET.  A key header may
+    declare N up to rows * cols, about the square of the key's size."""
+    size = len(params.modulus.factors) * params.domain_size
+    check_budget(size, WORD_BYTES, "a full-domain vector")
 
 
 def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) -> bool:

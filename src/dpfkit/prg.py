@@ -41,8 +41,8 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from .algebra import EVAL_BUDGET, FieldVector, Modulus, byte_words
-from .errors import GuardError, InternalError, ParameterError
+from .algebra import EXPANSION_PEAK, SEED_PEAK, FieldVector, Modulus, byte_words, check_budget
+from .errors import InternalError, ParameterError
 
 PRG_SHAKE128 = 0
 PRG_TEST_LCG = 255
@@ -53,9 +53,6 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _SEED_MIX = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
-# Peak bytes of `sample_seeds` per seed beside the seed itself (tracemalloc: 194-205
-# for 16-byte seeds; a longer seed adds about twice its length more).
-_SEED_ENTRY_BYTES = 200
 
 # Monotone count of expand() calls, for instrumentation in benchmarks and
 # tests.  Read it through expansion_count(); it is never reset.
@@ -158,8 +155,8 @@ def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
 
     Pure function of (seed, spec, first): repeated calls return identical
     vectors, `first` only drops the leading elements, and streams for
-    distinct prime factors never overlap.  An output past EVAL_BUDGET
-    bytes is refused.
+    distinct prime factors never overlap.  The squeeze of all
+    `spec.output_len` elements is refused past EVAL_BUDGET.
     """
     if not isinstance(seed, (bytes, bytearray)):
         raise ParameterError(f"seed must be bytes, got {type(seed).__name__}")
@@ -168,8 +165,7 @@ def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
     if not 0 <= first < spec.output_len:
         raise ParameterError(f"first element {first} outside [0, {spec.output_len})")
     factors = spec.modulus.factors
-    if 8 * len(factors) * (spec.output_len - first) > EVAL_BUDGET:
-        raise GuardError(f"refusing an expansion past {EVAL_BUDGET} bytes")
+    check_budget(len(factors) * spec.output_len, EXPANSION_PEAK, "an expansion")
     seed = bytes(seed)
     arr = np.empty((len(factors), spec.output_len - first), dtype=np.uint64)
     for fi, q in enumerate(factors):
@@ -181,10 +177,9 @@ def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
 
 def _check_seed_space(count: int, lambda_bits: int) -> int:
     """The seed size, once `count` distinct non-zero seeds are known to
-    exist and to fit EVAL_BUDGET bytes with their dict entries."""
+    exist and `sample_seeds` to draw them within EVAL_BUDGET."""
     size = seed_size(lambda_bits)
-    if count * (size + _SEED_ENTRY_BYTES) > EVAL_BUDGET:
-        raise GuardError(f"refusing seeds past {EVAL_BUDGET} bytes")
+    check_budget(count, 3 * size + SEED_PEAK, "seeds")
     if count >= 256 ** size:
         raise ParameterError(f"{count} cells exceed the {256 ** size - 1} {size}-byte seeds")
     return size

@@ -3,6 +3,8 @@
 import itertools
 import random
 import time
+import tracemalloc
+from functools import partial
 from math import comb, isqrt
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpfkit import algebra
 from dpfkit.algebra import (
+    LAYOUT_PEAK,
     FieldElement,
     FieldVector,
     Modulus,
@@ -18,9 +22,12 @@ from dpfkit.algebra import (
     minimize_grid,
     parse_modulus,
     primorial,
+    random_residues,
 )
-from dpfkit.dpf import SchemeParams
-from dpfkit.errors import ParameterError
+from dpfkit.baselines import boyle_gen, trivial_gen
+from dpfkit.dpf import PointDescription, SchemeParams, gen
+from dpfkit.errors import GuardError, ParameterError
+from dpfkit.prg import PRG_SHAKE128, DeterministicRandomSource, PrgSpec, expand, sample_seeds
 from dpfkit.sizing import _boyle_row_cost
 
 
@@ -373,3 +380,81 @@ class TestBoundedGridSearch:
         for r in near:
             other = r * costs[0] + -(-n // r) * costs[1]
             assert other > cost or (other == cost and r >= rows), r
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc's peak in bytes while `call()` runs and its result lives."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _expansion(seed: int, modulus_text: str, n: int, first: int = 0):
+    spec = PrgSpec(PRG_SHAKE128, 128, n, parse_modulus(modulus_text))
+    return lambda rng: expand(seed.to_bytes(16, "little"), spec, first)
+
+
+def _deal(dealer, parties, corrupted, modulus_text, lambda_bits, rows, cols):
+    modulus = parse_modulus(modulus_text)
+    point = PointDescription(rows * cols - 1, modulus.one())
+    # A fresh SchemeParams each call, so that gen's layout is built and checked again.
+    return lambda rng: dealer(
+        point, SchemeParams(parties, corrupted, lambda_bits, modulus, rows * cols, rows, cols), rng
+    )
+
+
+def _sized_calls():
+    """(name, call taking an rng) for each sized operation that EVAL_BUDGET bounds."""
+    for text in ("2*3*5*7", "5", "2147483647", "3*65537"):
+        m = parse_modulus(text)
+        for n in (10 ** 4, 4 * 10 ** 4):
+            yield f"random_residues-{text}-{n}", partial(random_residues, m, n)
+            yield f"FieldVector.random-{text}-{n}", partial(FieldVector.random, m, n)
+            yield f"expand-{text}-{n}", _expansion(7, text, n)
+    # Under these seeds one factor's first prefix of words holds fewer than
+    # 10**4 passes, so expand squeezes it again at twice the length; a point
+    # query (first = n - 1) still squeezes the whole prefix.
+    for text, seed in (("5", 1686), ("3*65537", 89)):
+        yield f"expand-retried-{text}", _expansion(seed, text, 10 ** 4)
+        yield f"expand-retried-last-{text}", _expansion(seed, text, 10 ** 4, 10 ** 4 - 1)
+    # 43700 and 10930 seeds lie just past a resize of sample_seeds' dict.
+    for bits, count in ((128, 43700), (1024, 43700), (8192, 10930)):
+        yield f"sample_seeds-{bits}-{count}", partial(sample_seeds, count, bits)
+    for dealer, *deal in (
+        (gen, 3, 1, "7", 128, 5000, 2),
+        (gen, 3, 1, "2*3*5*7", 16, 5000, 2),
+        (gen, 7, 3, "3*65537", 16, 150, 2),
+        (gen, 5, 2, "2147483647", 1024, 1000, 2),
+        (gen, 3, 1, "5", 8192, 2000, 2),
+        (gen, 3, 1, "2147483647", 128, 100, 20000),
+        (boyle_gen, 3, 1, "2", 128, 2000, 1),
+        (boyle_gen, 5, 1, "7", 128, 3, 1),
+        (boyle_gen, 9, 1, "3", 320, 2, 1),
+        (boyle_gen, 3, 1, "5", 1024, 500, 1),
+        (trivial_gen, 3, 1, "2147483647", 128, 10 ** 5, 1),
+        (trivial_gen, 5, 1, "2*3*5*7", 128, 10 ** 5, 1),
+    ):
+        yield f"{dealer.__name__}-" + "-".join(map(str, deal)), _deal(dealer, *deal)
+
+_SIZED_CALLS = dict(_sized_calls())
+
+
+@pytest.mark.parametrize("name", list(_SIZED_CALLS))
+def test_every_charge_covers_its_measured_peak(monkeypatch, refusing_rng, name):
+    # Each operation's charge is at least its tracemalloc peak: with the
+    # budget one byte below that peak, it is refused before any read.
+    call = _SIZED_CALLS[name]
+    peak = _traced_peak(lambda: call(DeterministicRandomSource(name)))
+    monkeypatch.setattr(algebra, "EVAL_BUDGET", peak - 1)
+    with pytest.raises(GuardError):
+        call(refusing_rng)
+
+
+@pytest.mark.parametrize("parties", [61, 201])
+def test_layout_charge_covers_its_measured_peak(parties):
+    # Its cells dwarf the layout in a deal's charge, so the layout is held alone.
+    params = SchemeParams(parties, 2, 128, Modulus.prime(2), 1, 1, 1)
+    assert _traced_peak(lambda: params.layout) <= LAYOUT_PEAK * params.combo_count * 3

@@ -206,7 +206,7 @@ def test_eval_all_over_the_budget_exit_code(capsys, tmp_path, monkeypatch):
 def test_row_over_the_budget_is_refused_before_expanding(capsys, tmp_path, monkeypatch):
     # A 0.3 MB one-row key for p = 16385, m = 1 holds C(16384, 1) seeds, and
     # a point in column V-1 = 32768 expands each to 32769 words: 8 * 16384 *
-    # 32769 bytes is just over dpf.EVAL_BUDGET.  Unbounded, that one point
+    # 32769 bytes is just over EVAL_BUDGET.  Unbounded, that one point
     # would squeeze 16384 expansions of 32769 words.
     cols, held = 32769, 16384
     modulus = parse_modulus("2")
@@ -255,7 +255,7 @@ def test_row_over_the_budget_is_refused_before_expanding(capsys, tmp_path, monke
 def test_keygen_refuses_rows_that_evaluation_refuses(
     capsys, tmp_path, monkeypatch, refusing_rng, scheme, parties, corrupted, modulus
 ):
-    # On the auto grid at N = 10**6 a row of these keys is over dpf.EVAL_BUDGET,
+    # On the auto grid at N = 10**6 a row of these keys is over EVAL_BUDGET,
     # so eval-all would exit 4 on them: keygen exits 4 before drawing anything.
     monkeypatch.setattr(cli, "_make_rng", lambda args: refusing_rng)
     code, out, err = run(
@@ -305,6 +305,32 @@ def test_keygen_refuses_a_target_row_past_the_budget(capsys, tmp_path, monkeypat
     )
     assert (code, out) == (4, ""), err
     assert err.startswith("error: refusing a row")
+    assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("flags, refusal", [
+    # 502,002 cells of 8191-byte seeds: drawing them distinct peaks at three
+    # times their 4.1 GB, which the tables charge once missed (MemoryError, exit 5).
+    (["--N", "28000000000", "--modulus", "7", "--p", "3", "--lambda", "65528",
+      "--grid", "square"], "to deal tables"),
+    # A square grid for N = 10**16 has 10**8 rows, each holding 2 columns
+    # per key: the three keys' tables would take 16.8 GB.
+    (["--scheme", "boyle15", "--N", str(10 ** 16), "--modulus", "2", "--p", "3",
+      "--grid", "square"], "to deal tables"),
+    # One table of N = 10**5 residues is 0.8 MB, but 65535 parties hold 52 GB.
+    (["--scheme", "trivial", "--N", str(10 ** 5), "--modulus", "7", "--p", "65535"],
+     "truth tables"),
+], ids=["long-seeds", "boyle15-tables", "trivial-parties"])
+def test_keygen_refuses_deals_charged_past_the_budget(
+    capsys, tmp_path, monkeypatch, refusing_rng, flags, refusal
+):
+    monkeypatch.setattr(cli, "_make_rng", lambda args: refusing_rng)
+    code, out, err = run(
+        capsys, "keygen", *flags, "--m", "1", "--alpha", "0", "--beta", "1",
+        "--seed", "x", "--out-dir", str(tmp_path / "k"),
+    )
+    assert (code, out) == (4, ""), err
+    assert err.startswith(f"error: refusing {refusal}") and err.count("\n") == 1
     assert not (tmp_path / "k").exists()
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpfkit import dpf
-from dpfkit.algebra import FieldVector, Modulus, parse_modulus
+from dpfkit import algebra, dpf
+from dpfkit.algebra import WORD_BYTES, FieldVector, Modulus, check_budget, parse_modulus
 from dpfkit.baselines import COLUMN_GUARD, boyle_gen, trivial_gen
 from dpfkit.dcf import dcf_gen
 from dpfkit.dpf import (
@@ -378,18 +378,19 @@ def test_rows_are_combined_only_up_to_the_domain(monkeypatch, rng, scheme):
 @pytest.mark.parametrize("scheme", ["ours", "dcf"])
 def test_full_domain_output_over_the_budget_is_refused(monkeypatch, rng, scheme):
     gen_fn, eval_all_fn = {"ours": (gen, eval_all), "dcf": (dcf_gen, eval_all)}[scheme]
-    params = _make(3, 1, "2*3*5*7", 40, grid=(5, 9))
+    # Four columns, so that a row's expansions (4 * 4 * 40 bytes) fit the budget too.
+    params = _make(3, 1, "2*3*5*7", 40, grid=(10, 4))
     key = gen_fn(PointDescription(17, params.modulus.element(23)), params, rng)[0]
     size = 8 * 4 * 40
-    monkeypatch.setattr(dpf, "EVAL_BUDGET", size)
+    monkeypatch.setattr(algebra, "EVAL_BUDGET", size)
     assert len(eval_all_fn(key)) == 40
-    monkeypatch.setattr(dpf, "EVAL_BUDGET", size - 1)
+    monkeypatch.setattr(algebra, "EVAL_BUDGET", size - 1)
     with pytest.raises(GuardError, match="exceeds the budget"):
         eval_all_fn(key)
 
 
 # On the auto grid at N = 10**6, one key's row of C(p-1, m) held seeds (for
-# boyle15, q^(p-2)(q-1)) expanded to V columns first exceeds dpf.EVAL_BUDGET
+# boyle15, q^(p-2)(q-1)) expanded to V columns first exceeds EVAL_BUDGET
 # at these parameters, so evaluation would refuse every key dealt for them.
 ROWS_OVER_THE_BUDGET = [
     (gen, 16, 6, "2147483647"),
@@ -431,18 +432,19 @@ def test_dealer_refuses_its_own_row_and_tables_past_the_budget(refusing_rng, dea
     modulus = Modulus.prime(7)
     point = PointDescription(0, modulus.one())
     params = SchemeParams.create(65535, 1, modulus, 100)
-    dpf.check_row_budget(params.tuples_per_row, params.cols, 1)
+    check_budget(params.tuples_per_row * params.cols, WORD_BYTES, "a key's row")
     with pytest.raises(GuardError, match="refusing a row"):
         dealer(point, params, refusing_rng)
-    # A 3-column row is small, but each cell takes 16 + 2 * 8 + 200 bytes of
-    # tables, and the layout 3 * 2 * 18 bytes in all: 6170929 rows fit the
-    # budget, and one more does not.
+    # A 3-column row is small, but each cell is charged sample_seeds' peak,
+    # 3 * 16 + 192 bytes, above its shares' 3 * (16 + 24); with the layout's
+    # 3 * 2 * 19 bytes and the target row's 48, 5965232 rows fit the budget,
+    # and one more does not.
     with pytest.raises(GuardError, match="refusing to deal tables"):
-        dealer(point, SchemeParams(3, 1, 128, modulus, 6170930, 6170930, 1), refusing_rng)
+        dealer(point, SchemeParams(3, 1, 128, modulus, 5965233, 5965233, 1), refusing_rng)
     with pytest.raises(AssertionError, match="random bytes"):
-        dealer(point, SchemeParams(3, 1, 128, modulus, 6170929, 6170929, 1), refusing_rng)
-    # At p = 26, m = 12 one row's C(26, 13) cells take 3.33 GB of tables,
-    # within the budget, and the layout's 135,207,800 entries 2.43 GB more.
+        dealer(point, SchemeParams(3, 1, 128, modulus, 5965232, 5965232, 1), refusing_rng)
+    # At p = 26, m = 12 one row's C(26, 13) cells are charged 5.82 GB, and
+    # the layout's 135,207,800 entries 2.57 GB more.
     with pytest.raises(GuardError, match="refusing to deal tables"):
         dealer(point, SchemeParams(26, 12, 128, modulus, 50, 1, 50), refusing_rng)
 

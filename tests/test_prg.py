@@ -443,13 +443,14 @@ class TestRandomResidues:
 
 
 def test_sized_primitives_refuse_past_the_budget_before_a_read(refusing_rng):
-    # 2**32 bytes of output fit the budget (and so reach the rng); a word or
-    # seed more does not.  A seed costs 16 bytes and 200 of the sampler's.
+    # The most residues or seeds whose charge fits the budget reach the rng;
+    # one more does not.  A residue is charged 24 bytes, and a 16-byte seed
+    # three times its length and 192 bytes of the sampler's dictionary.
     seven, small = Modulus.prime(7), Modulus((2, 3, 5, 7))
     calls = [
-        (lambda n: random_residues(small, n, refusing_rng), 2 ** 27),
-        (lambda n: FieldVector.random(seven, n, refusing_rng), 2 ** 29),
-        (lambda n: sample_seeds(n, 128, refusing_rng), 2 ** 32 // 216),
+        (lambda n: random_residues(small, n, refusing_rng), 2 ** 32 // (4 * 24)),
+        (lambda n: FieldVector.random(seven, n, refusing_rng), 2 ** 32 // 24),
+        (lambda n: sample_seeds(n, 128, refusing_rng), 2 ** 32 // (3 * 16 + 192)),
     ]
     for call, most in calls:
         with pytest.raises(AssertionError, match="random bytes"):
