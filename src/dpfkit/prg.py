@@ -103,13 +103,13 @@ def _stream(algorithm: int, seed: bytes, factor_index: int, length: int) -> byte
     if algorithm == PRG_SHAKE128:
         h = hashlib.shake_128(seed + _DOMAIN_SEP + bytes([factor_index]))
         return h.digest(length)
-    padded = (seed[:8] + b"\x00" * 8)[:8]
-    s = int.from_bytes(padded, "little") ^ ((_SEED_MIX * (factor_index + 1)) & _U64)
-    buf = bytearray()
-    for _ in range((length + 7) // 8):
-        s = (_LCG_MULT * s + _LCG_INC) & _U64
-        buf += s.to_bytes(8, "little")
-    return bytes(buf[:length])
+    s = int.from_bytes(seed[:8], "little") ^ ((_SEED_MIX * (factor_index + 1)) & _U64)
+    # Step k is a^k*s + c*(1 + a + ... + a^(k-1)) mod 2**64, by wrapping scans.
+    steps = np.full((length + 7) // 8, _LCG_MULT, dtype="<u8")
+    sums = np.concatenate(([np.uint64(1)], steps.cumprod(out=steps)))[:-1]
+    steps *= np.uint64(s)
+    steps += np.multiply(sums.cumsum(out=sums), np.uint64(_LCG_INC), out=sums)
+    return steps.tobytes()[:length]
 
 
 def _sample_residues(
@@ -195,8 +195,8 @@ def sample_seeds(count: int, lambda_bits: int, rng) -> np.ndarray:
     size = _check_seed_space(count, lambda_bits)
     taken: dict[bytes, None] = {}
     while len(taken) < count:
-        blob = rng.randbytes(size * (count - len(taken)))
-        taken.update(dict.fromkeys(np.frombuffer(blob, dtype=f"V{size}").tolist()))
+        taken.update(dict.fromkeys(np.frombuffer(
+            rng.randbytes(size * (count - len(taken))), dtype=f"V{size}").tolist()))
         taken.pop(bytes(size), None)
     return np.frombuffer(b"".join(taken), dtype=np.uint8).reshape(count, size)
 

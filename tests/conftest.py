@@ -46,7 +46,7 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 """
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def capped_python():
     """Runs Python source in a child process that caps its own address space
     at 1 GiB, so that an unbounded allocation fails there, not in the runner."""

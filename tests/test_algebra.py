@@ -27,7 +27,14 @@ from dpfkit.algebra import (
 from dpfkit.baselines import boyle_gen, trivial_gen
 from dpfkit.dpf import PointDescription, SchemeParams, gen
 from dpfkit.errors import GuardError, ParameterError
-from dpfkit.prg import PRG_SHAKE128, DeterministicRandomSource, PrgSpec, expand, sample_seeds
+from dpfkit.prg import (
+    PRG_SHAKE128,
+    PRG_TEST_LCG,
+    DeterministicRandomSource,
+    PrgSpec,
+    expand,
+    sample_seeds,
+)
 from dpfkit.sizing import _boyle_row_cost
 
 
@@ -392,8 +399,8 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def _expansion(seed: int, modulus_text: str, n: int, first: int = 0):
-    spec = PrgSpec(PRG_SHAKE128, 128, n, parse_modulus(modulus_text))
+def _expansion(seed: int, modulus_text: str, n: int, first: int = 0, algorithm=PRG_SHAKE128):
+    spec = PrgSpec(algorithm, 128, n, parse_modulus(modulus_text))
     return lambda rng: expand(seed.to_bytes(16, "little"), spec, first)
 
 
@@ -414,6 +421,7 @@ def _sized_calls():
             yield f"random_residues-{text}-{n}", partial(random_residues, m, n)
             yield f"FieldVector.random-{text}-{n}", partial(FieldVector.random, m, n)
             yield f"expand-{text}-{n}", _expansion(7, text, n)
+            yield f"expand-lcg-{text}-{n}", _expansion(7, text, n, algorithm=PRG_TEST_LCG)
     # Under these seeds one factor's first prefix of words holds fewer than
     # 10**4 passes, so expand squeezes it again at twice the length; a point
     # query (first = n - 1) still squeezes the whole prefix.

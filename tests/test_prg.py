@@ -118,6 +118,15 @@ def test_expand_matches_reference_sampler(algorithm, stream_fn, factors):
         assert [out[i].residues[fi] for i in range(40)] == expected
 
 
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 4096, 1 << 20])
+def test_lcg_stream_matches_the_stepwise_reference(length):
+    # The stream is computed in closed form; the reference takes one step per word.
+    for seed in (b"\x9c", SEED[:8], SEED):
+        for factor_index in range(4):
+            expected = _lcg_bytes(seed, factor_index, length)
+            assert _stream(PRG_TEST_LCG, seed, factor_index, length) == expected
+
+
 @pytest.mark.parametrize("algorithm,stream_fn,first_bytes", [
     (PRG_SHAKE128, _shake_bytes, 2590),
     (PRG_TEST_LCG, _lcg_bytes, 2126),

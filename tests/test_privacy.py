@@ -165,58 +165,6 @@ class TestSimulatedView:
             seeds = key.seeds.ravel().tolist()
             assert len(set(seeds)) == len(seeds) == 20
 
-    def test_hostile_parameters_are_refused_under_a_memory_limit(self, capped_python):
-        # At p = 65535, m = 1 the layout alone would take 8 GiB, and a full
-        # seed table on 6170930 rows would take 296 MB.  At p = 26, m = 12
-        # the layout would take 2.57 GB beside 5.82 GB of cells, and the
-        # sized primitives would each allocate far past the budget.  The
-        # 502,002 cells of 8191-byte seeds on a square grid for N = 2.8e10
-        # were charged 4.22 GB of tables, under the budget, but their seed
-        # draw peaks at three times the seeds, 12.3 GB: keygen ended in
-        # MemoryError there.
-        child = capped_python("""
-            import time
-            from dpfkit.algebra import FieldVector, Modulus, random_residues
-            from dpfkit.dpf import PointDescription, SchemeParams, gen, simulate_coalition_view
-            from dpfkit.prg import PrgSpec, expand, sample_seeds
-
-            class Refusing:
-                def randbytes(self, n):
-                    raise AssertionError(f"read {n} random bytes")
-
-            wide = SchemeParams.create(65535, 1, Modulus.prime(7), 100)
-            tall = SchemeParams(3, 1, 128, Modulus.prime(7), 6170930, 6170930, 1)
-            deep = SchemeParams(26, 12, 128, Modulus.prime(7), 50, 1, 50)
-            long_seeds = SchemeParams.create(3, 1, Modulus.prime(7), 28 * 10 ** 9, 65528, "square")
-            point = PointDescription(0, Modulus.prime(7).one())
-            calls = {
-                "simulator at p = 65535": lambda: simulate_coalition_view(wide, (0,), Refusing()),
-                "layout at p = 65535": lambda: wide.layout,
-                "simulator on 6170930 rows": lambda: simulate_coalition_view(tall, (0,), Refusing()),
-                "layout at p = 26, m = 12": lambda: deep.layout,
-                "gen with 8191-byte seeds": lambda: gen(point, long_seeds, Refusing()),
-                "sample_seeds": lambda: sample_seeds(2 ** 36, 128, Refusing()),
-                "FieldVector.random": lambda: FieldVector.random(Modulus.prime(7), 2 ** 36, Refusing()),
-                "random_residues": lambda: random_residues(Modulus((2, 3, 5, 7)), 2 ** 36, Refusing()),
-                "expand": lambda: expand(bytes(16), PrgSpec(0, 128, 2 ** 32 - 1, Modulus.prime(7))),
-            }
-            for name, call in calls.items():
-                start = time.perf_counter()
-                try:
-                    call()
-                    outcome = "returned"
-                except Exception as exc:
-                    outcome = type(exc).__name__
-                print(f"{name}: {outcome} {time.perf_counter() - start:.3f}")
-        """)
-        assert child.returncode == 0, child.stderr
-        lines = child.stdout.splitlines()
-        assert len(lines) == 9, child.stdout
-        for line in lines:
-            name, outcome = line.split(": ")
-            error, seconds = outcome.split()
-            assert error == "GuardError" and float(seconds) < 1, line
-
     def test_draws_only_the_seeds_its_coalition_sees(self):
         # A full seed table for these params takes 20000 * 35 * 16 bytes,
         # 11.2 MB; the empty coalition sees none of it.
