@@ -84,24 +84,24 @@ class Modulus:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # The caps come before each primality test, so at most 62 factors
+        # are tested, and no message prints an integer past them.
         if not self.factors:
             raise ParameterError("modulus needs at least one prime factor")
-        prev = 0
+        prev, value = 0, 1
         for q in self.factors:
             if not isinstance(q, int):
                 raise ParameterError(f"prime factor {q!r} is not an integer")
             if q <= prev:
-                raise ParameterError(
-                    "prime factors must be strictly increasing "
-                    f"(got {self.factors})"
-                )
+                raise ParameterError("prime factors must be strictly increasing")
             if q >= MAX_FACTOR:
-                raise ParameterError(f"prime factor {q} exceeds the 2**31 cap")
+                raise ParameterError("a prime factor exceeds the 2**31 cap")
+            value *= q
+            if value >= MAX_VALUE:
+                raise ParameterError("modulus value exceeds the 2**63 cap")
             if not is_prime(q):
                 raise ParameterError(f"modulus factor {q} is not prime")
             prev = q
-        if self.value >= MAX_VALUE:
-            raise ParameterError(f"modulus value {self.value} exceeds the 2**63 cap")
 
     @classmethod
     def prime(cls, q: int) -> "Modulus":
@@ -111,20 +111,23 @@ class Modulus:
     def from_factors(cls, factors: Iterable[int]) -> "Modulus":
         fs = sorted(factors)
         if len(fs) != len(set(fs)):
-            raise ParameterError(f"repeated prime factor in {fs}")
+            raise ParameterError("repeated prime factor in the modulus")
         return cls(tuple(fs))
 
     @classmethod
     def from_int(cls, value: int) -> "Modulus":
         """Factor a plain integer modulus by trial division.
 
-        Rejects repeated factors and any factor at or above 2**31.  Trial
-        division stops at 2**20; a composite remainder beyond that point
-        cannot be attributed to in-range factors automatically and must be
-        written in explicit "q1*q2" form instead.
+        Rejects a value at or above 2**63 before it divides, then repeated
+        factors and any factor at or above 2**31.  Trial division stops at
+        2**20; a composite remainder beyond that point cannot be attributed
+        to in-range factors automatically and must be written in explicit
+        "q1*q2" form instead.
         """
         if value < 2:
-            raise ParameterError(f"modulus must be >= 2, got {value}")
+            raise ParameterError("modulus must be >= 2")
+        if value >= MAX_VALUE:
+            raise ParameterError("modulus value exceeds the 2**63 cap")
         rest = value
         factors: list[int] = []
         candidate = 2
@@ -196,12 +199,12 @@ def parse_modulus(text: str) -> Modulus:
         try:
             parts = [int(p.strip()) for p in text.split("*")]
         except ValueError as exc:
-            raise ParameterError(f"bad modulus text {text!r}") from exc
+            raise ParameterError(f"bad modulus text {text[:64]!r}") from exc
         return Modulus.from_factors(parts)
     try:
         value = int(text)
     except ValueError as exc:
-        raise ParameterError(f"bad modulus text {text!r}") from exc
+        raise ParameterError(f"bad modulus text {text[:64]!r}") from exc
     return Modulus.from_int(value)
 
 

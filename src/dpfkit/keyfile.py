@@ -39,6 +39,8 @@ class, generator and body codec.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from math import prod
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,37 +66,53 @@ def element_width(modulus: Modulus) -> int:
     return sum(_factor_widths(modulus))
 
 
-def _byte_columns(modulus: Modulus) -> list[tuple[int, int]]:
-    """(factor, byte) for each byte of an encoded element, in order."""
-    return [(fi, k) for fi, w in enumerate(_factor_widths(modulus)) for k in range(w)]
+def _encode(data: np.ndarray, modulus: Modulus, raw: np.ndarray | None = None) -> np.ndarray:
+    """`data`, uint64 of shape (factors, *shape), written into `raw`, uint8 of
+    shape (*shape, element width) or new, whose last axis is contiguous: each
+    factor's residues in one cast to its width's little-endian words."""
+    if raw is None:
+        raw = np.empty((*data.shape[1:], element_width(modulus)), dtype=np.uint8)
+    start = 0
+    for fi, width in enumerate(_factor_widths(modulus)):
+        low = 2 if width == 3 else width  # no 3-byte dtype: the low two, then the third
+        raw[..., start : start + low].view(f"<u{low}")[..., 0] = data[fi]
+        if width == 3:
+            raw[..., start + 2] = data[fi] >> 16
+        start += width
+    return raw
+
+
+def _decode(raw: np.ndarray, modulus: Modulus) -> np.ndarray:
+    """The residues that `_encode` wrote into `raw`, whose last axis is
+    contiguous, read in place into a new uint64 array: each factor's in one
+    cast from its width's little-endian words.  Then one pass checks each
+    factor's largest residue."""
+    out = np.empty((len(modulus.factors), *raw.shape[:-1]), dtype=np.uint64)
+    start = 0
+    for fi, width in enumerate(_factor_widths(modulus)):
+        low = 2 if width == 3 else width  # no 3-byte dtype: the low two, then the third
+        out[fi] = raw[..., start : start + low].view(f"<u{low}")[..., 0]
+        if width == 3:
+            out[fi] |= np.left_shift(raw[..., start + 2], 16, dtype=np.uint64)
+        start += width
+    top = out.reshape(len(out), -1).max(axis=1, initial=0).tolist()
+    if any(t >= q for t, q in zip(top, modulus.factors)):
+        raise FormatError("element residue out of range for its factor")
+    return out
 
 
 def encode_vector(data: np.ndarray, modulus: Modulus) -> bytes:
     """Each column of a (factors, n) residue array as the low bytes of its words."""
-    columns = _byte_columns(modulus)
-    words = np.ascontiguousarray(data, dtype="<u8")
-    octets = words.view(np.uint8).reshape(*words.shape, 8)
-    out = np.empty((words.shape[1], len(columns)), dtype=np.uint8)
-    for i, (fi, k) in enumerate(columns):
-        out[:, i] = octets[fi, :, k]
-    return out.tobytes()
+    return _encode(data, modulus).tobytes()
 
 
 def decode_vector(data: bytes, modulus: Modulus, count: int) -> np.ndarray:
-    columns = _byte_columns(modulus)
-    total = len(columns)
+    total = element_width(modulus)
     if len(data) != count * total:
         raise FormatError(
             f"element block is {len(data)} bytes, expected {count * total}"
         )
-    mat = np.frombuffer(data, dtype=np.uint8).reshape(count, total)
-    arr = np.zeros((len(modulus.factors), count), dtype="<u8")
-    octets = arr.view(np.uint8).reshape(len(arr), count, 8)
-    for i, (fi, k) in enumerate(columns):
-        octets[fi, :, k] = mat[:, i]
-    if arr.size and not (arr < modulus._qs_np).all():
-        raise FormatError("element residue out of range for its factor")
-    return arr
+    return _decode(np.frombuffer(data, dtype=np.uint8).reshape(count, total), modulus)
 
 
 def _pack_header(scheme: int, party: int, params: dpf.SchemeParams) -> bytes:
@@ -119,20 +137,23 @@ def header_size(modulus: Modulus) -> int:
     return _HEADER.size + 1 + _FACTOR.size * len(modulus.factors) + _PRG.size
 
 
+def _need(data, size: int) -> None:
+    if len(data) < size:
+        raise FormatError(f"key data truncated at byte {len(data)}")
+
+
 class _Reader:
     def __init__(self, data: bytes, offset: int):
         self.data = memoryview(data)  # so take() slices without copying
         self.offset = offset
 
-    def take(self, n: int) -> memoryview:
-        if self.offset + n > len(self.data):
-            raise FormatError(f"key data truncated at byte {len(self.data)}")
-        out = self.data[self.offset : self.offset + n]
-        self.offset += n
+    def take(self, *shape: int) -> np.ndarray:
+        """The next bytes as a uint8 view of this shape."""
+        end = self.offset + prod(shape)
+        _need(self.data, end)
+        out = np.frombuffer(self.data[self.offset : end], dtype=np.uint8).reshape(shape)
+        self.offset = end
         return out
-
-    def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack(self.take(layout.size))
 
     def done(self) -> None:
         if self.offset != len(self.data):
@@ -141,11 +162,21 @@ class _Reader:
             )
 
 
+@lru_cache(maxsize=64)
+def _header_params(parties, corrupted, lam, factors, domain, rows, cols, algorithm):
+    """One SchemeParams for every key with these header fields; a refused one is not cached."""
+    try:
+        modulus = Modulus(factors)
+        return dpf.SchemeParams(parties, corrupted, lam, modulus, domain, rows, cols, algorithm)
+    except ParameterError as exc:
+        raise FormatError(f"invalid key header: {exc}") from exc
+
+
 def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
     """Parse the header; returns (scheme tag, party, params, body offset)."""
-    reader = _Reader(data, 0)
+    _need(data, _HEADER.size)
     magic, version, scheme, party, parties, corrupted, lam, domain, rows, cols = (
-        reader.unpack(_HEADER)
+        _HEADER.unpack_from(data)
     )
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
@@ -155,61 +186,60 @@ def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
         raise FormatError(f"unknown scheme tag {scheme}")
     if party >= parties:
         raise FormatError(f"party {party} out of range for {parties} parties")
-    (n_factors,) = reader.take(1)
-    factors = tuple(reader.unpack(_FACTOR)[0] for _ in range(n_factors))
-    algorithm, prg_lam, prg_len = reader.unpack(_PRG)
+    _need(data, _HEADER.size + 1)
+    count = data[_HEADER.size]
+    offset = _HEADER.size + 1 + _FACTOR.size * count + _PRG.size
+    _need(data, offset)
+    factors = struct.unpack_from(f"<{count}Q", data, _HEADER.size + 1)
+    algorithm, prg_lam, prg_len = _PRG.unpack_from(data, offset - _PRG.size)
     if (prg_lam, prg_len) != (lam, cols):
         raise FormatError(
             f"prg seed length {prg_lam} and output length {prg_len} disagree "
             f"with the header's {lam} and {cols}"
         )
-    try:
-        params = dpf.SchemeParams(
-            parties, corrupted, lam, Modulus(factors), domain, rows, cols, algorithm
-        )
-    except ParameterError as exc:
-        raise FormatError(f"invalid key header: {exc}") from exc
-    return scheme, party, params, reader.offset
+    params = _header_params(parties, corrupted, lam, factors, domain, rows, cols, algorithm)
+    return scheme, party, params, offset
 
 
+# Encoders return a body's regions as uint8 arrays, each filled in place;
+# decoders read the key's arrays out of views of the blob, and seeds stay views.
 def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> np.ndarray:
-    return decode_vector(reader.take(count * element_width(modulus)), modulus, count)
+    return _decode(reader.take(count, element_width(modulus)), modulus)
 
 
-def _records(key) -> np.ndarray:
-    """The key's (seed, share) records, uint8 of shape (rows, tuples, seed + share bytes)."""
-    _, rows, width = key.shares.shape
-    flat = encode_vector(key.shares.reshape(-1, rows * width), key.params.modulus)
-    shares = np.frombuffer(flat, dtype=np.uint8).reshape(rows, width, -1)
-    return np.concatenate([key.seeds, shares], axis=2)
+def _write_records(records: np.ndarray, key) -> None:
+    """Fill `records`, (rows, tuples, seed + share bytes), with the key's seeds and shares."""
+    seed = key.params.lambda_bits // 8
+    records[..., :seed] = key.seeds
+    _encode(key.shares, key.params.modulus, records[..., seed:])
 
 
-def _read_records(raw: np.ndarray, params: dpf.SchemeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Seeds and shares from `_records`' layout, refusing an absent seed."""
-    rows, width, _ = raw.shape
-    seeds = raw[:, :, : params.lambda_bits // 8]
-    if not seeds.any(axis=2).all():
+def _read_records(records: np.ndarray, params: dpf.SchemeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds and shares from `_write_records`' layout, refusing an absent seed."""
+    seed = params.lambda_bits // 8
+    seeds = records[..., :seed]
+    if not (seeds.view(f"S{seed}") != b"").all():  # an all-zero seed reads as b""
         raise FormatError("absent-seed sentinel inside a key body")
-    shares = decode_vector(raw[:, :, seeds.shape[2] :].tobytes(), params.modulus, rows * width)
-    return seeds, shares.reshape(-1, rows, width)
+    return seeds, _decode(records[..., seed:], params.modulus)
 
 
-def _encode_dpf(key: dpf.DpfKey) -> bytes:
-    return _records(key).tobytes() + encode_vector(key.correction, key.params.modulus)
+def _encode_dpf(key: dpf.DpfKey) -> list[np.ndarray]:
+    rows, held, seed = key.seeds.shape
+    records = np.empty((rows, held, seed + element_width(key.params.modulus)), np.uint8)
+    _write_records(records, key)
+    return [records, _encode(key.correction, key.params.modulus)]
 
 
 def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     """Read the (seed, share) records of every row, then the correction."""
-    rows, width = params.rows, params.tuples_per_row
     record = params.lambda_bits // 8 + element_width(params.modulus)
-    raw = np.frombuffer(reader.take(rows * width * record), dtype=np.uint8)
-    seeds, shares = _read_records(raw.reshape(rows, width, record), params)
+    seeds, shares = _read_records(reader.take(params.rows, params.tuples_per_row, record), params)
     correction = _take_vector(reader, params.modulus, params.cols)
     return dict(party=party, params=params, seeds=seeds, shares=shares, correction=correction)
 
 
-def _encode_dcf(key: dcf.DcfKey) -> bytes:
-    return _encode_dpf(key) + encode_vector(key.row_outputs, key.params.modulus)
+def _encode_dcf(key: dcf.DcfKey) -> list[np.ndarray]:
+    return [*_encode_dpf(key), _encode(key.row_outputs, key.params.modulus)]
 
 
 def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
@@ -217,36 +247,34 @@ def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     return dict(fields, row_outputs=_take_vector(reader, params.modulus, params.rows))
 
 
-def _encode_boyle(key: baselines.BoyleKey) -> bytes:
-    """The body as one array: per row the u32 tuple count, then its
-    (column u32, seed, share) records."""
-    rows, held = key.columns.shape
-    columns = key.columns.astype("<u4").view(np.uint8).reshape(rows, held, 4)
-    records = np.concatenate([columns, _records(key)], axis=2).reshape(rows, -1)
-    counts = np.full((rows, 1), held, dtype="<u4").view(np.uint8)
-    body = np.concatenate([counts, records], axis=1).tobytes()
-    return body + encode_vector(key.correction, key.params.modulus)
+def _encode_boyle(key: baselines.BoyleKey) -> list[np.ndarray]:
+    """Per row the u32 tuple count, then its (column u32, seed, share) records."""
+    rows, held, seed = key.seeds.shape
+    body = np.empty((rows, 4 + held * (4 + seed + element_width(key.params.modulus))), np.uint8)
+    body[:, :4].view("<u4")[...] = held
+    records = body[:, 4:].reshape(rows, held, -1)
+    records[..., :4].view("<u4")[..., 0] = key.columns
+    _write_records(records[..., 4:], key)
+    return [body, _encode(key.correction, key.params.modulus)]
 
 
 def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
     """`boyle_held_count`, which refuses what `boyle_gen` refuses, then the body in
     one read: that many records a row, whose columns `BoyleKey` checks."""
     held = baselines.boyle_held_count(params)
-    modulus = params.modulus
-    record = 4 + params.lambda_bits // 8 + element_width(modulus)
-    raw = np.frombuffer(reader.take(params.rows * (4 + held * record)), np.uint8)
-    raw = raw.reshape(params.rows, -1)
-    if (raw[:, :4].copy().view("<u4") != held).any():
+    record = 4 + params.lambda_bits // 8 + element_width(params.modulus)
+    body = reader.take(params.rows, 4 + held * record)
+    if (body[:, :4].view("<u4") != held).any():
         raise FormatError(f"a row's tuple count is not q^(p-2)(q-1) = {held}")
-    raw = raw[:, 4:].reshape(params.rows, held, record)
-    columns = raw[:, :, :4].copy().view("<u4")[:, :, 0].astype(np.uint32)
-    seeds, shares = _read_records(raw[:, :, 4:], params)
+    records = body[:, 4:].reshape(params.rows, held, record)
+    columns = records[..., :4].view("<u4")[..., 0].astype(np.uint32)
+    seeds, shares = _read_records(records[..., 4:], params)
     fields = dict(party=party, params=params, columns=columns, seeds=seeds, shares=shares)
-    return dict(fields, correction=_take_vector(reader, modulus, params.cols))
+    return dict(fields, correction=_take_vector(reader, params.modulus, params.cols))
 
 
-def _encode_trivial(key: baselines.TrivialKey) -> bytes:
-    return encode_vector(key.table, key.params.modulus)
+def _encode_trivial(key: baselines.TrivialKey) -> list[np.ndarray]:
+    return [_encode(key.table, key.params.modulus)]
 
 
 def _decode_trivial(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
@@ -263,7 +291,7 @@ class _Scheme(NamedTuple):
     name: str
     key_class: type
     gen: Callable[..., tuple]
-    encode: Callable[..., bytes]
+    encode: Callable[..., list]  # the body's regions, as uint8 arrays
     decode: Callable[..., dict]  # the key's fields, for key_class
 
 
@@ -278,10 +306,11 @@ SCHEMES = {
 
 
 def key_to_bytes(key) -> bytes:
-    """Serialize any scheme's key into the container format."""
+    """Serialize any scheme's key into the container format: its regions,
+    each filled in place, joined behind the header in one copy."""
     for tag, scheme in SCHEMES.items():
         if type(key) is scheme.key_class:
-            return _pack_header(tag, key.party, key.params) + scheme.encode(key)
+            return b"".join([_pack_header(tag, key.party, key.params), *scheme.encode(key)])
     raise ParameterError(f"cannot serialize {type(key).__name__}")
 
 

@@ -163,6 +163,7 @@ def _binom(n, k):
     return comb(n, k)
 
 
+FORMULA_NODES = 256  # the most syntax nodes a formula may have; figures need a few dozen
 _FORMULA_FUNCS = {
     "sqrt": math.sqrt,
     "log2": math.log2,
@@ -205,7 +206,7 @@ def _eval_formula_node(node: ast.AST, variables: dict[str, float]):
     if isinstance(node, ast.Name):
         if node.id in variables:
             return variables[node.id]
-        raise ParameterError(f"unknown variable {node.id!r} in formula")
+        raise ParameterError(f"unknown variable {node.id[:32]!r} in formula")
     if isinstance(node, ast.BinOp) and type(node.op) in _FORMULA_OPS:
         return _FORMULA_OPS[type(node.op)](
             _eval_formula_node(node.left, variables),
@@ -222,7 +223,7 @@ def _eval_formula_node(node: ast.AST, variables: dict[str, float]):
     ):
         args = [_eval_formula_node(a, variables) for a in node.args]
         return _FORMULA_FUNCS[node.func.id](*args)
-    raise ParameterError(f"unsupported construct in formula: {ast.dump(node)}")
+    raise ParameterError(f"unsupported construct in formula: {type(node).__name__}")
 
 
 def eval_formula(text: str, **variables: float) -> float:
@@ -230,18 +231,22 @@ def eval_formula(text: str, **variables: float) -> float:
 
     Accepts numbers, + - * / // % **, unary signs, and the functions
     sqrt/log2/log/ceil/floor/binom/min/max.  Anything else is rejected,
-    and so is an arithmetic error such as a division by zero.
+    and so is an arithmetic error such as a division by zero.  A tree of
+    more than FORMULA_NODES nodes is refused before anything is evaluated,
+    which bounds the work and the recursion.  No message repeats the text.
     """
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ParameterError(f"cannot parse formula {text!r}: {exc}") from exc
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # deep nesting
+        raise ParameterError(f"cannot parse formula: {str(exc) or type(exc).__name__}") from exc
+    if sum(1 for _ in ast.walk(tree)) > FORMULA_NODES:
+        raise ParameterError(f"formula has more than {FORMULA_NODES} syntax nodes")
     try:
         return float(_eval_formula_node(tree, variables))
     except ParameterError:
         raise
     except (ArithmeticError, ValueError, TypeError) as exc:
-        raise ParameterError(f"cannot evaluate formula {text!r}: {exc}") from exc
+        raise ParameterError(f"cannot evaluate formula: {exc}") from exc
 
 
 def size_bunn_prg(

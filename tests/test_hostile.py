@@ -9,6 +9,7 @@ code and one short `error: ...` line, printing nothing and writing no keys.
 """
 
 import json
+from math import isqrt
 
 import pytest
 
@@ -45,6 +46,8 @@ def _keygen(*flags, m="1"):
 
 _WIDE_ROW = ["--N", "100", "--p", "65535", "--modulus", "7"]
 _TRUTH_TABLES = "error: refusing truth tables: it exceeds the budget"
+_MODULUS_CAP = "error: modulus value exceeds the 2**63 cap"
+_PRIMES = [str(n) for n in range(2, 27450) if all(n % d for d in range(2, isqrt(n) + 1))]
 
 # name -> (exit code, stderr prefix, argv); {dir} is the table's directory.
 CLI = {
@@ -114,6 +117,31 @@ CLI = {
     ),
     "keygen at N = 2^64": (
         2, "error: domain size", _keygen("--N", str(2 ** 64), "--p", "3", "--modulus", "5"),
+    ),
+    # Trial division and Miller-Rabin on a 4001-digit modulus once took 6.4 s
+    # and printed its digits in an 8134-byte line.
+    "keygen at modulus 10^4000 + 1": (
+        2, _MODULUS_CAP, _keygen("--N", "100", "--p", "3", "--modulus", str(10 ** 4000 + 1)),
+    ),
+    "bench-size modulus at 10^4000 + 1": (
+        2, _MODULUS_CAP, ["bench-size", "--figure", "modulus", "--x-values", str(10 ** 4000 + 1)],
+    ),
+    # The product of these primes once went into the message: past Python's
+    # 4300-digit limit on int-to-str conversion (once exit 5).
+    "keygen over the first 3000 primes": (
+        2, _MODULUS_CAP, _keygen("--N", "100", "--p", "3", "--modulus", "*".join(_PRIMES)),
+    ),
+    # Evaluating 997 terms recursed past Python's limit (once exit 5); a
+    # 10^4-deep unary chain exhausts the parser itself.
+    "bench-size with a 997-term formula": (
+        2, "error: formula has more than 256 syntax nodes",
+        ["bench-size", "--figure", "domain", "--x-values", "100",
+         "--bunn-prg-formula", "+".join(["1"] * 997)],
+    ),
+    "bench-size with a formula nested 10^4 deep": (
+        2, "error: cannot parse formula",
+        ["bench-size", "--figure", "domain", "--x-values", "100",
+         "--bunn-prg-formula=" + "-" * 10 ** 4 + "1"],
     ),
 }
 

@@ -14,11 +14,14 @@ from dpfkit import cli
 from dpfkit.algebra import FieldVector, parse_modulus
 from dpfkit.baselines import boyle_gen, check_guard, trivial_gen
 from dpfkit.dcf import dcf_eval, dcf_gen
-from dpfkit.dpf import PointDescription, SchemeParams, eval_all, eval_point, gen
+from dpfkit.dpf import DpfKey, PointDescription, SchemeParams, eval_all, eval_point, gen
 from dpfkit.errors import FormatError, GuardError, ParameterError
 from dpfkit.keyfile import (
     SCHEMES,
+    _header_params,
+    _pack_header,
     decode_vector,
+    element_width,
     encode_vector,
     header_size,
     key_from_bytes,
@@ -311,6 +314,11 @@ CODEC_MODULI = [
 ]
 
 
+def _random_residues(modulus, count, seed):
+    draws = np.random.default_rng(seed)
+    return np.stack([draws.integers(0, q, count, dtype=np.uint64) for q in modulus.factors])
+
+
 @pytest.mark.parametrize("modulus_text", CODEC_MODULI)
 @pytest.mark.parametrize("count", [0, 1, 7, 5525])
 @pytest.mark.parametrize("residues", ["random", "largest"])
@@ -319,8 +327,7 @@ def test_codec_matches_the_byte_loop_reference(modulus_text, count, residues):
     if residues == "largest":
         data = np.repeat(modulus._qs_np - 1, count, axis=1)
     else:
-        draws = np.random.default_rng(count)
-        data = np.stack([draws.integers(0, q, count, dtype=np.uint64) for q in modulus.factors])
+        data = _random_residues(modulus, count, count)
     vec = FieldVector._raw(modulus, data)
     raw = encode_vector(data, modulus)
     assert raw == _reference_encode(vec)
@@ -328,6 +335,73 @@ def test_codec_matches_the_byte_loop_reference(modulus_text, count, residues):
     assert decoded.dtype == np.uint64
     assert decoded.tolist() == _reference_decode(raw, modulus, count).tolist()
     assert np.array_equal(decoded, data)
+
+
+@pytest.mark.parametrize("modulus_text", CODEC_MODULI)
+def test_codec_decodes_a_view_at_an_offset(modulus_text):
+    # As `pir.read_database` passes a database body behind its length prefix.
+    modulus = parse_modulus(modulus_text)
+    data = _random_residues(modulus, 5525, 1)
+    raw = _reference_encode(FieldVector._raw(modulus, data))
+    view = memoryview(b"\x07" * 13 + raw + b"\x09")[13:-1]
+    decoded = decode_vector(view, modulus, 5525)
+    assert decoded.tolist() == _reference_decode(raw, modulus, 5525).tolist()
+
+
+@pytest.mark.parametrize("modulus_text", CODEC_MODULI)
+def test_key_records_match_the_byte_loop_reference(modulus_text):
+    # Shares sit strided between 16-byte seeds; the correction follows them.
+    modulus = parse_modulus(modulus_text)
+    params = SchemeParams(3, 1, 128, modulus, 5000, 50, 100)
+    rows, held, factors = params.rows, params.tuples_per_row, len(modulus.factors)
+    seeds = np.random.default_rng(2).integers(1, 256, (rows, held, 16), dtype=np.uint8)
+    shares = _random_residues(modulus, rows * held, 3).reshape(factors, rows, held)
+    correction = _random_residues(modulus, params.cols, 4)
+    blob = key_to_bytes(DpfKey(0, params, seeds, shares, correction))
+    width = element_width(modulus)
+    body = blob[header_size(modulus) :]
+    records = np.frombuffer(body, np.uint8, rows * held * (16 + width)).reshape(rows, held, -1)
+    share_bytes, correction_bytes = records[..., 16:].tobytes(), body[records.size :]
+    assert records[..., :16].tobytes() == seeds.tobytes()
+    assert share_bytes == _reference_encode(FieldVector._raw(modulus, shares.reshape(factors, -1)))
+    assert correction_bytes == _reference_encode(FieldVector._raw(modulus, correction))
+    back = key_from_bytes(blob)
+    flat = back.shares.reshape(factors, -1).tolist()
+    assert flat == _reference_decode(share_bytes, modulus, rows * held).tolist()
+    assert back.correction.tolist() == _reference_decode(correction_bytes, modulus, 100).tolist()
+    assert np.array_equal(back.seeds, seeds)
+
+
+class TestHeaderCache:
+    def test_one_header_decodes_to_one_params_object(self):
+        params = _params(3, 1, "2*3*5*7", 1000)
+        blobs = []
+        for alpha in (3, 9):
+            rng = DeterministicRandomSource(f"cache-{alpha}")
+            keys = gen(PointDescription(alpha, params.modulus.one()), params, rng)
+            blobs.append(key_to_bytes(keys[1]))
+        assert blobs[0][: header_size(params.modulus)] == blobs[1][: header_size(params.modulus)]
+        first, second = (key_from_bytes(blob) for blob in blobs)
+        assert first.params is second.params == params
+        assert parse_header(blobs[0])[2] is first.params
+
+    def test_a_refused_header_is_refused_every_time_and_not_cached(self):
+        blob = bytearray(_golden_key_blob())
+        blob[31:39] = (4).to_bytes(8, "little")  # the modulus factor, composite
+        before = _header_params.cache_info()
+        for _ in range(3):
+            with pytest.raises(FormatError, match="invalid key header: modulus factor 4"):
+                key_from_bytes(bytes(blob))
+        after = _header_params.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 3, before.hits)
+        assert after.currsize == before.currsize
+
+    def test_many_headers_leave_the_cache_at_its_bound(self):
+        bound = _header_params.cache_info().maxsize
+        for domain in range(10 ** 6, 10 ** 6 + bound + 10):
+            params = SchemeParams(3, 1, 128, parse_modulus("5"), domain, 2000, 1000)
+            assert parse_header(_pack_header(1, 0, params) + bytes(8))[2] == params
+        assert _header_params.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("modulus_text", CODEC_MODULI)
