@@ -195,17 +195,11 @@ class Modulus:
 def parse_modulus(text: str) -> Modulus:
     """Parse "210" or "2*3*5*7" into a Modulus."""
     text = text.strip()
-    if "*" in text:
-        try:
-            parts = [int(p.strip()) for p in text.split("*")]
-        except ValueError as exc:
-            raise ParameterError(f"bad modulus text {text[:64]!r}") from exc
-        return Modulus.from_factors(parts)
     try:
-        value = int(text)
+        parts = [int(part) for part in text.split("*")]
     except ValueError as exc:
         raise ParameterError(f"bad modulus text {text[:64]!r}") from exc
-    return Modulus.from_int(value)
+    return Modulus.from_factors(parts) if len(parts) > 1 else Modulus.from_int(parts[0])
 
 
 def byte_words(raw: bytes, width: int, order: str) -> np.ndarray:

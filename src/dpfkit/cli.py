@@ -174,7 +174,7 @@ def _cmd_pir_demo(args) -> int:
 
 def _cmd_inspect(args) -> int:
     with open(args.key, "rb") as fh:
-        data = fh.read()
+        data, size = keyfile.read_key_bytes(fh)
     scheme, party, params, offset = keyfile.parse_header(data)
     print(f"scheme={keyfile.SCHEMES[scheme].name}")
     print(f"party={party}")
@@ -187,7 +187,7 @@ def _cmd_inspect(args) -> int:
     print(f"modulus={params.modulus}")
     print(f"prg={params.prg_algorithm}")
     print(f"header_bytes={offset}")
-    print(f"body_bytes={len(data) - offset}")
+    print(f"body_bytes={size - offset}")
     return EXIT_OK
 
 

@@ -18,26 +18,21 @@ Layout (all integers little-endian):
     prg          7 bytes  algorithm u8, lambda u16, output length u32;
                           lambda and the length repeat lambda and cols
 
-followed by a scheme-specific body.  Field elements are encoded factor by
-factor as ceil(ceil(lg q)/8) little-endian bytes each; seeds take
+followed by a scheme-specific body: the uint8 regions, in order, that
+the `regions` rule of the scheme's `SCHEMES` entry gives for the header's
+parameters, and nothing after them.  Field elements are encoded factor
+by factor as ceil(ceil(lg q)/8) little-endian bytes each; seeds take
 lambda/8 bytes.
-
-    scheme 1: R rows, each C(p-1, m) tuples of (seed, share);
-              then the correction vector, cols elements.
-    scheme 2: R rows, each a u32 tuple count, q^(p-2)(q-1) in every
-              row, then tuples of (column u32, seed, share), ascending
-              column order, only columns with a non-zero share; then
-              the correction vector, cols elements.
-    scheme 3: the table, N elements.  No rows, no correction.
-    scheme 4: the scheme-1 body, then R per-row output shares.
 
 The all-zero seed value is reserved to mean "absent" and never appears
 in a well-formed file.  `SCHEMES` maps each tag to its CLI name, key
-class, generator and body codec.
+class, generator, body regions and body codec.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from functools import lru_cache
 from math import prod
@@ -47,7 +42,7 @@ import numpy as np
 
 from . import baselines, dcf, dpf
 from .algebra import Modulus
-from .errors import FormatError, ParameterError
+from .errors import DpfError, FormatError, ParameterError
 
 MAGIC = b"DPFK"
 VERSION = 1
@@ -55,6 +50,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBHHHHQII")
 _FACTOR = struct.Struct("<Q")
 _PRG = struct.Struct("<BHI")
+_CHUNK = 1 << 20
 
 
 def _factor_widths(modulus: Modulus) -> list[int]:
@@ -66,12 +62,10 @@ def element_width(modulus: Modulus) -> int:
     return sum(_factor_widths(modulus))
 
 
-def _encode(data: np.ndarray, modulus: Modulus, raw: np.ndarray | None = None) -> np.ndarray:
+def _encode(data: np.ndarray, modulus: Modulus, raw: np.ndarray) -> None:
     """`data`, uint64 of shape (factors, *shape), written into `raw`, uint8 of
-    shape (*shape, element width) or new, whose last axis is contiguous: each
+    shape (*shape, element width), whose last axis is contiguous: each
     factor's residues in one cast to its width's little-endian words."""
-    if raw is None:
-        raw = np.empty((*data.shape[1:], element_width(modulus)), dtype=np.uint8)
     start = 0
     for fi, width in enumerate(_factor_widths(modulus)):
         low = 2 if width == 3 else width  # no 3-byte dtype: the low two, then the third
@@ -79,7 +73,6 @@ def _encode(data: np.ndarray, modulus: Modulus, raw: np.ndarray | None = None) -
         if width == 3:
             raw[..., start + 2] = data[fi] >> 16
         start += width
-    return raw
 
 
 def _decode(raw: np.ndarray, modulus: Modulus) -> np.ndarray:
@@ -103,7 +96,9 @@ def _decode(raw: np.ndarray, modulus: Modulus) -> np.ndarray:
 
 def encode_vector(data: np.ndarray, modulus: Modulus) -> bytes:
     """Each column of a (factors, n) residue array as the low bytes of its words."""
-    return _encode(data, modulus).tobytes()
+    raw = np.empty((data.shape[1], element_width(modulus)), dtype=np.uint8)
+    _encode(data, modulus, raw)
+    return raw.tobytes()
 
 
 def decode_vector(data: bytes, modulus: Modulus, count: int) -> np.ndarray:
@@ -137,29 +132,9 @@ def header_size(modulus: Modulus) -> int:
     return _HEADER.size + 1 + _FACTOR.size * len(modulus.factors) + _PRG.size
 
 
-def _need(data, size: int) -> None:
-    if len(data) < size:
-        raise FormatError(f"key data truncated at byte {len(data)}")
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int):
-        self.data = memoryview(data)  # so take() slices without copying
-        self.offset = offset
-
-    def take(self, *shape: int) -> np.ndarray:
-        """The next bytes as a uint8 view of this shape."""
-        end = self.offset + prod(shape)
-        _need(self.data, end)
-        out = np.frombuffer(self.data[self.offset : end], dtype=np.uint8).reshape(shape)
-        self.offset = end
-        return out
-
-    def done(self) -> None:
-        if self.offset != len(self.data):
-            raise FormatError(
-                f"{len(self.data) - self.offset} trailing bytes after key body"
-            )
+def _need(size: int, end: int) -> None:
+    if size < end:
+        raise FormatError(f"key data truncated at byte {size}")
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +149,7 @@ def _header_params(parties, corrupted, lam, factors, domain, rows, cols, algorit
 
 def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
     """Parse the header; returns (scheme tag, party, params, body offset)."""
-    _need(data, _HEADER.size)
+    _need(len(data), _HEADER.size)
     magic, version, scheme, party, parties, corrupted, lam, domain, rows, cols = (
         _HEADER.unpack_from(data)
     )
@@ -186,10 +161,10 @@ def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
         raise FormatError(f"unknown scheme tag {scheme}")
     if party >= parties:
         raise FormatError(f"party {party} out of range for {parties} parties")
-    _need(data, _HEADER.size + 1)
+    _need(len(data), _HEADER.size + 1)
     count = data[_HEADER.size]
     offset = _HEADER.size + 1 + _FACTOR.size * count + _PRG.size
-    _need(data, offset)
+    _need(len(data), offset)
     factors = struct.unpack_from(f"<{count}Q", data, _HEADER.size + 1)
     algorithm, prg_lam, prg_len = _PRG.unpack_from(data, offset - _PRG.size)
     if (prg_lam, prg_len) != (lam, cols):
@@ -201,84 +176,85 @@ def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
     return scheme, party, params, offset
 
 
-# Encoders return a body's regions as uint8 arrays, each filled in place;
-# decoders read the key's arrays out of views of the blob, and seeds stay views.
-def _take_vector(reader: _Reader, modulus: Modulus, count: int) -> np.ndarray:
-    return _decode(reader.take(count, element_width(modulus)), modulus)
+def _dpf_regions(params: dpf.SchemeParams) -> list[tuple[int, ...]]:
+    """R rows of C(p-1, m) (seed, share) records, then the correction's V elements."""
+    width = element_width(params.modulus)
+    seed = params.lambda_bits // 8
+    return [(params.rows, params.tuples_per_row, seed + width), (params.cols, width)]
 
 
-def _write_records(records: np.ndarray, key) -> None:
-    """Fill `records`, (rows, tuples, seed + share bytes), with the key's seeds and shares."""
+def _encode_dpf(key: dpf.DpfKey, records: np.ndarray, correction: np.ndarray) -> None:
+    """Fill `records`, (rows, tuples, seed + share bytes), and `correction` from the key."""
     seed = key.params.lambda_bits // 8
     records[..., :seed] = key.seeds
     _encode(key.shares, key.params.modulus, records[..., seed:])
+    _encode(key.correction, key.params.modulus, correction)
 
 
-def _read_records(records: np.ndarray, params: dpf.SchemeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Seeds and shares from `_write_records`' layout, refusing an absent seed."""
+def _decode_dpf(params: dpf.SchemeParams, party: int, records, correction) -> dict:
+    """The fields that `_encode_dpf` wrote, seeds as views; an absent seed is refused."""
     seed = params.lambda_bits // 8
     seeds = records[..., :seed]
     if not (seeds.view(f"S{seed}") != b"").all():  # an all-zero seed reads as b""
         raise FormatError("absent-seed sentinel inside a key body")
-    return seeds, _decode(records[..., seed:], params.modulus)
-
-
-def _encode_dpf(key: dpf.DpfKey) -> list[np.ndarray]:
-    rows, held, seed = key.seeds.shape
-    records = np.empty((rows, held, seed + element_width(key.params.modulus)), np.uint8)
-    _write_records(records, key)
-    return [records, _encode(key.correction, key.params.modulus)]
-
-
-def _decode_dpf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
-    """Read the (seed, share) records of every row, then the correction."""
-    record = params.lambda_bits // 8 + element_width(params.modulus)
-    seeds, shares = _read_records(reader.take(params.rows, params.tuples_per_row, record), params)
-    correction = _take_vector(reader, params.modulus, params.cols)
+    shares = _decode(records[..., seed:], params.modulus)
+    correction = _decode(correction, params.modulus)
     return dict(party=party, params=params, seeds=seeds, shares=shares, correction=correction)
 
 
-def _encode_dcf(key: dcf.DcfKey) -> list[np.ndarray]:
-    return [*_encode_dpf(key), _encode(key.row_outputs, key.params.modulus)]
+def _dcf_regions(params: dpf.SchemeParams) -> list[tuple[int, ...]]:
+    """The point scheme's regions, then R per-row output shares."""
+    return [*_dpf_regions(params), (params.rows, element_width(params.modulus))]
 
 
-def _decode_dcf(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
-    fields = _decode_dpf(reader, params, party)
-    return dict(fields, row_outputs=_take_vector(reader, params.modulus, params.rows))
+def _encode_dcf(key: dcf.DcfKey, records, correction, row_outputs: np.ndarray) -> None:
+    _encode_dpf(key, records, correction)
+    _encode(key.row_outputs, key.params.modulus, row_outputs)
 
 
-def _encode_boyle(key: baselines.BoyleKey) -> list[np.ndarray]:
-    """Per row the u32 tuple count, then its (column u32, seed, share) records."""
-    rows, held, seed = key.seeds.shape
-    body = np.empty((rows, 4 + held * (4 + seed + element_width(key.params.modulus))), np.uint8)
-    body[:, :4].view("<u4")[...] = held
-    records = body[:, 4:].reshape(rows, held, -1)
+def _decode_dcf(params: dpf.SchemeParams, party: int, records, correction, row_outputs) -> dict:
+    fields = _decode_dpf(params, party, records, correction)
+    return dict(fields, row_outputs=_decode(row_outputs, params.modulus))
+
+
+def _boyle_regions(params: dpf.SchemeParams) -> list[tuple[int, ...]]:
+    """R rows, each a u32 tuple count T = `boyle_held_count`, which refuses what
+    `boyle_gen` refuses, then T (column u32, seed, share) records in ascending
+    column order, for the columns with a non-zero share; then V correction elements."""
+    width = element_width(params.modulus)
+    record = 4 + params.lambda_bits // 8 + width
+    return [(params.rows, 4 + baselines.boyle_held_count(params) * record), (params.cols, width)]
+
+
+def _encode_boyle(key: baselines.BoyleKey, rows: np.ndarray, correction: np.ndarray) -> None:
+    held = key.seeds.shape[1]
+    rows[:, :4].view("<u4")[...] = held
+    records = rows[:, 4:].reshape(len(rows), held, -1)
     records[..., :4].view("<u4")[..., 0] = key.columns
-    _write_records(records[..., 4:], key)
-    return [body, _encode(key.correction, key.params.modulus)]
+    _encode_dpf(key, records[..., 4:], correction)
 
 
-def _decode_boyle(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
-    """`boyle_held_count`, which refuses what `boyle_gen` refuses, then the body in
-    one read: that many records a row, whose columns `BoyleKey` checks."""
+def _decode_boyle(params: dpf.SchemeParams, party: int, rows, correction) -> dict:
+    """Every row's tuple count must be T; `BoyleKey` checks the columns."""
     held = baselines.boyle_held_count(params)
-    record = 4 + params.lambda_bits // 8 + element_width(params.modulus)
-    body = reader.take(params.rows, 4 + held * record)
-    if (body[:, :4].view("<u4") != held).any():
+    if (rows[:, :4].view("<u4") != held).any():
         raise FormatError(f"a row's tuple count is not q^(p-2)(q-1) = {held}")
-    records = body[:, 4:].reshape(params.rows, held, record)
+    records = rows[:, 4:].reshape(params.rows, held, -1)
     columns = records[..., :4].view("<u4")[..., 0].astype(np.uint32)
-    seeds, shares = _read_records(records[..., 4:], params)
-    fields = dict(party=party, params=params, columns=columns, seeds=seeds, shares=shares)
-    return dict(fields, correction=_take_vector(reader, params.modulus, params.cols))
+    return dict(_decode_dpf(params, party, records[..., 4:], correction), columns=columns)
 
 
-def _encode_trivial(key: baselines.TrivialKey) -> list[np.ndarray]:
-    return [_encode(key.table, key.params.modulus)]
+def _trivial_regions(params: dpf.SchemeParams) -> list[tuple[int, ...]]:
+    """The table's N elements."""
+    return [(params.domain_size, element_width(params.modulus))]
 
 
-def _decode_trivial(reader: _Reader, params: dpf.SchemeParams, party: int) -> dict:
-    table = _take_vector(reader, params.modulus, params.domain_size)
+def _encode_trivial(key: baselines.TrivialKey, table: np.ndarray) -> None:
+    _encode(key.table, key.params.modulus, table)
+
+
+def _decode_trivial(params: dpf.SchemeParams, party: int, table) -> dict:
+    table = _decode(table, params.modulus)
     # Only the auto and square grids: evaluation pays a Python step per row.
     args = params.domain_size, params.parties, params.corrupted, params.lambda_bits, params.modulus
     grids = [dpf.choose_grid(*args, mode) for mode in (dpf.GRID_AUTO, dpf.GRID_SQUARE)]
@@ -291,40 +267,67 @@ class _Scheme(NamedTuple):
     name: str
     key_class: type
     gen: Callable[..., tuple]
-    encode: Callable[..., list]  # the body's regions, as uint8 arrays
-    decode: Callable[..., dict]  # the key's fields, for key_class
+    regions: Callable[..., list]  # the body's uint8 region shapes, in file order
+    encode: Callable[..., None]  # fills the regions from a key
+    decode: Callable[..., dict]  # the key's fields from the regions, for key_class
 
 
 SCHEMES = {
-    1: _Scheme("ours", dpf.DpfKey, dpf.gen, _encode_dpf, _decode_dpf),
-    2: _Scheme("boyle15", baselines.BoyleKey, baselines.boyle_gen, _encode_boyle, _decode_boyle),
-    3: _Scheme(
-        "trivial", baselines.TrivialKey, baselines.trivial_gen, _encode_trivial, _decode_trivial
+    1: _Scheme("ours", dpf.DpfKey, dpf.gen, _dpf_regions, _encode_dpf, _decode_dpf),
+    2: _Scheme(
+        "boyle15", baselines.BoyleKey, baselines.boyle_gen,
+        _boyle_regions, _encode_boyle, _decode_boyle,
     ),
-    4: _Scheme("dcf", dcf.DcfKey, dcf.dcf_gen, _encode_dcf, _decode_dcf),
+    3: _Scheme(
+        "trivial", baselines.TrivialKey, baselines.trivial_gen,
+        _trivial_regions, _encode_trivial, _decode_trivial,
+    ),
+    4: _Scheme("dcf", dcf.DcfKey, dcf.dcf_gen, _dcf_regions, _encode_dcf, _decode_dcf),
 }
 
 
+def _cut(body: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """`body`, flat uint8, as consecutive views of these shapes."""
+    regions, start = [], 0
+    for shape in shapes:
+        regions.append(body[start : start + prod(shape)].reshape(shape))
+        start += prod(shape)
+    return regions
+
+
 def key_to_bytes(key) -> bytes:
-    """Serialize any scheme's key into the container format: its regions,
-    each filled in place, joined behind the header in one copy."""
+    """Serialize any scheme's key into the container format: its scheme's
+    regions, filled in place in one body, joined behind the header in one copy."""
     for tag, scheme in SCHEMES.items():
         if type(key) is scheme.key_class:
-            return b"".join([_pack_header(tag, key.party, key.params), *scheme.encode(key)])
+            shapes = scheme.regions(key.params)
+            body = np.empty(sum(map(prod, shapes)), np.uint8)
+            scheme.encode(key, *_cut(body, shapes))
+            return b"".join([_pack_header(tag, key.party, key.params), body])
     raise ParameterError(f"cannot serialize {type(key).__name__}")
+
+
+def _decode_key(data, size: int):
+    """The key at the start of `data`: all `size` bytes of its file, or at least its
+    declared length.  A short file is refused before decoding, trailing bytes after."""
+    tag, party, params, offset = parse_header(data)
+    scheme = SCHEMES[tag]
+    try:
+        shapes = scheme.regions(params)
+        end = offset + sum(map(prod, shapes))
+        _need(size, end)
+        body = np.frombuffer(data, np.uint8, end - offset, offset)
+        key = scheme.key_class(**scheme.decode(params, party, *_cut(body, shapes)))
+    except ParameterError as exc:
+        raise FormatError(f"invalid {scheme.name} key: {exc}") from exc
+    if size != end:
+        raise FormatError(f"{size - end} trailing bytes after key body")
+    return key
 
 
 def key_from_bytes(data: bytes):
     """Parse a key of any scheme; the result type follows the scheme tag."""
-    tag, party, params, offset = parse_header(data)
-    reader = _Reader(data, offset)
-    scheme = SCHEMES[tag]
-    try:
-        key = scheme.key_class(**scheme.decode(reader, params, party))
-    except ParameterError as exc:
-        raise FormatError(f"invalid {scheme.name} key: {exc}") from exc
-    reader.done()
-    return key
+    return _decode_key(data, len(data))
 
 
 def write_key_file(path, key) -> int:
@@ -335,6 +338,36 @@ def write_key_file(path, key) -> int:
     return len(blob)
 
 
+def read_bounded(fh, count: int) -> bytes:
+    """Up to `count` bytes of the open file `fh`, fewer at its end, read in
+    chunks of at most 1 MiB: a length that a file declares reserves no
+    memory that the file does not hold."""
+    chunks = []
+    while count > 0 and (chunk := fh.read(min(count, _CHUNK))):
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def read_key_bytes(fh) -> tuple[bytes, int]:
+    """The key at the start of the open file `fh`, read in order and never past
+    its declared length plus one byte: the fixed header, the factor list, then
+    the body that its scheme's regions declare.  Returns those bytes and the
+    file's length, which a regular file's metadata gives without reading its tail."""
+    data = read_bounded(fh, _HEADER.size + 1)
+    if len(data) > _HEADER.size:
+        data += read_bounded(fh, _FACTOR.size * data[_HEADER.size] + _PRG.size)
+    tag, _, params, offset = parse_header(data)
+    try:
+        end = offset + sum(map(prod, SCHEMES[tag].regions(params)))
+    except DpfError:  # refused with its message when decoded; `inspect` prints the header
+        end = offset
+    data += read_bounded(fh, end + 1 - len(data))
+    info = os.fstat(fh.fileno())
+    return data, info.st_size if stat.S_ISREG(info.st_mode) else len(data)
+
+
 def read_key_file(path):
+    """Read a key file to its declared length; see `read_key_bytes`."""
     with open(path, "rb") as fh:
-        return key_from_bytes(fh.read())
+        return _decode_key(*read_key_bytes(fh))

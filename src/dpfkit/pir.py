@@ -59,12 +59,14 @@ def write_database(path, db: Database) -> None:
 
 
 def read_database(path, modulus: Modulus) -> Database:
+    """The database in `path`, read no further than its declared length plus one byte."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _COUNT.size:
-        raise FormatError("database file too short for its length prefix")
-    (count,) = _COUNT.unpack_from(data, 0)
-    entries = keyfile.decode_vector(memoryview(data)[_COUNT.size :], modulus, count)
+        head = keyfile.read_bounded(fh, _COUNT.size)
+        if len(head) < _COUNT.size:
+            raise FormatError("database file too short for its length prefix")
+        (count,) = _COUNT.unpack(head)
+        body = keyfile.read_bounded(fh, count * keyfile.element_width(modulus) + 1)
+    entries = keyfile.decode_vector(body, modulus, count)
     return Database(modulus, FieldVector._raw(modulus, entries))
 
 

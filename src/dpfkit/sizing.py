@@ -45,6 +45,7 @@ from math import comb, isqrt
 
 from . import keyfile
 from .algebra import Modulus, minimize_grid, primorial
+from .baselines import require_prime
 from .dpf import GRID_AUTO, SchemeParams, check_party_counts, choose_grid
 from .errors import ParameterError
 from .prg import seed_size
@@ -107,8 +108,7 @@ def _boyle_row_cost(q: int, parties: int, lambda_bits: int) -> int:
 
 def _grid_boyle(domain_size, parties, lambda_bits, modulus) -> tuple[int, int, int]:
     """(rows, cols, expected bits) of the model-optimal prime-modulus instance."""
-    if len(modulus.factors) != 1:
-        raise ParameterError("prime moduli only; use size_boyle_crt for composites")
+    require_prime(modulus)
     seed_size(lambda_bits)
     q = modulus.value
     return minimize_grid(
@@ -439,6 +439,9 @@ def emit_figure(
 
     # (scheme, x) pairs are unique, so sorting never compares the sizes
     rows = sorted((scheme, x, float(bits)) for scheme, x, bits in rows)
+    for scheme, x, bits in rows:
+        if not math.isfinite(bits):
+            raise ParameterError(f"a key size is not finite: {scheme} at {x} is {bits}")
     return FigureDataset(figure=FIGURES[figure], rows=tuple(rows))
 
 

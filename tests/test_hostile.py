@@ -1,39 +1,50 @@
-"""Hostile inputs: library calls and commands whose parameters or key files
-would make dpfkit allocate or work without bound.
+"""Hostile inputs: library calls and commands whose parameters, key files
+or database files would make dpfkit allocate or work without bound.
 
 Each table runs once in a child process capped at 1 GiB of address space,
 with every read of randomness failing, so a refusal that comes too late
 fails its row instead of the runner.  Each row must be refused within a
-second: a library call with GuardError, a command with its documented exit
-code and one short `error: ...` line, printing nothing and writing no keys.
+second: a library call with the exception its row names, a command with its
+documented exit code and one short `error: ...` line, printing nothing and
+writing no keys.  Every value-taking option of every command is named by
+some row, or exempted with a reason.
 """
 
+import argparse
 import json
+import os
 from math import isqrt
 
 import pytest
 
+from dpfkit import cli
 from dpfkit.algebra import FieldVector, Modulus
-from dpfkit.dpf import SchemeParams
-from dpfkit.keyfile import _pack_header, element_width
+from dpfkit.dpf import PointDescription, SchemeParams, gen
+from dpfkit.keyfile import _pack_header, element_width, write_key_file
 from dpfkit.pir import Database, write_database
+from dpfkit.prg import DeterministicRandomSource
 
+# name -> (the exception it must raise, the call).
 # At p = 65535, m = 1 the layout alone would take 8 GiB, and a full seed
 # table on 6170930 rows 296 MB.  At p = 26, m = 12 the layout would take
 # 2.57 GB beside 5.82 GB of cells, and the sized primitives would each
 # allocate far past the budget.  The 502,002 cells of 8191-byte seeds on a
 # square grid for N = 2.8e10 were once charged 4.22 GB of tables, under the
 # budget, but their seed draw peaks at three times the seeds, 12.3 GB.
+# Reading /dev/zero to its end once ended in MemoryError.
 LIBRARY = {
-    "simulator at p = 65535": "simulate_coalition_view(wide, (0,), Refusing())",
-    "layout at p = 65535": "wide.layout",
-    "simulator on 6170930 rows": "simulate_coalition_view(tall, (0,), Refusing())",
-    "layout at p = 26, m = 12": "deep.layout",
-    "gen with 8191-byte seeds": "gen(point, long_seeds, Refusing())",
-    "sample_seeds": "sample_seeds(2 ** 36, 128, Refusing())",
-    "FieldVector.random": "FieldVector.random(seven, 2 ** 36, Refusing())",
-    "random_residues": "random_residues(Modulus((2, 3, 5, 7)), 2 ** 36, Refusing())",
-    "expand": "expand(bytes(16), PrgSpec(0, 128, 2 ** 32 - 1, seven))",
+    "simulator at p = 65535": ("GuardError", "simulate_coalition_view(wide, (0,), Refusing())"),
+    "layout at p = 65535": ("GuardError", "wide.layout"),
+    "simulator on 6170930 rows": ("GuardError", "simulate_coalition_view(tall, (0,), Refusing())"),
+    "layout at p = 26, m = 12": ("GuardError", "deep.layout"),
+    "gen with 8191-byte seeds": ("GuardError", "gen(point, long_seeds, Refusing())"),
+    "sample_seeds": ("GuardError", "sample_seeds(2 ** 36, 128, Refusing())"),
+    "FieldVector.random": ("GuardError", "FieldVector.random(seven, 2 ** 36, Refusing())"),
+    "random_residues": (
+        "GuardError", "random_residues(Modulus((2, 3, 5, 7)), 2 ** 36, Refusing())",
+    ),
+    "expand": ("GuardError", "expand(bytes(16), PrgSpec(0, 128, 2 ** 32 - 1, seven))"),
+    "read_key_file on /dev/zero": ("FormatError", "read_key_file('/dev/zero')"),
 }
 
 
@@ -48,6 +59,11 @@ _WIDE_ROW = ["--N", "100", "--p", "65535", "--modulus", "7"]
 _TRUTH_TABLES = "error: refusing truth tables: it exceeds the budget"
 _MODULUS_CAP = "error: modulus value exceeds the 2**63 cap"
 _PRIMES = [str(n) for n in range(2, 27450) if all(n % d for d in range(2, isqrt(n) + 1))]
+_ZERO_MAGIC = "error: bad magic b'\\x00\\x00\\x00\\x00'"
+# The 84-byte golden key of tests/test_serialization.py, extended by a
+# sparse tail to 2 GiB.
+_SPARSE_SIZE = 2 ** 31
+_DEMO = ["--index", "1", "--p", "3", "--m", "1", "--modulus", "7", "--seed", "x"]
 
 # name -> (exit code, stderr prefix, argv); {dir} is the table's directory.
 CLI = {
@@ -143,7 +159,49 @@ CLI = {
         ["bench-size", "--figure", "domain", "--x-values", "100",
          "--bunn-prg-formula=" + "-" * 10 ** 4 + "1"],
     ),
+    # Each of these read its whole input before looking at a byte: /dev/zero
+    # ended in MemoryError (exit 5), and a large file was read to its end.
+    "inspect on /dev/zero": (3, _ZERO_MAGIC, ["inspect", "--key", "/dev/zero"]),
+    "eval on /dev/zero": (3, _ZERO_MAGIC, ["eval", "--key", "/dev/zero", "--x", "0"]),
+    "eval-all on /dev/zero": (
+        3, _ZERO_MAGIC, ["eval-all", "--key", "/dev/zero", "--out", "{dir}/{name}"],
+    ),
+    "pir-demo on /dev/zero": (
+        3, "error: element block is 1 bytes, expected 0", ["pir-demo", "--db", "/dev/zero", *_DEMO],
+    ),
+    "eval on a golden key with a 2 GiB tail": (
+        3, f"error: {_SPARSE_SIZE - 84} trailing bytes after key body",
+        ["eval", "--key", "{dir}/sparse.dpfk", "--x", "0"],
+    ),
+    # The bunn-it size overflowed to inf and was written as a row (once exit 0).
+    "bench-size with c_it = 1e308": (
+        2, "error: a key size is not finite: bunn-it at 100 is inf",
+        ["bench-size", "--figure", "domain", "--x-values", "100", "--c-it", "1e308",
+         "--csv", "{dir}/{name}"],
+    ),
+    # C(65535, 32768) columns: a 65,000-bit integer.
+    "bench-size at p = 65535, m = 32767": (
+        2, "error: a key size exceeds the float range",
+        ["bench-size", "--figure", "domain", "--x-values", "100", "--p", "65535",
+         "--m", "32767"],
+    ),
+    "pir-demo with 65536-bit seeds": (
+        2, "error: seed length 65536 must be",
+        ["pir-demo", "--db", "{dir}/db", *_DEMO, "--lambda", "65536", "--grid", "square"],
+    ),
+    # Past Python's 4300-digit limit on parsing an int.
+    "decode a 5000-digit share": (
+        2, "error: --inputs must be comma-separated integers",
+        ["decode", "--inputs", "1" * 5000, "--modulus", "5"],
+    ),
+    "decode at modulus 10^4000 + 1": (
+        2, _MODULUS_CAP, ["decode", "--inputs", "1", "--modulus", str(10 ** 4000 + 1)],
+    ),
 }
+
+# (command, option) -> why no row needs to name this value-taking option.
+# Empty: every option is named by some row above.
+EXEMPT = {}
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +217,10 @@ def hostile(capped_python, tmp_path_factory):
         (tmp / f"{name}.dpfk").write_bytes(blob)
     seven = Modulus.prime(7)
     write_database(tmp / "db", Database(seven, FieldVector(seven, [[1] * 100])))
+    golden = SchemeParams.create(3, 1, Modulus.prime(5), 4)
+    point = PointDescription(2, golden.modulus.element(3))
+    write_key_file(tmp / "sparse.dpfk", gen(point, golden, DeterministicRandomSource("golden"))[0])
+    os.truncate(tmp / "sparse.dpfk", _SPARSE_SIZE)
     argvs = {
         name: [arg.format(dir=tmp, name=name) for arg in argv]
         for name, (_, _, argv) in CLI.items()
@@ -168,6 +230,7 @@ def hostile(capped_python, tmp_path_factory):
         from dpfkit import cli
         from dpfkit.algebra import FieldVector, Modulus, random_residues
         from dpfkit.dpf import PointDescription, SchemeParams, gen, simulate_coalition_view
+        from dpfkit.keyfile import read_key_file
         from dpfkit.prg import PrgSpec, expand, sample_seeds
 
         class Refusing:
@@ -193,7 +256,7 @@ def hostile(capped_python, tmp_path_factory):
             seconds = time.perf_counter() - start
             print(json.dumps([name, result, out.getvalue(), err.getvalue(), seconds]))
 
-        for name, call in {LIBRARY!r}.items():
+        for name, (_, call) in {LIBRARY!r}.items():
             run(name, lambda: exec(call))
         for name, argv in {argvs!r}.items():
             run(name, lambda: cli.main(argv))
@@ -207,7 +270,7 @@ def hostile(capped_python, tmp_path_factory):
 def test_library_call_is_refused(hostile, name):
     _, outcomes = hostile
     result, _, _, seconds = outcomes[name]
-    assert result == "GuardError" and seconds < 1, outcomes[name]
+    assert result == LIBRARY[name][0] and seconds < 1, outcomes[name]
 
 
 @pytest.mark.parametrize("name", CLI)
@@ -219,3 +282,22 @@ def test_command_is_refused(hostile, name):
     assert err.startswith(prefix) and err.count("\n") == 1 and len(err) < 300, err
     assert seconds < 1
     assert not (tmp / name).exists()
+
+
+def _value_options():
+    """(command, option) for every option of every command that takes a value."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.nargs != 0:
+                yield command, action.option_strings[0]
+
+
+def test_every_value_option_has_a_row():
+    named = {
+        (argv[0], arg.split("=")[0]) for _, _, argv in CLI.values() for arg in argv[1:]
+    }
+    options = set(_value_options())
+    assert options - named <= set(EXEMPT), sorted(options - named - set(EXEMPT))
+    assert set(EXEMPT) <= options - named, "stale exemptions"

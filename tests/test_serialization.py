@@ -4,10 +4,11 @@ import contextlib
 import hashlib
 import tracemalloc
 from functools import cache
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from dpfkit import cli
@@ -242,6 +243,37 @@ class TestRoundTrips:
             _round_trip(key)
 
 
+@settings(max_examples=100)
+@given(
+    tag=st.sampled_from(sorted(SCHEMES)),
+    parties=st.integers(min_value=3, max_value=5),
+    lambda_bits=st.sampled_from([8, 128]),
+    domain=st.integers(min_value=1, max_value=300),
+    data=st.data(),
+)
+def test_every_body_is_its_regions(tag, parties, lambda_bits, domain, data):
+    # A blob is its header and its scheme's regions, nothing more: one byte
+    # less is truncated, one byte more is trailing.  boyle15 takes primes only.
+    scheme = SCHEMES[tag]
+    moduli = ["2", "3", "5", "7"] if scheme.name == "boyle15" else ["2", "13", "2*3", "3*5*17"]
+    modulus_text = data.draw(st.sampled_from(moduli))
+    corrupted = data.draw(st.integers(min_value=1, max_value=(parties - 1) // 2))
+    params = _params(parties, corrupted, modulus_text, domain, lambda_bits=lambda_bits)
+    point = PointDescription(data.draw(st.integers(0, domain - 1)), params.modulus.one())
+    rng = DeterministicRandomSource(f"regions-{tag}-{params}")
+    try:
+        key = scheme.gen(point, params, rng)[-1]
+    except (ParameterError, GuardError):  # one-byte seeds too few, or q^(p-1) past the guard
+        reject()
+    blob = key_to_bytes(key)
+    regions = scheme.regions(params)
+    assert len(blob) == header_size(params.modulus) + sum(map(prod, regions))
+    with pytest.raises(FormatError, match=f"^key data truncated at byte {len(blob) - 1}$"):
+        key_from_bytes(blob[:-1])
+    with pytest.raises(FormatError, match="^1 trailing bytes after key body$"):
+        key_from_bytes(blob + b"\x00")
+
+
 @pytest.mark.parametrize("tag", sorted(SCHEMES))
 def test_scheme_table_generators_match_class_and_tag(tag):
     scheme = SCHEMES[tag]
@@ -339,7 +371,7 @@ def test_codec_matches_the_byte_loop_reference(modulus_text, count, residues):
 
 @pytest.mark.parametrize("modulus_text", CODEC_MODULI)
 def test_codec_decodes_a_view_at_an_offset(modulus_text):
-    # As `pir.read_database` passes a database body behind its length prefix.
+    # A block read from a view of a larger buffer, behind a length prefix.
     modulus = parse_modulus(modulus_text)
     data = _random_residues(modulus, 5525, 1)
     raw = _reference_encode(FieldVector._raw(modulus, data))
