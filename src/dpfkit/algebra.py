@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GuardError, ParameterError
+from .errors import GuardError, ParameterError, check_range, shown
 
 MAX_FACTOR = 2 ** 31
 MAX_VALUE = 2 ** 63
@@ -33,6 +33,7 @@ EXPANSION_PEAK = 40  # prg.expand, per word of the squeezed prefix, one retry in
 SEED_PEAK = 192  # prg.sample_seeds, per seed, beside three times its length
 LAYOUT_PEAK = 19  # SchemeParams.layout, per entry of either array
 BOYLE_PEAK = 36  # baselines.boyle_gen, per entry of its keys' tables and a row's, beside the seed
+BODY_PEAK = 10  # reading a key or database file and decoding it, per body byte
 
 
 def check_budget(elements: int, bytes_per_element: int, what: str) -> None:
@@ -298,7 +299,7 @@ class FieldElement:
             )
         for r, q in zip(self.residues, self.modulus.factors):
             if not isinstance(r, int) or not 0 <= r < q:
-                raise ParameterError(f"residue {r!r} out of range for factor {q}")
+                raise ParameterError(f"residue {shown(r)} out of range for factor {q}")
 
     def _check_same(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
@@ -367,7 +368,7 @@ class FieldVector:
 
     def __getitem__(self, index: int) -> FieldElement:
         if not 0 <= index < len(self):
-            raise ParameterError(f"index {index} out of range")
+            raise ParameterError(f"index {shown(index)} out of range")
         return FieldElement(self.modulus, tuple(int(v) for v in self.data[:, index]))
 
     def __iter__(self):
@@ -403,7 +404,7 @@ class FieldVector:
 def primorial(n: int) -> Modulus:
     """Product of the first n primes as a Modulus (n=1 gives 2)."""
     if n < 1:
-        raise ParameterError(f"primorial index must be >= 1, got {n}")
+        raise ParameterError(f"primorial index must be >= 1, got {shown(n)}")
     primes: list[int] = []
     candidate = 2
     while len(primes) < n:
@@ -422,10 +423,9 @@ def minimize_grid(domain_size: int, row_cost: int, col_cost: int) -> tuple[int, 
     r* = sqrt(N*col_cost/row_cost), so only those in [lo, hi], where g is
     at most the cost next to r*, are scanned.  Ties prefer fewer rows.
     """
-    if not 1 <= domain_size < 2 ** 64:
-        raise ParameterError("domain size must be in [1, 2**64)")
+    check_range("domain size", domain_size, 1, 2 ** 64)
     if row_cost < 1 or col_cost < 1:
-        raise ParameterError(f"grid costs must be positive, got {row_cost}, {col_cost}")
+        raise ParameterError(f"grid costs {shown(row_cost)}, {shown(col_cost)} must be positive")
     n = domain_size
 
     def cost(r: int) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import BOYLE_PEAK, WORD_BYTES, FieldVector, check_budget
 from .dpf import DpfKey, PointDescription, Row, SchemeParams, _correction
-from .errors import GuardError, ParameterError
+from .errors import GuardError, ParameterError, check_range, shown
 from .prg import _check_seed_space, expand, sample_seeds
 
 COLUMN_GUARD = 1 << 20
@@ -77,8 +77,7 @@ class TrivialKey:
 
     def __post_init__(self) -> None:
         params = self.params
-        if not 0 <= self.party < params.parties:
-            raise ParameterError(f"party {self.party} out of range")
+        check_range("party", self.party, 0, params.parties)
         if self.table.shape != (len(params.modulus.factors), params.domain_size):
             raise ParameterError("table must have shape (factors, domain size)")
 
@@ -104,7 +103,7 @@ def check_guard(q: int, parties: int) -> int:
         count *= q
         if count > COLUMN_GUARD:
             raise GuardError(
-                f"refusing exponential blow-up: q^(p-1) = {q}^{parties - 1} "
+                f"refusing exponential blow-up: q^(p-1) = {q}^{shown(parties - 1)} "
                 f"columns per row exceeds the guard of {COLUMN_GUARD}"
             )
     return count

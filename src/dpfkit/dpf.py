@@ -63,7 +63,7 @@ import numpy as np
 from . import prg
 from .algebra import EXPANSION_PEAK, LAYOUT_PEAK, RESIDUE_PEAK, SEED_PEAK, WORD_BYTES, check_budget
 from .algebra import FieldElement, FieldVector, Modulus, minimize_grid, random_residues
-from .errors import HonestMajorityError, ParameterError
+from .errors import HonestMajorityError, ParameterError, check_range, shown
 from .prg import PrgSpec, expand, sample_seeds
 
 GRID_AUTO = "auto"
@@ -73,10 +73,8 @@ Row = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]  # see
 
 def check_party_counts(parties: int, corrupted: int) -> None:
     """Every scheme needs 2 <= parties < 2**16 and 1 <= corrupted < parties."""
-    if not 2 <= parties < 2 ** 16:
-        raise ParameterError(f"party count {parties} out of range")
-    if not 1 <= corrupted < parties:
-        raise ParameterError(f"corruption bound {corrupted} must be in [1, {parties})")
+    check_range("party count", parties, 2, 2 ** 16)
+    check_range("corruption bound", corrupted, 1, parties)
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,9 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         check_party_counts(self.parties, self.corrupted)
-        if not 1 <= self.domain_size < 2 ** 64:
-            raise ParameterError(f"domain size {self.domain_size} out of range")
-        if not 1 <= self.rows < 2 ** 32 or not 1 <= self.cols < 2 ** 32:
-            raise ParameterError(f"bad grid {self.rows}x{self.cols}")
+        check_range("domain size", self.domain_size, 1, 2 ** 64)
+        check_range("grid rows", self.rows, 1, 2 ** 32)
+        check_range("grid cols", self.cols, 1, 2 ** 32)
         if self.rows * self.cols < self.domain_size:
             raise ParameterError(
                 f"grid {self.rows}x{self.cols} does not cover domain {self.domain_size}"
@@ -188,10 +185,7 @@ class PointDescription:
     beta: FieldElement
 
     def validate(self, params: SchemeParams) -> None:
-        if not 0 <= self.alpha < params.domain_size:
-            raise ParameterError(
-                f"alpha {self.alpha} outside domain [0, {params.domain_size})"
-            )
+        check_range("alpha", self.alpha, 0, params.domain_size)
         if self.beta.modulus != params.modulus:
             raise ParameterError("beta modulus disagrees with params")
 
@@ -219,8 +213,7 @@ class DpfKey:
 
     def __post_init__(self) -> None:
         params = self.params
-        if not 0 <= self.party < params.parties:
-            raise ParameterError(f"party {self.party} out of range")
+        check_range("party", self.party, 0, params.parties)
         width, factors = self.held_count(params), len(params.modulus.factors)
         if self.seeds.shape != (params.rows, width, params.lambda_bits // 8):
             raise ParameterError("seeds must have shape (rows, held columns, lambda/8)")
@@ -416,8 +409,7 @@ def gen(point: PointDescription, params: SchemeParams, rng) -> tuple[DpfKey, ...
 def eval_point(key, x: int) -> FieldElement:
     """This party's additive share of f(x), for a key of any scheme."""
     params = key.params
-    if not 0 <= x < params.domain_size:
-        raise ParameterError(f"input {x} outside domain [0, {params.domain_size})")
+    check_range("input", x, 0, params.domain_size)
     row, col = divmod(x, params.cols)
     # Expansions are prefix-stable, so the row's first col+1 entries suffice,
     # and each expansion returns only column col of them.
@@ -462,7 +454,7 @@ def decode(shares: Sequence[FieldElement], expected_count: int | None = None) ->
         raise ParameterError("cannot decode an empty share list")
     if expected_count is not None and len(shares) != expected_count:
         raise ParameterError(
-            f"expected {expected_count} shares, got {len(shares)}"
+            f"expected {shown(expected_count)} shares, got {len(shares)}"
         )
     return sum(shares[1:], shares[0])
 
@@ -485,8 +477,7 @@ def check_seed_coverage(parties: int, corrupted: int, coalition: Iterable[int]) 
     """
     members = frozenset(coalition)
     for member in members:
-        if not 0 <= member < parties:
-            raise ParameterError(f"coalition member {member} out of range")
+        check_range("coalition member", member, 0, parties)
     return len(members) <= parties - corrupted - 1
 
 
@@ -508,8 +499,7 @@ def simulate_coalition_view(
             f"coalition of {len(members)} exceeds corruption bound {params.corrupted}"
         )
     for member in members:
-        if not 0 <= member < params.parties:
-            raise ParameterError(f"coalition member {member} out of range")
+        check_range("coalition member", member, 0, params.parties)
 
     columns = params.layout[0]
     visible = np.unique(columns[list(members)])

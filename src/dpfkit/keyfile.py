@@ -41,8 +41,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines, dcf, dpf
-from .algebra import Modulus
-from .errors import DpfError, FormatError, ParameterError
+from .algebra import BODY_PEAK, Modulus, check_budget
+from .errors import DpfError, FormatError, ParameterError, check_range
 
 MAGIC = b"DPFK"
 VERSION = 1
@@ -159,8 +159,7 @@ def parse_header(data: bytes) -> tuple[int, int, dpf.SchemeParams, int]:
         raise FormatError(f"unsupported container version {version}")
     if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme tag {scheme}")
-    if party >= parties:
-        raise FormatError(f"party {party} out of range for {parties} parties")
+    check_range("party", party, 0, parties, FormatError)
     _need(len(data), _HEADER.size + 1)
     count = data[_HEADER.size]
     offset = _HEADER.size + 1 + _FACTOR.size * count + _PRG.size
@@ -316,6 +315,7 @@ def _decode_key(data, size: int):
         shapes = scheme.regions(params)
         end = offset + sum(map(prod, shapes))
         _need(size, end)
+        check_budget(end - offset, BODY_PEAK, "a key body")
         body = np.frombuffer(data, np.uint8, end - offset, offset)
         key = scheme.key_class(**scheme.decode(params, party, *_cut(body, shapes)))
     except ParameterError as exc:
@@ -349,22 +349,31 @@ def read_bounded(fh, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def file_size(fh) -> int | None:
+    """The open file's length, which a regular file's metadata gives without
+    reading its tail; None for any other file."""
+    info = os.fstat(fh.fileno())
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
+
+
 def read_key_bytes(fh) -> tuple[bytes, int]:
     """The key at the start of the open file `fh`, read in order and never past
     its declared length plus one byte: the fixed header, the factor list, then
-    the body that its scheme's regions declare.  Returns those bytes and the
-    file's length, which a regular file's metadata gives without reading its tail."""
+    the body that its scheme's regions declare, once it is charged against
+    EVAL_BUDGET.  Returns those bytes and the file's length (`file_size`, or
+    the bytes read)."""
     data = read_bounded(fh, _HEADER.size + 1)
     if len(data) > _HEADER.size:
         data += read_bounded(fh, _FACTOR.size * data[_HEADER.size] + _PRG.size)
     tag, _, params, offset = parse_header(data)
     try:
         end = offset + sum(map(prod, SCHEMES[tag].regions(params)))
+        check_budget(end - offset, BODY_PEAK, "a key body")
     except DpfError:  # refused with its message when decoded; `inspect` prints the header
         end = offset
     data += read_bounded(fh, end + 1 - len(data))
-    info = os.fstat(fh.fileno())
-    return data, info.st_size if stat.S_ISREG(info.st_mode) else len(data)
+    size = file_size(fh)
+    return data, len(data) if size is None else size
 
 
 def read_key_file(path):

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import keyfile
-from .algebra import FieldElement, FieldVector, Modulus
+from .algebra import BODY_PEAK, FieldElement, FieldVector, Modulus, check_budget
 from .dpf import DpfKey, PointDescription, SchemeParams, _reduce, decode, eval_rows, gen
 from .dpf import eval_all  # unused here, but the benchmark wraps `pir.eval_all`
 from .errors import FormatError, ParameterError
@@ -59,13 +59,20 @@ def write_database(path, db: Database) -> None:
 
 
 def read_database(path, modulus: Modulus) -> Database:
-    """The database in `path`, read no further than its declared length plus one byte."""
+    """The database in `path`, read no further than its declared length plus one
+    byte, once it is charged against EVAL_BUDGET; a regular file shorter than
+    that is refused unread, from its metadata."""
     with open(path, "rb") as fh:
         head = keyfile.read_bounded(fh, _COUNT.size)
         if len(head) < _COUNT.size:
             raise FormatError("database file too short for its length prefix")
         (count,) = _COUNT.unpack(head)
-        body = keyfile.read_bounded(fh, count * keyfile.element_width(modulus) + 1)
+        length = count * keyfile.element_width(modulus)
+        size = keyfile.file_size(fh)
+        if size is not None and size < _COUNT.size + length:
+            raise FormatError(f"element block is {size - _COUNT.size} bytes, expected {length}")
+        check_budget(length, BODY_PEAK, "a database")
+        body = keyfile.read_bounded(fh, length + 1)
     entries = keyfile.decode_vector(body, modulus, count)
     return Database(modulus, FieldVector._raw(modulus, entries))
 

@@ -42,7 +42,7 @@ from math import ceil, floor, sqrt
 import numpy as np
 
 from .algebra import EXPANSION_PEAK, SEED_PEAK, FieldVector, Modulus, byte_words, check_budget
-from .errors import InternalError, ParameterError
+from .errors import InternalError, ParameterError, check_range, shown
 
 PRG_SHAKE128 = 0
 PRG_TEST_LCG = 255
@@ -76,15 +76,14 @@ class PrgSpec:
         if self.algorithm not in (PRG_SHAKE128, PRG_TEST_LCG):
             raise ParameterError(f"unknown prg algorithm tag {self.algorithm}")
         seed_size(self.lambda_bits)
-        if not 1 <= self.output_len < 2 ** 32:
-            raise ParameterError(f"bad output length {self.output_len}")
+        check_range("output length", self.output_len, 1, 2 ** 32)
 
 
 def seed_size(lambda_bits: int) -> int:
     """Bytes per seed, lambda_bits/8; lambda_bits must be a multiple of 8
     in [8, 65535], the range of the key header's u16 field."""
     if lambda_bits % 8 != 0 or not 8 <= lambda_bits <= 65535:
-        raise ParameterError(f"seed length {lambda_bits} must be a multiple of 8 in [8, 65535]")
+        raise ParameterError(f"seed length {shown(lambda_bits)} must be one of 8, 16, ..., 65528")
     return lambda_bits // 8
 
 
@@ -162,8 +161,7 @@ def expand(seed: bytes, spec: PrgSpec, first: int = 0) -> FieldVector:
         raise ParameterError(f"seed must be bytes, got {type(seed).__name__}")
     if len(seed) != spec.lambda_bits // 8:
         raise ParameterError(f"seed is {len(seed)} bytes, spec wants {spec.lambda_bits // 8}")
-    if not 0 <= first < spec.output_len:
-        raise ParameterError(f"first element {first} outside [0, {spec.output_len})")
+    check_range("first element", first, 0, spec.output_len)
     factors = spec.modulus.factors
     check_budget(len(factors) * spec.output_len, EXPANSION_PEAK, "an expansion")
     seed = bytes(seed)

@@ -1,5 +1,6 @@
 """Shared test configuration."""
 
+import json
 import os
 import random
 import subprocess
@@ -60,3 +61,24 @@ def capped_python():
         )
 
     return run
+
+
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.fixture
+def check_digests():
+    """Checks a sweep's {label: sha256} against its table `tests/data/<name>.json`,
+    failing with every label whose digest changed, appeared or went missing."""
+
+    def check(name, found):
+        table = json.loads((_DATA / f"{name}.json").read_text())
+        changed = [label for label in found.keys() & table.keys() if found[label] != table[label]]
+        changes = sorted(
+            [f"changed: {label}" for label in changed]
+            + [f"appeared: {label}" for label in found.keys() - table.keys()]
+            + [f"missing: {label}" for label in table.keys() - found.keys()]
+        )
+        assert not changes, f"{len(changes)} labels differ from {name}.json:\n" + "\n".join(changes)
+
+    return check

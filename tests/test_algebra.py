@@ -27,6 +27,8 @@ from dpfkit.algebra import (
 from dpfkit.baselines import boyle_gen, trivial_gen
 from dpfkit.dpf import PointDescription, SchemeParams, gen
 from dpfkit.errors import GuardError, ParameterError
+from dpfkit.keyfile import read_key_file, write_key_file
+from dpfkit.pir import Database, read_database, write_database
 from dpfkit.prg import (
     PRG_SHAKE128,
     PRG_TEST_LCG,
@@ -459,6 +461,42 @@ def test_every_charge_covers_its_measured_peak(monkeypatch, refusing_rng, name):
     monkeypatch.setattr(algebra, "EVAL_BUDGET", peak - 1)
     with pytest.raises(GuardError):
         call(refusing_rng)
+
+
+@pytest.mark.parametrize(
+    "dealer, parties, corrupted, modulus_text, domain",
+    [
+        (trivial_gen, 3, 1, "7", 10 ** 5),
+        (trivial_gen, 3, 1, "2*3*5*7", 10 ** 5),
+        (gen, 3, 1, "2*3*5*7", 10 ** 6),
+        (gen, 7, 3, "2147483647", 2 ** 18),
+    ],
+)
+def test_key_body_charge_covers_its_measured_peak(
+    tmp_path, monkeypatch, dealer, parties, corrupted, modulus_text, domain
+):
+    # A key file's body is charged before it is read: with the budget one
+    # byte below read_key_file's peak, the file is refused.
+    params = SchemeParams.create(parties, corrupted, parse_modulus(modulus_text), domain)
+    point = PointDescription(domain - 1, params.modulus.one())
+    path = tmp_path / "key"
+    write_key_file(path, dealer(point, params, DeterministicRandomSource("body"))[0])
+    peak = _traced_peak(lambda: read_key_file(path))
+    monkeypatch.setattr(algebra, "EVAL_BUDGET", peak - 1)
+    with pytest.raises(GuardError, match="refusing a key body"):
+        read_key_file(path)
+
+
+@pytest.mark.parametrize("modulus_text", ["7", "2147483647"])
+def test_database_charge_covers_its_measured_peak(tmp_path, monkeypatch, modulus_text):
+    modulus = parse_modulus(modulus_text)
+    path = tmp_path / "db"
+    entries = FieldVector.random(modulus, 10 ** 5, DeterministicRandomSource("db"))
+    write_database(path, Database(modulus, entries))
+    peak = _traced_peak(lambda: read_database(path, modulus))
+    monkeypatch.setattr(algebra, "EVAL_BUDGET", peak - 1)
+    with pytest.raises(GuardError, match="refusing a database"):
+        read_database(path, modulus)
 
 
 @pytest.mark.parametrize("parties", [61, 201])

@@ -7,6 +7,9 @@ of every scheme are evaluated by `dpf.eval_all` and `dpf.eval_point`;
 `dpfkit eval` calls the second, and `dpfkit eval-all` streams the rows
 the first joins, so the digest pins what both commands compute.  A
 refactor that changes any output bit of any scheme changes the digest.
+The sha256 of each configuration's own bytes is pinned too, in
+`tests/data/bit_exact.json`, so a failure names every configuration whose
+bytes changed.
 
 Skipped configurations: ours and dcf when m >= p/2 (generation refuses
 them), boyle15 over composite moduli (refused), and, to keep the suite
@@ -55,31 +58,41 @@ def _configs():
         yield scheme, p, m, modulus, n, tag
 
 
-def _hash_config(digest, scheme, p, m, modulus, n, tag) -> None:
+def _label(scheme, p, m, modulus, n, tag) -> str:
+    return f"{scheme} p={p} m={m} q={modulus.value} N={n} prg={tag}"
+
+
+def _config_bytes(scheme, p, m, modulus, n, tag):
+    """Each byte string the configuration feeds the digest, its label first."""
     grid = "auto"
     if scheme == "boyle15":
         grid = sizing.choose_grid_boyle(n, p, 128, modulus)
     params = SchemeParams.create(p, m, modulus, n, grid=grid, prg_algorithm=tag)
-    label = f"{scheme} p={p} m={m} q={modulus.value} N={n} prg={tag}"
-    digest.update(label.encode())
+    label = _label(scheme, p, m, modulus, n, tag)
+    yield label.encode()
     rng = DeterministicRandomSource(label)
     point = PointDescription((5 * n) // 7, modulus.element(modulus.value - 1))
     for key in GENERATORS[scheme](point, params, rng):
         blob = key_to_bytes(key)
         back = key_from_bytes(blob)
-        digest.update(blob)
-        digest.update(key_to_bytes(back))
-        digest.update(dpf.eval_all(back).data.tobytes())
+        yield blob
+        yield key_to_bytes(back)
+        yield dpf.eval_all(back).data.tobytes()
         if back.party == 0:
             for x in (0, point.alpha, n - 1):
                 share = dpf.eval_point(back, x)
-                digest.update(repr(share.residues).encode())
+                yield repr(share.residues).encode()
 
 
-def test_every_scheme_is_bit_exact():
-    digest = hashlib.sha256()
+def test_every_scheme_is_bit_exact(check_digests):
+    digest, found = hashlib.sha256(), {}
     count = 0
     for config in _configs():
-        _hash_config(digest, *config)
+        own = hashlib.sha256()
+        for chunk in _config_bytes(*config):
+            digest.update(chunk)
+            own.update(chunk)
+        found[_label(*config)] = own.hexdigest()
         count += 1
+    check_digests("bit_exact", found)
     assert (count, digest.hexdigest()) == (EXPECTED_CONFIGS, EXPECTED_DIGEST)

@@ -18,11 +18,22 @@ from math import isqrt
 import pytest
 
 from dpfkit import cli
-from dpfkit.algebra import FieldVector, Modulus
-from dpfkit.dpf import PointDescription, SchemeParams, gen
-from dpfkit.keyfile import _pack_header, element_width, write_key_file
+from dpfkit.algebra import FieldElement, FieldVector, Modulus, minimize_grid
+from dpfkit.baselines import TrivialKey
+from dpfkit.dpf import (
+    DpfKey,
+    PointDescription,
+    SchemeParams,
+    check_party_counts,
+    check_seed_coverage,
+    eval_point,
+    gen,
+    simulate_coalition_view,
+)
+from dpfkit.errors import DpfError
+from dpfkit.keyfile import _pack_header, element_width, header_size, parse_header, write_key_file
 from dpfkit.pir import Database, write_database
-from dpfkit.prg import DeterministicRandomSource
+from dpfkit.prg import DeterministicRandomSource, PrgSpec, expand, seed_size
 
 # name -> (the exception it must raise, the call).
 # At p = 65535, m = 1 the layout alone would take 8 GiB, and a full seed
@@ -45,6 +56,8 @@ LIBRARY = {
     ),
     "expand": ("GuardError", "expand(bytes(16), PrgSpec(0, 128, 2 ** 32 - 1, seven))"),
     "read_key_file on /dev/zero": ("FormatError", "read_key_file('/dev/zero')"),
+    # Its table would decode to 4 GiB of uint64 beside the 512 MiB read.
+    "read_key_file on a trivial key at N = 2^29": ("GuardError", "read_key_file(trivial)"),
 }
 
 
@@ -64,6 +77,13 @@ _ZERO_MAGIC = "error: bad magic b'\\x00\\x00\\x00\\x00'"
 # sparse tail to 2 GiB.
 _SPARSE_SIZE = 2 ** 31
 _DEMO = ["--index", "1", "--p", "3", "--m", "1", "--modulus", "7", "--seed", "x"]
+# Sparse files whose headers declare 2^29 table entries and 2^30 database
+# entries over q = 7.
+_TRIVIAL_N = 2 ** 29
+_DB_COUNT = 2 ** 30
+_HUGE = 10 ** 4000
+_DIGITS = "a 4001-digit integer"
+_DOMAIN_ROW = ["bench-size", "--figure", "domain", "--x-values", "100"]
 
 # name -> (exit code, stderr prefix, argv); {dir} is the table's directory.
 CLI = {
@@ -197,6 +217,106 @@ CLI = {
     "decode at modulus 10^4000 + 1": (
         2, _MODULUS_CAP, ["decode", "--inputs", "1", "--modulus", str(10 ** 4000 + 1)],
     ),
+    # Each of these once printed its 4001 digits in a stderr line of 4 KB.
+    "keygen at alpha = 10^4000": (
+        2, f"error: alpha {_DIGITS} out of range [0, 100)",
+        ["keygen", "--N", "100", "--p", "3", "--m", "1", "--modulus", "7", "--alpha", str(_HUGE),
+         "--beta", "1", "--seed", "x", "--out-dir", "{dir}/{name}"],
+    ),
+    "eval at x = 10^4000": (
+        2, f"error: input {_DIGITS} out of range [0, 4)",
+        ["eval", "--key", "{dir}/golden.dpfk", "--x", str(_HUGE)],
+    ),
+    "bench-size at p = 10^4000": (
+        2, f"error: party count {_DIGITS}", [*_DOMAIN_ROW, "--p", str(_HUGE)],
+    ),
+    "bench-size at m = 10^4000": (
+        2, f"error: corruption bound {_DIGITS}", [*_DOMAIN_ROW, "--m", str(_HUGE)],
+    ),
+    "bench-size at lambda = 10^4000": (
+        2, f"error: seed length {_DIGITS}", [*_DOMAIN_ROW, "--lambda", str(_HUGE)],
+    ),
+    # The table was read whole and decoded to 4 GiB of uint64 (at N = 2^28,
+    # inside the budget, the decode still ends in MemoryError under the cap).
+    "eval on a trivial key at N = 2^29": (
+        4, "error: refusing a key body", ["eval", "--key", "{dir}/trivial.dpfk", "--x", "0"],
+    ),
+    "pir-demo on a database of 2^30 entries": (
+        4, "error: refusing a database", ["pir-demo", "--db", "{dir}/huge.db", *_DEMO],
+    ),
+}
+
+_SEVEN = Modulus.prime(7)
+_FOUR = SchemeParams.create(3, 1, _SEVEN, 4)
+
+# name -> (message, call): every integer-range refusal in the library, each
+# a `check_range` call but the last three, which render the value with
+# `shown`; none prints the 4001 digits.  A key header's party is a u16, so
+# its check is reached at 65535.
+RANGES = {
+    "party count": (
+        f"party count {_DIGITS} out of range [2, 65536)", lambda: check_party_counts(_HUGE, 1),
+    ),
+    "corruption bound": (
+        f"corruption bound {_DIGITS} out of range [1, 3)", lambda: check_party_counts(3, _HUGE),
+    ),
+    "domain size": (
+        f"domain size {_DIGITS} out of range [1, {2 ** 64})",
+        lambda: SchemeParams(3, 1, 128, _SEVEN, _HUGE, 1, 1),
+    ),
+    "grid rows": (
+        f"grid rows {_DIGITS} out of range [1, {2 ** 32})",
+        lambda: SchemeParams(3, 1, 128, _SEVEN, 1, _HUGE, 1),
+    ),
+    "grid cols": (
+        f"grid cols {_DIGITS} out of range [1, {2 ** 32})",
+        lambda: SchemeParams(3, 1, 128, _SEVEN, 1, 1, _HUGE),
+    ),
+    "alpha": (
+        f"alpha {_DIGITS} out of range [0, 4)",
+        lambda: PointDescription(_HUGE, _SEVEN.one()).validate(_FOUR),
+    ),
+    "DpfKey party": (
+        f"party {_DIGITS} out of range [0, 3)", lambda: DpfKey(_HUGE, _FOUR, None, None, None),
+    ),
+    "TrivialKey party": (
+        f"party {_DIGITS} out of range [0, 3)", lambda: TrivialKey(_HUGE, _FOUR, None),
+    ),
+    "eval_point input": (
+        f"input {_DIGITS} out of range [0, 4)",
+        lambda: eval_point(TrivialKey(0, _FOUR, FieldVector(_SEVEN, [[0] * 4]).data), _HUGE),
+    ),
+    "check_seed_coverage member": (
+        f"coalition member {_DIGITS} out of range [0, 3)",
+        lambda: check_seed_coverage(3, 1, (_HUGE,)),
+    ),
+    "simulate_coalition_view member": (
+        f"coalition member {_DIGITS} out of range [0, 3)",
+        lambda: simulate_coalition_view(_FOUR, (_HUGE,), None),
+    ),
+    "PrgSpec output length": (
+        f"output length {_DIGITS} out of range [1, {2 ** 32})",
+        lambda: PrgSpec(0, 128, _HUGE, _SEVEN),
+    ),
+    "expand first element": (
+        f"first element {_DIGITS} out of range [0, 4)",
+        lambda: expand(bytes(16), PrgSpec(0, 128, 4, _SEVEN), _HUGE),
+    ),
+    "parse_header party": (
+        "party 65535 out of range [0, 3)", lambda: parse_header(_pack_header(1, 65535, _FOUR)),
+    ),
+    "minimize_grid domain size": (
+        f"domain size {_DIGITS} out of range [1, {2 ** 64})", lambda: minimize_grid(_HUGE, 1, 1),
+    ),
+    "seed_size": (
+        f"seed length {_DIGITS} must be one of 8, 16, ..., 65528", lambda: seed_size(_HUGE),
+    ),
+    "FieldElement residue": (
+        f"residue {_DIGITS} out of range for factor 7", lambda: FieldElement(_SEVEN, (_HUGE,)),
+    ),
+    "FieldVector index": (
+        f"index {_DIGITS} out of range", lambda: FieldVector(_SEVEN, [[0]])[_HUGE],
+    ),
 }
 
 # (command, option) -> why no row needs to name this value-taking option.
@@ -215,12 +335,18 @@ def hostile(capped_python, tmp_path_factory):
         params = SchemeParams(65535, 1, 128, modulus, 1, 1, 1)
         blob = _pack_header(2, 0, params) + bytes(4) + bytes(element_width(modulus))
         (tmp / f"{name}.dpfk").write_bytes(blob)
-    seven = Modulus.prime(7)
-    write_database(tmp / "db", Database(seven, FieldVector(seven, [[1] * 100])))
+    write_database(tmp / "db", Database(_SEVEN, FieldVector(_SEVEN, [[1] * 100])))
     golden = SchemeParams.create(3, 1, Modulus.prime(5), 4)
     point = PointDescription(2, golden.modulus.element(3))
-    write_key_file(tmp / "sparse.dpfk", gen(point, golden, DeterministicRandomSource("golden"))[0])
+    key = gen(point, golden, DeterministicRandomSource("golden"))[0]
+    for name in ("golden", "sparse"):
+        write_key_file(tmp / f"{name}.dpfk", key)
     os.truncate(tmp / "sparse.dpfk", _SPARSE_SIZE)
+    trivial = SchemeParams.create(3, 1, _SEVEN, _TRIVIAL_N)
+    (tmp / "trivial.dpfk").write_bytes(_pack_header(3, 0, trivial))
+    os.truncate(tmp / "trivial.dpfk", header_size(_SEVEN) + _TRIVIAL_N)
+    (tmp / "huge.db").write_bytes(_DB_COUNT.to_bytes(8, "little"))
+    os.truncate(tmp / "huge.db", 8 + _DB_COUNT)
     argvs = {
         name: [arg.format(dir=tmp, name=name) for arg in argv]
         for name, (_, _, argv) in CLI.items()
@@ -244,6 +370,7 @@ def hostile(capped_python, tmp_path_factory):
         deep = SchemeParams(26, 12, 128, seven, 50, 1, 50)
         long_seeds = SchemeParams.create(3, 1, seven, 28 * 10 ** 9, 65528, "square")
         point = PointDescription(0, seven.one())
+        trivial = {str(tmp / "trivial.dpfk")!r}
 
         def run(name, call):
             out, err = io.StringIO(), io.StringIO()
@@ -282,6 +409,14 @@ def test_command_is_refused(hostile, name):
     assert err.startswith(prefix) and err.count("\n") == 1 and len(err) < 300, err
     assert seconds < 1
     assert not (tmp / name).exists()
+
+
+@pytest.mark.parametrize("name", RANGES)
+def test_range_refusal_is_short(name):
+    message, call = RANGES[name]
+    with pytest.raises(DpfError) as refused:
+        call()
+    assert str(refused.value) == message and len(message) < 200
 
 
 def _value_options():

@@ -96,6 +96,7 @@ class TestSeedCoverage:
 # the bytes they had when it drew with replacement; some 16-bit view drew a
 # repeated seed then, so those bytes changed too.
 SIMULATED_VIEW_DIGEST = "689895f3e89bc182a903cca9fee9a21bca41c97a6bc607cc04f4b06e455b2c6a"
+# Each view's own sha256, by label, is in tests/data/simulated_views.json.
 
 SIMULATED_VIEW_SWEEP = [
     # parties, corrupted, modulus, grid, lambda bits, PRG tag; at 8 bits
@@ -108,8 +109,8 @@ SIMULATED_VIEW_SWEEP = [
 
 
 class TestSimulatedView:
-    def test_view_bytes_are_pinned(self):
-        digest = hashlib.sha256()
+    def test_view_bytes_are_pinned(self, check_digests):
+        digest, found = hashlib.sha256(), {}
         for parties, corrupted, modulus, grid, bits, tag in SIMULATED_VIEW_SWEEP:
             params = _params(
                 parties, corrupted, modulus, grid[0] * grid[1],
@@ -120,8 +121,13 @@ class TestSimulatedView:
                     rng = DeterministicRandomSource(f"view/{parties}/{coalition}")
                     view = simulate_coalition_view(params, coalition, rng)
                     assert [key.party for key in view.keys] == list(coalition)
+                    own = hashlib.sha256()
                     for key in view.keys:
                         digest.update(key_to_bytes(key))
+                        own.update(key_to_bytes(key))
+                    label = f"p={parties} m={corrupted} q={modulus} lambda={bits} prg={tag}"
+                    found[f"{label} coalition={list(coalition)}"] = own.hexdigest()
+        check_digests("simulated_views", found)
         assert digest.hexdigest() == SIMULATED_VIEW_DIGEST
 
     def test_coalition_bound_enforced(self):
